@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     except (QuadratureError, qi_bound.ConsistencyError) as exc:
         print(f"sqzqi: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except meta.DatasetError as exc:
+    except (meta.DatasetError, meta.FitError) as exc:
         print(f"sqzqi: dataset error: {exc}", file=sys.stderr)
         return 4
     except (UsageError, ValueError) as exc:
@@ -241,7 +241,10 @@ def _parse_curves(spec: str) -> list[QiCurve]:
 
 def cmd_analyze(args, config: Config) -> int:
     data = Path(args.data) if args.data else _shipped_dataset()
-    records = meta.load_records(data)
+    try:
+        records = meta.load_records(data)
+    except OSError as exc:
+        raise meta.DatasetError(f"cannot read {data}: {exc.strerror}") from None
     curves = _parse_curves(args.curves)
     fit_curves = curves if args.fit else None
     report = meta.classify(

@@ -7,8 +7,13 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
 
 so a measured value of -X dB is inconsistent with the bound whenever
 X > |R|.  The Gaussian and squared-Lorentzian windows admit closed forms
-(an error function and an exponential in omega0*t0 respectively); the
-square and trapezoid windows are handled numerically.
+(an error function and an exponential in omega0*t0 respectively).  The
+square and trapezoid windows are handled numerically, in the complement
+form 4pi * integral_0^{omega0} |(f^{1/2})_FT|^2: the trapezoid integrates
+its closed-form Fresnel spectrum with one adaptive quadrature, while the
+square window alone nests a quadrature of its spectrum inside it.
+``SpectrumMethod.NUMERIC_QUADRATURE`` selects that nested path for any
+family, as a cross-check.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -31,6 +36,7 @@ from scipy import integrate, special
 
 from .units import HBAR, C_LIGHT, format_db, to_db
 from .windows import (
+    ANALYTIC_SPECTRUM_KINDS,
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     QuadratureError,
@@ -44,7 +50,8 @@ from .windows import (
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
 
-_ANALYTIC_KINDS = (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ)
+# Families whose bound, not only whose spectrum, has a closed form.
+_CLOSED_FORM_KINDS = (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ)
 
 
 class ConsistencyError(RuntimeError):
@@ -111,8 +118,8 @@ class QiCurve:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale}")
         if self.window is WindowKind.TRAPEZOID:
-            if self.n is None or self.n <= 0:
-                raise ValueError("trapezoid curves require n > 0")
+            if self.n is None or not (math.isfinite(self.n) and self.n > 0):
+                raise ValueError(f"trapezoid curves require a finite n > 0, got {self.n}")
         elif self.n is not None:
             raise ValueError(f"{self.window.value} curves take no n parameter")
         if self.window is WindowKind.SQUARE and not self.allow_unstable:
@@ -120,14 +127,14 @@ class QiCurve:
                 "the square window is mathematically unstable in the bound "
                 "integrals; pass allow_unstable=True to use it anyway"
             )
-        if self.evaluation is Evaluation.CLOSED_FORM and self.window not in _ANALYTIC_KINDS:
+        if self.evaluation is Evaluation.CLOSED_FORM and self.window not in _CLOSED_FORM_KINDS:
             raise ValueError(f"no closed form for {self.window.value} curves")
 
     @property
     def resolved_evaluation(self) -> Evaluation:
         if self.evaluation is not None:
             return self.evaluation
-        return Evaluation.CLOSED_FORM if self.window in _ANALYTIC_KINDS else Evaluation.NUMERIC
+        return Evaluation.CLOSED_FORM if self.window in _CLOSED_FORM_KINDS else Evaluation.NUMERIC
 
     @property
     def curve_id(self) -> str:
@@ -199,13 +206,22 @@ def _bracket_analytic(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -
     return 1.0 - 4.0 * math.pi * tail, 4.0 * math.pi * err
 
 
-def _bracket_numeric(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
+def _bracket_numeric(V, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
     # Complement form: unit window normalization fixes the half-line
     # spectrum integral at exactly 1/(4pi), so
     #     1 - 4pi * integral_{omega0}^inf V = 4pi * integral_0^{omega0} V.
     # This trades the slowly decaying oscillatory tail (the square
     # window's spectrum falls only like 1/u^2) for a finite interval, and
     # evaluates small brackets without cancellation.
+    out = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol,
+                         epsrel=1e-11, limit=cfg.max_subdivisions, full_output=1)
+    val, err = out[0], out[1]
+    return 4.0 * math.pi * val, 4.0 * math.pi * err
+
+
+def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    # The spectrum itself by oscillatory quadrature at every outer node;
+    # its worst pointwise error is charged over the whole interval.
     inner_err = 0.0
 
     def V(u: float) -> float:
@@ -214,11 +230,8 @@ def _bracket_numeric(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) ->
         inner_err = max(inner_err, 2.0 * abs(amp) * err)
         return amp * amp
 
-    out = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol,
-                         epsrel=1e-11, limit=cfg.max_subdivisions, full_output=1)
-    val, err = out[0], out[1]
-    total_err = 4.0 * math.pi * (err + inner_err * omega0)
-    return 4.0 * math.pi * val, total_err
+    bracket, err = _bracket_numeric(V, omega0, cfg)
+    return bracket, err + 4.0 * math.pi * inner_err * omega0
 
 
 def _bracket(
@@ -227,12 +240,15 @@ def _bracket(
     cfg: QuadratureConfig,
     method: SpectrumMethod | None = None,
 ) -> tuple[float, float]:
-    has_analytic = w.kind in _ANALYTIC_KINDS
+    has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
     if method is None:
         method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
-    if method is SpectrumMethod.ANALYTIC:
-        return _bracket_analytic(w, omega0, cfg)
-    return _bracket_numeric(w, omega0, cfg)
+    if method is SpectrumMethod.NUMERIC_QUADRATURE:
+        return _bracket_nested(w, omega0, cfg)
+    if w.kind is WindowKind.TRAPEZOID:
+        # compact support: the complement form over a finite interval
+        return _bracket_numeric(lambda u: _analytic_sqrt_ft_squared(w, u), omega0, cfg)
+    return _bracket_analytic(w, omega0, cfg)
 
 
 def numeric_bound_detail(

@@ -18,11 +18,14 @@ Four even families are provided:
 * ``trapezoid``    -- flat top of full length t0, linear sides of
                       horizontal extent n*t0 each
 
-The Gaussian and squared-Lorentzian spectra have closed forms; the square
-and trapezoid spectra are evaluated by oscillatory quadrature over their
-(compact) supports.  The square window is numerically ill-behaved in the
-bound integrals -- its spectrum decays only like 1/omega^2 -- so building
-bound curves from it requires an explicit opt-in at the curve level.
+The Gaussian, squared-Lorentzian and trapezoid spectra have closed forms
+(the trapezoid's through Fresnel integrals, Abramowitz & Stegun 7.3).  The
+square window alone is evaluated by oscillatory quadrature over its
+compact support by default; ``SpectrumMethod.NUMERIC_QUADRATURE`` selects
+that quadrature for every family, as the independent cross-check of the
+closed forms.  The square window is numerically ill-behaved in the bound
+integrals -- its spectrum decays only like 1/omega^2 -- so building bound
+curves from it requires an explicit opt-in at the curve level.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 class WindowKind(enum.Enum):
@@ -45,6 +48,10 @@ class WindowKind(enum.Enum):
 class SpectrumMethod(enum.Enum):
     ANALYTIC = "analytic"
     NUMERIC_QUADRATURE = "numeric"
+
+
+# Families whose spectrum has a closed form; ANALYTIC is their default.
+ANALYTIC_SPECTRUM_KINDS = (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ, WindowKind.TRAPEZOID)
 
 
 class QuadratureError(RuntimeError):
@@ -72,10 +79,13 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    # The bracket error accumulates the worst per-point spectrum estimate
-    # over the whole integration range, which overstates the true error by
-    # orders of magnitude for the sharp-sided windows; the gate leaves
-    # headroom for that while staying far below any stated tolerance.
+    # On the nested path (the square window, or any family under
+    # SpectrumMethod.NUMERIC_QUADRATURE) the bracket error accumulates the
+    # worst per-point spectrum estimate over the whole integration range,
+    # which overstates the true error by orders of magnitude; the gate
+    # leaves headroom for that while staying far below any stated
+    # tolerance.  A closed-form spectrum (the trapezoid's included) adds
+    # nothing to the single bracket quadrature's own estimate.
     bound_tol: float = 5e-8
 
     def __post_init__(self):
@@ -182,12 +192,38 @@ def sqrt_window(w: SamplingWindow, t):
     return np.sqrt(evaluate_window(w, t))
 
 
+def _trapezoid_sqrt_ft(w: SamplingWindow, u: float) -> float:
+    """(f^{1/2})_FT of the trapezoid at u >= 0, through Fresnel integrals.
+
+    The flat top contributes sqrt(h)*sin(u b)/u.  Each sloping side is the
+    integral of sqrt(h s/L) cos(u(c - s)) over 0 <= s <= L, which the
+    substitution s = v^2 reduces to Fresnel C/S (A&S 7.3).  The one
+    cancellation, in the cosine term as u -> 0, is multiplied by
+    sin(u c) ~ u c, so the absolute error stays at rounding level.
+    """
+    b = 0.5 * w.t0
+    L = w.n * w.t0
+    c = b + L
+    h = _trapezoid_height(w)
+    if u == 0.0:
+        return math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi
+    S, C = special.fresnel(math.sqrt(2.0 * u * L / math.pi))
+    pref = math.sqrt(math.pi / (2.0 * u))
+    A = (math.sqrt(L) * math.sin(u * L) - pref * S) / u
+    B = (pref * C - math.sqrt(L) * math.cos(u * L)) / u
+    side = math.sqrt(h / L) * (math.cos(u * c) * A + math.sin(u * c) * B)
+    return float(math.sqrt(h) * math.sin(u * b) / u + side) / math.pi
+
+
 def _analytic_sqrt_ft_squared(w: SamplingWindow, omega: float) -> float:
-    """Closed-form |(f^{1/2})_FT|^2 for the two smooth families."""
+    """Closed-form |(f^{1/2})_FT|^2 for the families in ANALYTIC_SPECTRUM_KINDS."""
     if w.kind is WindowKind.GAUSSIAN:
         return w.t0 / (math.pi * math.sqrt(2.0 * math.pi)) * math.exp(-2.0 * (w.t0 * omega) ** 2)
     if w.kind is WindowKind.LORENTZIAN_SQ:
         return w.t0 / (2.0 * math.pi) * math.exp(-2.0 * w.t0 * abs(omega))
+    if w.kind is WindowKind.TRAPEZOID:
+        amp = _trapezoid_sqrt_ft(w, abs(omega))
+        return amp * amp
     raise ValueError(f"no analytic spectrum for {w.kind.value}")
 
 
@@ -240,17 +276,17 @@ def sqrt_ft_squared(
 ) -> float:
     """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds).
 
-    The Gaussian and squared-Lorentzian families use their closed forms by
-    default; the square and trapezoid families are evaluated by numeric
+    The Gaussian, squared-Lorentzian and trapezoid families use their
+    closed forms by default; the square family is evaluated by numeric
     quadrature.  Passing ``method`` forces a path (the numeric path on a
-    smooth family is the standard cross-check of the closed forms).
+    closed-form family is the standard cross-check of the closed forms).
 
     Raises :class:`QuadratureError` when the numeric path cannot certify
     the requested tolerance; the achieved estimate rides on the exception.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    has_analytic = w.kind in (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ)
     if method is None:
+        has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
         method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
     if method is SpectrumMethod.ANALYTIC:
         return _analytic_sqrt_ft_squared(w, omega)
@@ -290,8 +326,8 @@ def spectrum(
 ) -> SqrtWindowSpectrum:
     """Sample |(f^{1/2})_FT|^2 on a frequency grid."""
     cfg = cfg or DEFAULT_QUADRATURE
-    has_analytic = w.kind in (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ)
     if method is None:
+        has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
         method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
     samples = {float(om): sqrt_ft_squared(w, float(om), cfg, method) for om in np.atleast_1d(omegas)}
     return SqrtWindowSpectrum(source=w, method=method, samples=samples)

@@ -173,6 +173,23 @@ def test_analyze_parse_error_exit_4(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_analyze_fit_without_usable_records_exit_4(capsys, tmp_path):
+    data = tmp_path / "stub.csv"
+    data.write_text(HEADER + "\nstub,l,,,,,,,,,\n")
+    code, _, err = run(capsys, "analyze", "--fit", "--data", str(data))
+    assert code == 4
+    assert err.startswith("sqzqi: dataset error: ")
+    assert "Traceback" not in err
+
+
+def test_analyze_missing_data_file_exit_4(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", "--data", str(tmp_path / "absent.csv"))
+    assert code == 4
+    assert err.startswith("sqzqi: dataset error: ")
+    assert "absent.csv" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_rejects_square_curve_without_opt_in(capsys):
     code, _, err = run(capsys, "analyze", "--curves", "square-paper")
     assert code == 2

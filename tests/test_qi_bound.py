@@ -3,7 +3,8 @@
 The error function is checked against its own Maclaurin series evaluated
 in 40-digit arithmetic; the numeric bound brackets are checked against
 independently derived special-function forms (Si for the square window,
-Fresnel quadrature for the trapezoid).
+Fresnel quadrature for the trapezoid), and the trapezoid's closed-form
+spectrum path against its nested-quadrature path.
 """
 
 import math
@@ -223,6 +224,32 @@ def test_trapezoid_approaches_square_as_sides_vanish():
     assert tr == pytest.approx(sq, rel=1e-3)
 
 
+@pytest.mark.parametrize("omega0", [0.05, 1.0, 3.0])
+def test_trapezoid_side_term_has_no_cancellation_as_n_vanishes(omega0):
+    # The relative gap to the square bracket is O(n); cancellation in the
+    # Fresnel side term would show as a gap that stops shrinking.
+    sq = square_bracket_oracle(omega0)
+    gaps = []
+    for n in (1e-2, 1e-4, 1e-6, 1e-8):
+        res = numeric_bound_detail(trapezoid_window(1.0, n), SpectralFunction(omega0=omega0))
+        assert res.bracket_error < 1e-12
+        gap = abs(res.bracket - sq) / sq
+        assert gap < 2.0 * n
+        gaps.append(gap)
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("n", [0.001, 0.2, 1.0, 5.0])
+def test_trapezoid_closed_form_bracket_matches_nested_quadrature(n):
+    w = trapezoid_window(1.0, n)
+    for omega0 in (0.01, 0.3, 1.0, math.pi / 2, math.pi):
+        mu = SpectralFunction(omega0=omega0)
+        fast = numeric_bound_detail(w, mu)
+        nested = numeric_bound_detail(w, mu, spectrum_method=SpectrumMethod.NUMERIC_QUADRATURE)
+        assert fast.bracket == pytest.approx(nested.bracket, rel=0, abs=1e-12)
+        assert 0.0 < fast.bracket_error < nested.bracket_error
+
+
 def test_square_window_bracket_convergence_diagnostic():
     """Diagnostic, not an assertion of the unbounded-squeezing claim.
 
@@ -327,7 +354,8 @@ def test_curve_id_round_trip():
         # ids carry the scale at 6 significant digits
         assert parsed.scale == pytest.approx(curve.scale, rel=1e-5)
     assert parse_curve_id("gaussian-paper").curve_id == "gaussian-paper"
-    for bad in ("gaussian", "gaussian-paperx", "box-paper", "gaussian-paper-z3"):
+    for bad in ("gaussian", "gaussian-paperx", "box-paper", "gaussian-paper-z3",
+                "trapezoid-paper-nnan", "trapezoid-paper-ninf"):
         with pytest.raises(ValueError):
             parse_curve_id(bad)
 

@@ -4,6 +4,9 @@ Closed-form spectra for the smooth families are checked against symbolic
 Fourier transforms (sympy); the numeric-quadrature spectra of the sharp
 families are checked against independently derived special-function forms
 (a sinc^2 for the square window, Fresnel integrals for the trapezoid).
+The trapezoid's default spectrum is the oracle's own Fresnel formula, so
+the oracle test pins the quadrature path and a separate test checks the
+default against the oracle.
 """
 
 import math
@@ -227,8 +230,19 @@ def test_square_spectrum_vs_sinc_oracle(u):
 @pytest.mark.parametrize("n", [0.1, 0.2, 1.0, 5.0])
 @pytest.mark.parametrize("u", [0.0, 0.7, 3.0, 17.3])
 def test_trapezoid_spectrum_vs_fresnel_oracle(n, u):
-    got = sqrt_ft_squared(trapezoid_window(1.0, n), u)
+    # pinned to quadrature: the default path is the oracle's own formula
+    got = sqrt_ft_squared(trapezoid_window(1.0, n), u,
+                          method=SpectrumMethod.NUMERIC_QUADRATURE)
     assert got == pytest.approx(trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-8, abs=1e-18)
+
+
+@pytest.mark.parametrize("n", [1e-8, 0.001, 0.2, 1.0, 5.0])
+def test_trapezoid_default_spectrum_is_fresnel_closed_form(n):
+    w = trapezoid_window(1.0, n)
+    for u in (0.0, 1e-9, 0.7, 3.0, 17.3, 123.4):
+        assert sqrt_ft_squared(w, u) == pytest.approx(
+            trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-12, abs=1e-30)
+    assert spectrum(w, [0.5]).method is SpectrumMethod.ANALYTIC
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
