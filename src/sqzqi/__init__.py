@@ -2,16 +2,15 @@
 meta-analysis pipeline for published squeezing records."""
 
 from .windows import (
+    Method,
     QuadratureConfig,
     QuadratureError,
     SamplingWindow,
-    SpectrumMethod,
-    SqrtWindowSpectrum,
     WindowKind,
     evaluate_window,
     gaussian_window,
     lorentzian_sq_window,
-    spectrum,
+    resolve_method,
     sqrt_ft_squared,
     square_window,
     trapezoid_window,
@@ -19,11 +18,11 @@ from .windows import (
 from .qi_bound import (
     BoundResult,
     ConsistencyError,
-    Evaluation,
     QiCurve,
     SpectralFunction,
     SpectralShape,
     Variant,
+    bound_value,
     casimir_density,
     closed_form_gaussian,
     closed_form_lorentzian_sq,
@@ -45,6 +44,7 @@ from .opa import (
     extremes,
     ideal_bound,
     ideal_ft,
+    ideal_r_db,
     s_minus,
     s_plus,
     squeezed_fraction,
@@ -64,6 +64,6 @@ from .meta import (
     load_records,
     reconcile_ft,
 )
-from .units import C_LIGHT, HBAR, from_db, to_db
+from .units import C_LIGHT, HBAR, to_db
 
 __version__ = "0.1.0"

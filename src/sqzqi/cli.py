@@ -9,7 +9,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric non-convergence,
 4 dataset error.  An optional ``--config`` file (``key=value`` lines)
-understands ``quad.rel_tol``, ``quad.max_nodes`` and ``plot.db_floor``.
+understands ``quad.max_nodes`` (the quadrature subdivision limit) and
+``plot.db_floor``; a missing config file is a usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import meta, opa, qi_bound, svgfig
-from .qi_bound import Evaluation, QiCurve, Variant, parse_curve_id
+from .qi_bound import QiCurve, Variant, parse_curve_id
 from .units import format_db, to_db
-from .windows import QuadratureConfig, QuadratureError, WindowKind
+from .windows import QuadratureConfig, QuadratureError, WindowKind, resolve_method
 
 DEFAULT_DB_FLOOR = -25.0
 DEFAULT_CURVES = "gaussian-paper,gaussian-marecki,lorentzian2-paper,lorentzian2-marecki"
@@ -48,7 +49,11 @@ def _load_config(path: str | None) -> Config:
     quad_kwargs = {}
     db_floor = DEFAULT_DB_FLOOR
     if path:
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+        for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -56,9 +61,7 @@ def _load_config(path: str | None) -> Config:
                 raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "quad.rel_tol":
-                quad_kwargs["rel_tol"] = float(value)
-            elif key == "quad.max_nodes":
+            if key == "quad.max_nodes":
                 quad_kwargs["max_subdivisions"] = int(value)
             elif key == "plot.db_floor":
                 db_floor = float(value)
@@ -163,7 +166,7 @@ def _curve_from_args(args) -> QiCurve:
         variant=Variant(args.variant),
         scale=args.scale,
         n=n,
-        evaluation=Evaluation.NUMERIC if args.numeric else None,
+        method=resolve_method(kind, numeric=True) if args.numeric else None,
         allow_unstable=args.allow_square,
     )
 
@@ -173,14 +176,7 @@ def cmd_bound(args, config: Config) -> int:
         raise UsageError("pass exactly one of --ft or --omega-t0")
     curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        window = qi_bound.SamplingWindow(curve.window, 1.0, curve.n)
-        mu = qi_bound.SpectralFunction(omega0=args.omega_t0)
-        if args.numeric or curve.resolved_evaluation is Evaluation.NUMERIC:
-            r = qi_bound.numeric_bound(window, mu, config.quad)
-        elif curve.window is WindowKind.GAUSSIAN:
-            r = qi_bound.closed_form_gaussian(args.omega_t0)
-        else:
-            r = qi_bound.closed_form_lorentzian_sq(args.omega_t0)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.method, config.quad)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
@@ -281,19 +277,15 @@ def _curve_points(curve: QiCurve, grid: np.ndarray, quad: QuadratureConfig):
 
 
 def _ideal_points(grid: np.ndarray):
-    xs, ys = [], []
-    for ft in grid:
-        if 0.0 < ft < 0.5:
-            xs.append(float(ft))
-            ys.append(to_db(opa.ideal_bound(float(ft))))
-        elif ft >= 0.5:
-            xs.append(float(ft))
-            ys.append(0.0)
-    return tuple(xs), tuple(ys)
+    return tuple(float(x) for x in grid), tuple(opa.ideal_r_db(float(x)) for x in grid)
 
 
 def _report_points(path: str) -> svgfig.PointSet:
-    report = meta.AnalysisReport.from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise meta.DatasetError(f"cannot read report {path}: {exc.strerror}") from None
+    report = meta.AnalysisReport.from_json(text)
     rows = [r for r in report.per_record if math.isfinite(r.r_db_used)]
     return svgfig.PointSet(
         label="experimental points",

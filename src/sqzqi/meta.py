@@ -24,15 +24,15 @@ import enum
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import optimize
 
-from .opa import ideal_bound
+from .opa import ideal_r_db
 from .qi_bound import QiCurve, QuadratureConfig, curve_csv, curve_value
-from .units import round_sig, to_db
+from .units import round_sig
 
 # Applied when a source gives no uncertainty; always flagged in the report.
 DEFAULT_S_ERR_DB = 0.5
@@ -127,9 +127,12 @@ def _parse_field(raw: str, line: int, name: str) -> float | None:
     if raw == "":
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DatasetError(f"field {name!r} is not a number: {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise DatasetError(f"field {name!r} is not a finite number: {raw!r}", line)
+    return value
 
 
 def load_records(source: str | Path) -> list[SqueezingRecord]:
@@ -286,14 +289,6 @@ def _q(x: float | None) -> float | None:
     return None if x is None else round_sig(x, 6)
 
 
-def _ideal_r_db(ft: float) -> float:
-    # The lossless bound saturates at 0 dB for ft >= 1/2 (squeezing can
-    # never occupy more than half the cycle).
-    if ft >= 0.5:
-        return 0.0
-    return to_db(ideal_bound(ft))
-
-
 def _flag(r: float, s_err: float, ft: float, ft_err: float, curve: QiCurve,
           cfg: QuadratureConfig | None) -> RecordFlag:
     # Bound curves increase with ft, so the error rectangle sits entirely
@@ -358,7 +353,7 @@ def classify(
             bound = curve_value(curve, rec.ft, cfg)
             violations[curve.curve_id] = bool(r < bound)
             flags[curve.curve_id] = _flag(r, s_err, rec.ft, ft_err, curve, cfg).value
-        exceeded = bool(r < _ideal_r_db(rec.ft)) if include_ideal else None
+        exceeded = bool(r < ideal_r_db(rec.ft)) if include_ideal else None
         report.per_record.append(RecordResult(
             record_id=record.id,
             ft_used=_q(rec.ft),
@@ -380,7 +375,7 @@ def classify(
     if include_ideal:
         lines = ["ft,r_db,curve_id,window,variant,scale"]
         for ft in fts:
-            lines.append(f"{float(ft):.6g},{_ideal_r_db(float(ft)):.4f},ideal-opa,ideal-opa,,1")
+            lines.append(f"{float(ft):.6g},{ideal_r_db(float(ft)):.4f},ideal-opa,ideal-opa,,1")
         report.curve_samples["ideal-opa"] = "\n".join(lines) + "\n"
     for curve in (fit_curves or []):
         fit = fit_scale(records, curve, cfg)
@@ -400,12 +395,6 @@ def _classifiable_points(records: list[SqueezingRecord]) -> list[tuple[float, fl
             continue
         points.append((rec.ft, record.s_minus_db))
     return points
-
-
-def _scaled(curve: QiCurve, k: float) -> QiCurve:
-    return QiCurve(window=curve.window, variant=curve.variant, scale=k,
-                   n=curve.n, evaluation=curve.evaluation,
-                   allow_unstable=curve.allow_unstable)
 
 
 def fit_scale(
@@ -428,7 +417,7 @@ def fit_scale(
         raise FitError("no classifiable records to fit")
 
     def violations(k: float) -> int:
-        c = _scaled(curve, k)
+        c = replace(curve, scale=k)
         return sum(1 for ft, r in points if r < curve_value(c, ft, cfg))
 
     if violations(1.0) == 0:
@@ -446,7 +435,7 @@ def fit_scale(
         envelope = lo
 
     def cost(k: float) -> float:
-        c = _scaled(curve, k)
+        c = replace(curve, scale=k)
         return sum((r - max(curve_value(c, ft, cfg), -60.0)) ** 2 for ft, r in points)
 
     ls = optimize.minimize_scalar(cost, bounds=(1e-4, 2.0), method="bounded",

@@ -166,6 +166,14 @@ def ideal_bound(ft: float) -> float:
     return math.tan(ft * math.pi / 2.0) ** 2
 
 
+def ideal_r_db(ft: float) -> float:
+    """:func:`ideal_bound` in dB, saturating at 0 dB for ft >= 0.5
+    (squeezing can never occupy more than half the cycle)."""
+    if ft >= 0.5:
+        return 0.0
+    return to_db(ideal_bound(ft))
+
+
 def ideal_ft(s_min: float) -> float:
     """Squeezed fraction of a lossless OPA at squeezing depth s_min.
 
@@ -213,14 +221,6 @@ def effective_ft(
 def _depth_weight(x: float, beta: float, w: float) -> float:
     """Squeezing depth 1 - S-(x, beta, w), the default averaging kernel."""
     return 1.0 - s_minus(x, beta, w)
-
-
-def s_minus_db(x: float, beta: float, w: float = 0.0) -> float:
-    return to_db(s_minus(x, beta, w))
-
-
-def s_plus_db(x: float, beta: float, w: float = 0.0) -> float:
-    return to_db(s_plus(x, beta, w))
 
 
 def _validate(x: float, beta: float, w: float) -> None:

@@ -6,14 +6,13 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
     R = 10*log10[ 1 - 4pi * integral_0^inf |(f^{1/2})_FT(omega + omega0)|^2 d omega ]
 
 so a measured value of -X dB is inconsistent with the bound whenever
-X > |R|.  The Gaussian and squared-Lorentzian windows admit closed forms
-(an error function and an exponential in omega0*t0 respectively).  The
-square and trapezoid windows are handled numerically, in the complement
-form 4pi * integral_0^{omega0} |(f^{1/2})_FT|^2: the trapezoid integrates
-its closed-form Fresnel spectrum with one adaptive quadrature, while the
-square window alone nests a quadrature of its spectrum inside it.
-``SpectrumMethod.NUMERIC_QUADRATURE`` selects that nested path for any
-family, as a cross-check.
+X > |R|.  By default (:data:`sqzqi.windows.METHODS`) the Gaussian and
+squared-Lorentzian bounds are closed forms (an error function and an
+exponential in omega0*t0); the trapezoid integrates its closed-form
+Fresnel spectrum with one adaptive quadrature, in the complement form
+4pi * integral_0^{omega0} |(f^{1/2})_FT|^2; the square window alone nests
+a quadrature of its spectrum inside it.  ``Method.NESTED`` selects that
+nested path for any family, as a cross-check.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -36,22 +35,19 @@ from scipy import integrate, special
 
 from .units import HBAR, C_LIGHT, format_db, to_db
 from .windows import (
-    ANALYTIC_SPECTRUM_KINDS,
     DEFAULT_QUADRATURE,
+    Method,
     QuadratureConfig,
     QuadratureError,
     SamplingWindow,
-    SpectrumMethod,
     WindowKind,
     _analytic_sqrt_ft_squared,
     _sqrt_ft_numeric,
+    resolve_method,
 )
 
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
-
-# Families whose bound, not only whose spectrum, has a closed form.
-_CLOSED_FORM_KINDS = (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ)
 
 
 class ConsistencyError(RuntimeError):
@@ -63,11 +59,6 @@ class Variant(enum.Enum):
 
     WITH_PI = "paper"
     NO_PI = "marecki"
-
-
-class Evaluation(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    NUMERIC = "numeric"
 
 
 class SpectralShape(enum.Enum):
@@ -104,14 +95,14 @@ class QiCurve:
     ``scale`` multiplies F_T before the convention mapping (1.0 is the
     theoretical curve; fitted envelopes use smaller values).  Trapezoid
     curves need ``n``; square curves must opt in to the numerically
-    unstable family explicitly.
+    unstable family explicitly.  ``method`` is resolved once, here.
     """
 
     window: WindowKind
     variant: Variant
     scale: float = 1.0
     n: float | None = None
-    evaluation: Evaluation | None = None
+    method: Method | None = None
     allow_unstable: bool = False
 
     def __post_init__(self):
@@ -127,14 +118,7 @@ class QiCurve:
                 "the square window is mathematically unstable in the bound "
                 "integrals; pass allow_unstable=True to use it anyway"
             )
-        if self.evaluation is Evaluation.CLOSED_FORM and self.window not in _CLOSED_FORM_KINDS:
-            raise ValueError(f"no closed form for {self.window.value} curves")
-
-    @property
-    def resolved_evaluation(self) -> Evaluation:
-        if self.evaluation is not None:
-            return self.evaluation
-        return Evaluation.CLOSED_FORM if self.window in _CLOSED_FORM_KINDS else Evaluation.NUMERIC
+        object.__setattr__(self, "method", resolve_method(self.window, self.method))
 
     @property
     def curve_id(self) -> str:
@@ -234,16 +218,12 @@ def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> 
     return bracket, err + 4.0 * math.pi * inner_err * omega0
 
 
-def _bracket(
-    w: SamplingWindow,
-    omega0: float,
-    cfg: QuadratureConfig,
-    method: SpectrumMethod | None = None,
-) -> tuple[float, float]:
-    has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
-    if method is None:
-        method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
-    if method is SpectrumMethod.NUMERIC_QUADRATURE:
+def _bracket(w: SamplingWindow, omega0: float, cfg: QuadratureConfig,
+             method: Method) -> tuple[float, float]:
+    # ``method`` is resolved: supported by the family, never None.
+    if method is Method.CLOSED_FORM:
+        return _closed_form_bracket(w.kind, omega0 * w.t0), 0.0
+    if method is Method.NESTED:
         return _bracket_nested(w, omega0, cfg)
     if w.kind is WindowKind.TRAPEZOID:
         # compact support: the complement form over a finite interval
@@ -255,9 +235,10 @@ def numeric_bound_detail(
     w: SamplingWindow,
     mu: SpectralFunction,
     cfg: QuadratureConfig | None = None,
-    spectrum_method: SpectrumMethod | None = None,
+    method: Method | None = None,
 ) -> BoundResult:
-    """Numeric bound evaluation with bracket diagnostics.
+    """Bound evaluation with bracket diagnostics; ``method`` defaults to
+    the family's fastest method that is not a closed-form bound.
 
     In the delta limit the spectral weight collapses onto omega0: the
     weight appears with identical omega_p^3-weighted integrals in the
@@ -270,8 +251,9 @@ def numeric_bound_detail(
     that the cancellation holds to lowest order in delta_omega.
     """
     cfg = cfg or DEFAULT_QUADRATURE
+    method = resolve_method(w.kind, method, numeric=True)
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        bracket, err = _bracket(w, mu.omega0, cfg, spectrum_method)
+        bracket, err = _bracket(w, mu.omega0, cfg, method)
     else:
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
@@ -280,7 +262,7 @@ def numeric_bound_detail(
         err = 0.0
         brackets = np.empty_like(omega_p)
         for i, op in enumerate(omega_p):
-            brackets[i], e = _bracket(w, float(op), cfg, spectrum_method)
+            brackets[i], e = _bracket(w, float(op), cfg, method)
             err = max(err, e)
         wp3 = weights * omega_p**3
         bracket = float(np.sum(wp3 * brackets) / np.sum(wp3))
@@ -299,22 +281,50 @@ def numeric_bound(
     return numeric_bound_detail(w, mu, cfg).r_db
 
 
+def _closed_form_bracket(kind: WindowKind, omega_t0: float) -> float:
+    """erf(sqrt(2)*omega0*t0) for the Gaussian window, 1 - exp(-2*omega0*t0)
+    for the squared-Lorentzian one; ValueError for any other family."""
+    if not (math.isfinite(omega_t0) and omega_t0 >= 0):
+        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0}")
+    if kind is WindowKind.GAUSSIAN:
+        return float(special.erf(math.sqrt(2.0) * omega_t0))
+    if kind is WindowKind.LORENTZIAN_SQ:
+        return -math.expm1(-2.0 * omega_t0)
+    raise ValueError(f"no closed-form bound for the {kind.value} window")
+
+
 def closed_form_gaussian(omega_t0: float) -> float:
     """R = 10*log10[erf(sqrt(2)*omega0*t0)] for the Gaussian window.
 
     ``scipy.special.erf`` is accurate to machine precision, well inside
     the 1e-12 absolute requirement.  omega_t0 = 0 gives the -inf sentinel.
     """
-    if not (math.isfinite(omega_t0) and omega_t0 >= 0):
-        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0}")
-    return to_db(float(special.erf(math.sqrt(2.0) * omega_t0)))
+    return to_db(_closed_form_bracket(WindowKind.GAUSSIAN, omega_t0))
 
 
 def closed_form_lorentzian_sq(omega_t0: float) -> float:
     """R = 10*log10[1 - exp(-2*omega0*t0)] for the squared-Lorentzian window."""
-    if not (math.isfinite(omega_t0) and omega_t0 >= 0):
-        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0}")
-    return to_db(-math.expm1(-2.0 * omega_t0))
+    return to_db(_closed_form_bracket(WindowKind.LORENTZIAN_SQ, omega_t0))
+
+
+def bound_value(
+    kind: WindowKind,
+    n: float | None,
+    omega_t0: float,
+    method: Method | None = None,
+    cfg: QuadratureConfig | None = None,
+) -> float:
+    """R (dB) of a window family at the phase argument omega0*t0, by the
+    family's fastest method unless ``method`` is given.  Only a bound that
+    is not a closed form is floored at the -inf sentinel."""
+    if method is None:
+        method = resolve_method(kind)
+    if method is Method.CLOSED_FORM:
+        return to_db(_closed_form_bracket(kind, omega_t0))
+    # The bound depends on omega0 and t0 only through their product, so
+    # evaluate a unit-width window at omega0 = omega_t0.
+    w = SamplingWindow(kind, 1.0, n)
+    return numeric_bound_detail(w, SpectralFunction(omega0=omega_t0), cfg, method).r_db
 
 
 def phase_argument(variant: Variant, window: WindowKind, ft: float, scale: float = 1.0) -> float:
@@ -337,15 +347,7 @@ def curve_value(curve: QiCurve, ft: float, cfg: QuadratureConfig | None = None) 
     if not (0.0 < ft <= 1.0):
         raise ValueError(f"ft must lie in (0, 1], got {ft}")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
-    if curve.resolved_evaluation is Evaluation.CLOSED_FORM:
-        if curve.window is WindowKind.GAUSSIAN:
-            return closed_form_gaussian(arg)
-        return closed_form_lorentzian_sq(arg)
-    # The bound depends on omega0 and t0 only through their product, so
-    # evaluate a unit-width window at omega0 = arg.
-    w = SamplingWindow(curve.window, 1.0, curve.n)
-    mu = SpectralFunction(omega0=arg)
-    return numeric_bound(w, mu, cfg)
+    return bound_value(curve.window, curve.n, arg, curve.method, cfg)
 
 
 def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np.ndarray:

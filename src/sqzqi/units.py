@@ -1,7 +1,7 @@
 """Physical constants and decibel helpers shared across the package.
 
 All variance ratios are linear (relative to the vacuum level); public
-reporting converts through the single pair of helpers here so that the
+reporting converts through the helpers here so that the
 ``-inf`` sentinel for unbounded squeezing is handled in exactly one place.
 """
 
@@ -19,13 +19,6 @@ def to_db(ratio: float) -> float:
     if ratio <= 0.0:
         return -math.inf
     return 10.0 * math.log10(ratio)
-
-
-def from_db(db: float) -> float:
-    """Inverse of :func:`to_db`; the -inf sentinel maps back to 0."""
-    if db == -math.inf:
-        return 0.0
-    return 10.0 ** (db / 10.0)
 
 
 def format_db(db: float) -> str:

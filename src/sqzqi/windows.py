@@ -21,18 +21,18 @@ Four even families are provided:
 The Gaussian, squared-Lorentzian and trapezoid spectra have closed forms
 (the trapezoid's through Fresnel integrals, Abramowitz & Stegun 7.3).  The
 square window alone is evaluated by oscillatory quadrature over its
-compact support by default; ``SpectrumMethod.NUMERIC_QUADRATURE`` selects
-that quadrature for every family, as the independent cross-check of the
-closed forms.  The square window is numerically ill-behaved in the bound
-integrals -- its spectrum decays only like 1/omega^2 -- so building bound
-curves from it requires an explicit opt-in at the curve level.
+compact support; ``Method.NESTED`` selects that quadrature for every
+family, as the independent cross-check of the closed forms.  The square
+window is numerically ill-behaved in the bound integrals -- its spectrum
+decays only like 1/omega^2 -- so building bound curves from it requires an
+explicit opt-in at the curve level.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -45,13 +45,35 @@ class WindowKind(enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
-class SpectrumMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    NUMERIC_QUADRATURE = "numeric"
+class Method(enum.Enum):
+    """How a bound is evaluated."""
+
+    CLOSED_FORM = "closed_form"  # the bound itself in closed form
+    SPECTRUM = "spectrum"        # one quadrature of the closed-form spectrum
+    NESTED = "nested"            # a quadrature of the spectrum's quadrature
 
 
-# Families whose spectrum has a closed form; ANALYTIC is their default.
-ANALYTIC_SPECTRUM_KINDS = (WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ, WindowKind.TRAPEZOID)
+# The methods each family supports, fastest first; the first is its default.
+METHODS = {
+    WindowKind.GAUSSIAN: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
+    WindowKind.LORENTZIAN_SQ: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
+    WindowKind.TRAPEZOID: (Method.SPECTRUM, Method.NESTED),
+    WindowKind.SQUARE: (Method.NESTED,),
+}
+
+
+def resolve_method(kind: WindowKind, method: Method | None = None,
+                   numeric: bool = False) -> Method:
+    """``method`` if ``kind`` supports it, else ValueError; when ``method``
+    is None, the family's fastest method, or with ``numeric`` its fastest
+    method that is not a closed-form bound."""
+    supported = METHODS[kind]
+    if method is None:
+        return supported[1] if numeric and supported[0] is Method.CLOSED_FORM else supported[0]
+    if method not in supported:
+        names = ", ".join(m.value for m in supported)
+        raise ValueError(f"{kind.value} window supports {names}, not {method.value}")
+    return method
 
 
 class QuadratureError(RuntimeError):
@@ -80,7 +102,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
     # On the nested path (the square window, or any family under
-    # SpectrumMethod.NUMERIC_QUADRATURE) the bracket error accumulates the
+    # Method.NESTED) the bracket error accumulates the
     # worst per-point spectrum estimate over the whole integration range,
     # which overstates the true error by orders of magnitude; the gate
     # leaves headroom for that while staying far below any stated
@@ -138,11 +160,6 @@ class SamplingWindow:
         if self.kind is WindowKind.TRAPEZOID:
             return (0.0, 0.5 * self.t0, self.half_support)
         return (0.0,)
-
-    @property
-    def unstable(self) -> bool:
-        """True for the sharp-cornered square window (slow spectral decay)."""
-        return self.kind is WindowKind.SQUARE
 
 
 def gaussian_window(t0: float) -> SamplingWindow:
@@ -216,7 +233,7 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u: float) -> float:
 
 
 def _analytic_sqrt_ft_squared(w: SamplingWindow, omega: float) -> float:
-    """Closed-form |(f^{1/2})_FT|^2 for the families in ANALYTIC_SPECTRUM_KINDS."""
+    """Closed-form |(f^{1/2})_FT|^2 for every family but the square."""
     if w.kind is WindowKind.GAUSSIAN:
         return w.t0 / (math.pi * math.sqrt(2.0 * math.pi)) * math.exp(-2.0 * (w.t0 * omega) ** 2)
     if w.kind is WindowKind.LORENTZIAN_SQ:
@@ -237,34 +254,22 @@ def _sqrt_ft_numeric(w: SamplingWindow, omega: float, cfg: QuadratureConfig) -> 
     ever dropped.
     """
     u = abs(omega)
-    edges = w.segment_edges
+    edges = w.segment_edges if math.isfinite(w.half_support) else (0.0, np.inf)
     total = 0.0
     total_err = 0.0
     g = lambda t: float(sqrt_window(w, t))
-    if math.isinf(w.half_support):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         if u < 1e-300:
-            val, err = integrate.quad(g, 0.0, np.inf,
+            val, err = integrate.quad(g, lo, hi,
                                       epsabs=cfg.abs_tol, epsrel=1e-12,
                                       limit=cfg.max_subdivisions)
         else:
-            out = integrate.quad(g, 0.0, np.inf, weight="cos", wvar=u,
-                                 epsabs=cfg.abs_tol, limlst=100,
-                                 limit=cfg.max_subdivisions, full_output=1)
-            val, err = out[0], out[1]
-        total, total_err = val, err
-    else:
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if u < 1e-300:
-                val, err = integrate.quad(g, lo, hi,
-                                          epsabs=cfg.abs_tol, epsrel=1e-12,
-                                          limit=cfg.max_subdivisions)
-            else:
-                out = integrate.quad(g, lo, hi, weight="cos", wvar=u,
-                                     epsabs=cfg.abs_tol,
-                                     limit=cfg.max_subdivisions, full_output=1)
-                val, err = out[0], out[1]
-            total += val
-            total_err += err
+            # limlst bounds the cycles of the semi-infinite rule only
+            val, err = integrate.quad(g, lo, hi, weight="cos", wvar=u,
+                                      epsabs=cfg.abs_tol, limlst=100,
+                                      limit=cfg.max_subdivisions, full_output=1)[:2]
+        total += val
+        total_err += err
     return total / math.pi, total_err / math.pi
 
 
@@ -272,23 +277,19 @@ def sqrt_ft_squared(
     w: SamplingWindow,
     omega: float,
     cfg: QuadratureConfig | None = None,
-    method: SpectrumMethod | None = None,
+    method: Method | None = None,
 ) -> float:
     """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds).
 
-    The Gaussian, squared-Lorentzian and trapezoid families use their
-    closed forms by default; the square family is evaluated by numeric
-    quadrature.  Passing ``method`` forces a path (the numeric path on a
-    closed-form family is the standard cross-check of the closed forms).
+    ``NESTED`` (the square family's only method) evaluates it by numeric
+    quadrature, every other method by its closed form; ``NESTED`` on a
+    closed-form family is the standard cross-check of the closed forms.
 
     Raises :class:`QuadratureError` when the numeric path cannot certify
     the requested tolerance; the achieved estimate rides on the exception.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    if method is None:
-        has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
-        method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
-    if method is SpectrumMethod.ANALYTIC:
+    if resolve_method(w.kind, method) is not Method.NESTED:
         return _analytic_sqrt_ft_squared(w, omega)
     amp, amp_err = _sqrt_ft_numeric(w, omega, cfg)
     value = amp * amp
@@ -303,31 +304,3 @@ def sqrt_ft_squared(
         )
     return value
 
-
-@dataclass(frozen=True)
-class SqrtWindowSpectrum:
-    """A sampled spectrum |(f^{1/2})_FT|^2 of one window."""
-
-    source: SamplingWindow
-    method: SpectrumMethod
-    samples: dict[float, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        bad = [v for v in self.samples.values() if not (v >= 0.0)]
-        if bad:
-            raise ValueError("spectrum values must be real and non-negative")
-
-
-def spectrum(
-    w: SamplingWindow,
-    omegas,
-    cfg: QuadratureConfig | None = None,
-    method: SpectrumMethod | None = None,
-) -> SqrtWindowSpectrum:
-    """Sample |(f^{1/2})_FT|^2 on a frequency grid."""
-    cfg = cfg or DEFAULT_QUADRATURE
-    if method is None:
-        has_analytic = w.kind in ANALYTIC_SPECTRUM_KINDS
-        method = SpectrumMethod.ANALYTIC if has_analytic else SpectrumMethod.NUMERIC_QUADRATURE
-    samples = {float(om): sqrt_ft_squared(w, float(om), cfg, method) for om in np.atleast_1d(omegas)}
-    return SqrtWindowSpectrum(source=w, method=method, samples=samples)

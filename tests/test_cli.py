@@ -171,6 +171,10 @@ def test_analyze_parse_error_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--data", str(data))
     assert code == 4
     assert "line 3" in err
+    data.write_text(HEADER + "\nnan,l,,,,nan,,,,,\n")
+    code, out, err = run(capsys, "analyze", "--data", str(data))
+    assert code == 4
+    assert "line 2" in err and "violations" not in out
 
 
 def test_analyze_fit_without_usable_records_exit_4(capsys, tmp_path):
@@ -245,6 +249,15 @@ def test_plot_inline_curves(capsys, tmp_path):
     assert out.read_text().count("<polyline") == 2
 
 
+def test_plot_missing_report_file_exit_4(capsys, tmp_path):
+    code, _, err = run(capsys, "plot", "--fig", "5", "--report", str(tmp_path / "absent.json"),
+                       "--out", str(tmp_path / "x.svg"))
+    assert code == 4
+    assert err.startswith("sqzqi: dataset error: ")
+    assert "absent.json" in err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_plot_usage_errors(capsys, tmp_path):
     assert run(capsys, "plot", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "9", "--out", str(tmp_path / "x.svg"))[0] == 2
@@ -275,10 +288,20 @@ def test_config_plot_floor_applies(capsys, tmp_path):
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
-    config.write_text("quad.bogus=1\n")
-    code, _, err = run(capsys, "--config", str(config), "opa", "--ideal-bound", "0.2")
+    # quad.rel_tol is not a key: no bound integral reads a relative tolerance
+    for line in ("quad.bogus=1\n", "quad.rel_tol=0.1\n"):
+        config.write_text(line)
+        code, _, err = run(capsys, "--config", str(config), "opa", "--ideal-bound", "0.2")
+        assert code == 2
+        assert "unknown config key" in err
+
+
+def test_config_missing_file_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
+                       "opa", "--ideal-bound", "0.2")
     assert code == 2
-    assert "unknown config key" in err
+    assert "absent.cfg" in err
+    assert "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -158,6 +158,18 @@ def test_load_errors_carry_line_numbers():
         load_records("# only a comment\n")
 
 
+@pytest.mark.parametrize("row", [
+    "a,l,,,,nan,,,,,",          # once classified as "0 violations"
+    "a,l,,,,-inf,3.0,,,,",
+    "a,l,,,,-3.0,3.0,inf,,,",
+    "a,l,NaN,,,,,,,,",
+])
+def test_load_rejects_non_finite_fields(row):
+    header = ",".join(DATASET_COLUMNS)
+    with pytest.raises(DatasetError, match="line 2: .* is not a finite number"):
+        load_records(header + "\n" + row + "\n")
+
+
 # --- classification ----------------------------------------------------------
 
 def vah_like_records():

@@ -18,6 +18,7 @@ from sqzqi.opa import (
     extremes,
     ideal_bound,
     ideal_ft,
+    ideal_r_db,
     s_minus,
     s_plus,
     squeezed_fraction,
@@ -172,6 +173,9 @@ def test_ideal_examples():
     assert ideal_ft(ideal_bound(0.14)) == pytest.approx(0.14, abs=1e-12)
     # shrinking duration allows unbounded squeezing depth
     assert ideal_bound(1e-9) < 1e-15
+    # in dB the limit saturates at 0 dB from F_T = 1/2 on
+    assert ideal_r_db(0.14) == to_db(ideal_bound(0.14))
+    assert ideal_r_db(0.5) == ideal_r_db(0.7) == 0.0
 
 
 def test_ideal_domains():

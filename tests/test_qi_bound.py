@@ -20,7 +20,6 @@ from scipy import integrate, special
 from sqzqi.qi_bound import (
     BRACKET_FLOOR,
     ConsistencyError,
-    Evaluation,
     QiCurve,
     SpectralFunction,
     SpectralShape,
@@ -40,13 +39,14 @@ from sqzqi.qi_bound import (
 )
 from sqzqi.units import C_LIGHT, HBAR
 from sqzqi.windows import (
+    Method,
     QuadratureConfig,
     QuadratureError,
     SamplingWindow,
-    SpectrumMethod,
     WindowKind,
     gaussian_window,
     lorentzian_sq_window,
+    sqrt_ft_squared,
     square_window,
     trapezoid_window,
 )
@@ -149,7 +149,7 @@ def test_numeric_bound_saturates_for_long_observation():
 
 def test_forced_numeric_spectrum_path():
     res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=1.0),
-                               spectrum_method=SpectrumMethod.NUMERIC_QUADRATURE)
+                               method=Method.NESTED)
     assert res.r_db == pytest.approx(closed_form_gaussian(1.0), abs=1e-7)
     assert 0.0 < res.bracket < 1.0
     assert res.bracket_error < 1e-7
@@ -245,7 +245,7 @@ def test_trapezoid_closed_form_bracket_matches_nested_quadrature(n):
     for omega0 in (0.01, 0.3, 1.0, math.pi / 2, math.pi):
         mu = SpectralFunction(omega0=omega0)
         fast = numeric_bound_detail(w, mu)
-        nested = numeric_bound_detail(w, mu, spectrum_method=SpectrumMethod.NUMERIC_QUADRATURE)
+        nested = numeric_bound_detail(w, mu, method=Method.NESTED)
         assert fast.bracket == pytest.approx(nested.bracket, rel=0, abs=1e-12)
         assert 0.0 < fast.bracket_error < nested.bracket_error
 
@@ -336,7 +336,51 @@ def test_curve_validation():
     QiCurve(WindowKind.SQUARE, Variant.WITH_PI, allow_unstable=True)
     with pytest.raises(ValueError):
         QiCurve(WindowKind.SQUARE, Variant.WITH_PI, allow_unstable=True,
-                evaluation=Evaluation.CLOSED_FORM)
+                method=Method.CLOSED_FORM)
+
+
+# Written out apart from windows.METHODS, which these tests check.
+SUPPORTED_METHODS = {
+    WindowKind.GAUSSIAN: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
+    WindowKind.LORENTZIAN_SQ: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
+    WindowKind.TRAPEZOID: {Method.SPECTRUM, Method.NESTED},
+    WindowKind.SQUARE: {Method.NESTED},
+}
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", list(WindowKind), ids=lambda k: k.value)
+def test_method_table(kind, method):
+    n = 0.2 if kind is WindowKind.TRAPEZOID else None
+    w = SamplingWindow(kind, 1.0, n)
+    mu = SpectralFunction(omega0=1.0)
+    calls = (
+        lambda: QiCurve(kind, Variant.WITH_PI, n=n, method=method, allow_unstable=True),
+        lambda: sqrt_ft_squared(w, 1.0, method=method),
+        lambda: numeric_bound_detail(w, mu, method=method),
+    )
+    if method not in SUPPORTED_METHODS[kind]:
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+        return
+    curve, value, detail = (call() for call in calls)
+    assert curve.method is method
+    assert value == pytest.approx(sqrt_ft_squared(w, 1.0), rel=1e-8)
+    assert detail.bracket == pytest.approx(numeric_bound_detail(w, mu).bracket, abs=1e-9)
+    assert (detail.bracket_error == 0.0) == (method is Method.CLOSED_FORM)
+
+
+def test_method_defaults():
+    # curves take the fastest method; numeric_bound_detail the fastest numeric one
+    curve_default = {WindowKind.GAUSSIAN: Method.CLOSED_FORM,
+                     WindowKind.LORENTZIAN_SQ: Method.CLOSED_FORM,
+                     WindowKind.TRAPEZOID: Method.SPECTRUM, WindowKind.SQUARE: Method.NESTED}
+    for kind, method in curve_default.items():
+        n = 0.2 if kind is WindowKind.TRAPEZOID else None
+        assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).method is method
+        detail = numeric_bound_detail(SamplingWindow(kind, 1.0, n), SpectralFunction(omega0=1.0))
+        assert detail.bracket_error > 0.0
 
 
 def test_curve_id_round_trip():

@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from sqzqi.windows import (
+    Method,
     QuadratureConfig,
     QuadratureError,
     SamplingWindow,
-    SpectrumMethod,
-    SqrtWindowSpectrum,
     WindowKind,
     evaluate_window,
     gaussian_window,
     lorentzian_sq_window,
-    spectrum,
+    resolve_method,
     sqrt_ft_squared,
     sqrt_window,
     square_window,
@@ -215,8 +214,8 @@ def test_numeric_matches_analytic_smooth_families(kind, u_over_t0):
     for t0 in (0.7, 1.0):
         w = make_window(kind, t0)
         u = u_over_t0 / t0
-        numeric = sqrt_ft_squared(w, u, method=SpectrumMethod.NUMERIC_QUADRATURE)
-        analytic = sqrt_ft_squared(w, u, method=SpectrumMethod.ANALYTIC)
+        numeric = sqrt_ft_squared(w, u, method=Method.NESTED)
+        analytic = sqrt_ft_squared(w, u, method=Method.CLOSED_FORM)
         assert numeric == pytest.approx(analytic, rel=1e-8)
 
 
@@ -232,7 +231,7 @@ def test_square_spectrum_vs_sinc_oracle(u):
 def test_trapezoid_spectrum_vs_fresnel_oracle(n, u):
     # pinned to quadrature: the default path is the oracle's own formula
     got = sqrt_ft_squared(trapezoid_window(1.0, n), u,
-                          method=SpectrumMethod.NUMERIC_QUADRATURE)
+                          method=Method.NESTED)
     assert got == pytest.approx(trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-8, abs=1e-18)
 
 
@@ -242,7 +241,7 @@ def test_trapezoid_default_spectrum_is_fresnel_closed_form(n):
     for u in (0.0, 1e-9, 0.7, 3.0, 17.3, 123.4):
         assert sqrt_ft_squared(w, u) == pytest.approx(
             trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-12, abs=1e-30)
-    assert spectrum(w, [0.5]).method is SpectrumMethod.ANALYTIC
+    assert resolve_method(WindowKind.TRAPEZOID) is Method.SPECTRUM
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -342,30 +341,13 @@ def test_spectrum_symmetry(kind):
         assert sqrt_ft_squared(w, -u) == pytest.approx(sqrt_ft_squared(w, u), rel=1e-10)
 
 
-# --- container and error reporting ----------------------------------------
-
-def test_spectrum_container():
-    w = gaussian_window(1.0)
-    spec = spectrum(w, [0.0, 0.5, 1.0])
-    assert spec.method is SpectrumMethod.ANALYTIC
-    assert set(spec.samples) == {0.0, 0.5, 1.0}
-    assert all(v >= 0 for v in spec.samples.values())
-    spec_num = spectrum(square_window(1.0), [0.0, 1.0])
-    assert spec_num.method is SpectrumMethod.NUMERIC_QUADRATURE
-    with pytest.raises(ValueError):
-        SqrtWindowSpectrum(source=w, method=SpectrumMethod.ANALYTIC, samples={0.0: -1.0})
-
-
-def test_analytic_method_rejected_for_sharp_families():
-    with pytest.raises(ValueError):
-        sqrt_ft_squared(square_window(1.0), 1.0, method=SpectrumMethod.ANALYTIC)
-
+# --- error reporting ------------------------------------------------------
 
 def test_nonconvergence_reports_achieved_error():
     cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-16)
     with pytest.raises(QuadratureError) as err:
         sqrt_ft_squared(trapezoid_window(1.0, 0.001), 2.0, cfg=cfg,
-                        method=SpectrumMethod.NUMERIC_QUADRATURE)
+                        method=Method.NESTED)
     assert err.value.achieved is not None
     assert err.value.achieved > 0
     assert "achieved error estimate" in str(err.value)
