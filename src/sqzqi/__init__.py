@@ -24,12 +24,9 @@ from .qi_bound import (
     Variant,
     bound_value,
     casimir_density,
-    closed_form_gaussian,
-    closed_form_lorentzian_sq,
     curve_csv,
     curve_value,
     ford_bound,
-    numeric_bound,
     numeric_bound_detail,
     parse_curve_id,
     phase_argument,

@@ -16,7 +16,6 @@ understands ``quad.max_nodes`` (the quadrature subdivision limit) and
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -75,10 +74,17 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(s) for s in spec.split(":"))
     except ValueError:
         raise UsageError(f"grid must be lo:hi:step, got {spec!r}") from None
-    if step <= 0 or not (0.0 < lo <= hi <= 1.0):
-        raise UsageError(f"grid {spec!r} must satisfy 0 < lo <= hi <= 1 and step > 0")
+    if not (0.0 < lo <= hi <= 1.0 and 0.0 < step < math.inf):
+        raise UsageError(f"grid {spec!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return np.round(lo + step * np.arange(count), 12)
+
+
+def _plot_grid(step: float | None, default: float) -> np.ndarray:
+    step = default if step is None else step
+    if not 0.0 < step <= 0.5:
+        raise UsageError(f"--grid-step must lie in (0, 0.5], got {step:g}")
+    return np.round(np.arange(step, 0.5 + step * 1e-6, step), 10)
 
 
 def _shipped_dataset() -> Path:
@@ -285,8 +291,11 @@ def _report_points(path: str) -> svgfig.PointSet:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise meta.DatasetError(f"cannot read report {path}: {exc.strerror}") from None
-    report = meta.AnalysisReport.from_json(text)
-    rows = [r for r in report.per_record if math.isfinite(r.r_db_used)]
+    try:
+        report = meta.AnalysisReport.from_json(text)
+        rows = [r for r in report.per_record if math.isfinite(r.r_db_used)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise meta.DatasetError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
     return svgfig.PointSet(
         label="experimental points",
         x=tuple(r.ft_used for r in rows),
@@ -307,8 +316,7 @@ def _fig_spec(fig: int, grid_step: float | None, db_floor: float,
             x_range=(0.0, 1.0), y_range=(db_floor, 0.0),
             curves=[svgfig.CurveTrace("S-(x, 0), beta = 1", tuple(float(x) for x in xs), ys)],
         )
-    step = grid_step or (0.02 if fig == 8 else 0.005)
-    grid = np.round(np.arange(step, 0.5 + step * 1e-6, step), 10)
+    grid = _plot_grid(grid_step, 0.02 if fig == 8 else 0.005)
     spec = svgfig.PlotSpec(
         title="", x_label="F_T", y_label="R (dB)",
         x_range=(0.0, 0.5), y_range=(db_floor, 0.0),
@@ -366,8 +374,7 @@ def cmd_plot(args, config: Config) -> int:
     if args.fig is not None:
         spec = _fig_spec(args.fig, args.grid_step, db_floor, config.quad)
     elif args.curve:
-        step = args.grid_step or 0.005
-        grid = np.round(np.arange(step, 0.5 + step * 1e-6, step), 10)
+        grid = _plot_grid(args.grid_step, 0.005)
         spec = svgfig.PlotSpec(
             title="Bound curves", x_label="F_T", y_label="R (dB)",
             x_range=(0.0, 0.5), y_range=(db_floor, 0.0),

@@ -24,7 +24,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,10 @@ class SqueezingRecord:
     ft_err: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"record {self.id}: {f.name}={v} is not a finite number")
         if not self.id:
             raise ValueError("record id must be non-empty")
         if self.s_minus_db is not None and self.s_plus_db is not None:
@@ -127,12 +131,9 @@ def _parse_field(raw: str, line: int, name: str) -> float | None:
     if raw == "":
         return None
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise DatasetError(f"field {name!r} is not a number: {raw!r}", line) from None
-    if not math.isfinite(value):
-        raise DatasetError(f"field {name!r} is not a finite number: {raw!r}", line)
-    return value
 
 
 def load_records(source: str | Path) -> list[SqueezingRecord]:
@@ -289,21 +290,22 @@ def _q(x: float | None) -> float | None:
     return None if x is None else round_sig(x, 6)
 
 
-def _flag(r: float, s_err: float, ft: float, ft_err: float, curve: QiCurve,
-          cfg: QuadratureConfig | None) -> RecordFlag:
+def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
+           curve: QiCurve, cfg: QuadratureConfig | None) -> list[str]:
     # Bound curves increase with ft, so the error rectangle sits entirely
     # below the curve iff its top-left corner does (and the bound diverges
     # to -inf as ft -> 0, so a rectangle reaching ft <= 0 can never be
     # entirely below).
     lo_ft = ft - ft_err
-    hi_ft = min(ft + ft_err, 1.0)
-    r_at_lo = curve_value(curve, lo_ft, cfg) if lo_ft > 0 else -math.inf
+    hi_ft = np.minimum(ft + ft_err, 1.0)
+    r_at_lo = np.full_like(ft, -np.inf)
+    reach = lo_ft > 0
+    r_at_lo[reach] = curve_value(curve, lo_ft[reach], cfg)
     r_at_hi = curve_value(curve, hi_ft, cfg)
-    if r + s_err < r_at_lo:
-        return RecordFlag.VIOLATES
-    if r - s_err >= r_at_hi:
-        return RecordFlag.CONSISTENT
-    return RecordFlag.WITHIN_ERROR
+    # indices in RecordFlag's order, so that every row shares its value strings
+    codes = np.select([r + s_err < r_at_lo, r - s_err >= r_at_hi], [0, 1], 2)
+    values = [flag.value for flag in RecordFlag]
+    return [values[c] for c in codes]
 
 
 DEFAULT_FT_GRID = tuple(np.round(np.arange(0.01, 0.5001, 0.01), 6))
@@ -326,6 +328,7 @@ def classify(
     """
     report = AnalysisReport()
     discrepancies = []
+    columns = []
     for record in sorted(records, key=lambda r: r.id):
         rec = reconcile_ft(record)
         if rec is None:
@@ -347,12 +350,7 @@ def classify(
             ft_err = DEFAULT_FT_ERR
             assumed.append("ft_err")
         r = record.s_minus_db
-        violations = {}
-        flags = {}
-        for curve in curves:
-            bound = curve_value(curve, rec.ft, cfg)
-            violations[curve.curve_id] = bool(r < bound)
-            flags[curve.curve_id] = _flag(r, s_err, rec.ft, ft_err, curve, cfg).value
+        columns += (r, rec.ft, s_err, ft_err)
         exceeded = bool(r < ideal_r_db(rec.ft)) if include_ideal else None
         report.per_record.append(RecordResult(
             record_id=record.id,
@@ -361,12 +359,20 @@ def classify(
             r_db_used=_q(r),
             s_err_db_used=_q(s_err),
             ft_err_used=_q(ft_err),
-            violations=violations,
-            flags=flags,
+            violations={},
+            flags={},
             ideal_opa_exceeded=exceeded,
             ft_discrepancy=_q(rec.discrepancy),
             assumed_error_fields=assumed,
         ))
+    # each curve is evaluated once per column of the classified records
+    r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
+    for curve in curves:
+        below = r < curve_value(curve, ft, cfg)
+        flags = _flags(r, s_err, ft, ft_err, curve, cfg)
+        for row, violates, flag in zip(report.per_record, below, flags):
+            row.violations[curve.curve_id] = bool(violates)
+            row.flags[curve.curve_id] = flag
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
     fts = list(ft_grid)
@@ -387,16 +393,6 @@ def classify(
     return report
 
 
-def _classifiable_points(records: list[SqueezingRecord]) -> list[tuple[float, float]]:
-    points = []
-    for record in records:
-        rec = reconcile_ft(record)
-        if rec is None or record.s_minus_db is None:
-            continue
-        points.append((rec.ft, record.s_minus_db))
-    return points
-
-
 def fit_scale(
     records: list[SqueezingRecord],
     curve: QiCurve,
@@ -412,13 +408,14 @@ def fit_scale(
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
     """
-    points = _classifiable_points(records)
+    points = [(rec.ft, record.s_minus_db) for record in records
+              if (rec := reconcile_ft(record)) is not None and record.s_minus_db is not None]
     if not points:
         raise FitError("no classifiable records to fit")
+    ft, r = np.array(points, dtype=float).T
 
     def violations(k: float) -> int:
-        c = replace(curve, scale=k)
-        return sum(1 for ft, r in points if r < curve_value(c, ft, cfg))
+        return int(np.count_nonzero(r < curve_value(replace(curve, scale=k), ft, cfg)))
 
     if violations(1.0) == 0:
         envelope = 1.0
@@ -435,8 +432,8 @@ def fit_scale(
         envelope = lo
 
     def cost(k: float) -> float:
-        c = replace(curve, scale=k)
-        return sum((r - max(curve_value(c, ft, cfg), -60.0)) ** 2 for ft, r in points)
+        bound = np.maximum(curve_value(replace(curve, scale=k), ft, cfg), -60.0)
+        return float(np.sum((r - bound) ** 2))
 
     ls = optimize.minimize_scalar(cost, bounds=(1e-4, 2.0), method="bounded",
                                   options={"xatol": 1e-8})

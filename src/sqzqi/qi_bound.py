@@ -22,6 +22,10 @@ are first-class; no attempt is made to adjudicate between them.
 
 A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
 squeezing"), serialized as the literal string "-inf".
+
+:func:`bound_value`, :func:`phase_argument`, :func:`curve_value` (and
+:func:`sqzqi.units.to_db`) take a float or an array: a float in gives a
+float out, an array an array of the same shape.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .units import HBAR, C_LIGHT, format_db, to_db
+from .units import HBAR, C_LIGHT, float_or_array, format_db, to_db
 from .windows import (
     DEFAULT_QUADRATURE,
     Method,
@@ -272,51 +276,31 @@ def numeric_bound_detail(
     return BoundResult(r_db=to_db(bracket), bracket=bracket, bracket_error=err)
 
 
-def numeric_bound(
-    w: SamplingWindow,
-    mu: SpectralFunction,
-    cfg: QuadratureConfig | None = None,
-) -> float:
-    """R in dB for window ``w`` under spectral weight ``mu`` (see module doc)."""
-    return numeric_bound_detail(w, mu, cfg).r_db
-
-
-def _closed_form_bracket(kind: WindowKind, omega_t0: float) -> float:
+def _closed_form_bracket(kind: WindowKind, omega_t0):
     """erf(sqrt(2)*omega0*t0) for the Gaussian window, 1 - exp(-2*omega0*t0)
     for the squared-Lorentzian one; ValueError for any other family."""
-    if not (math.isfinite(omega_t0) and omega_t0 >= 0):
-        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0}")
+    omega_t0 = np.asarray(omega_t0, dtype=float)
+    ok = np.isfinite(omega_t0) & (omega_t0 >= 0)
+    if not ok.all():
+        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0[~ok][0]}")
     if kind is WindowKind.GAUSSIAN:
-        return float(special.erf(math.sqrt(2.0) * omega_t0))
+        return float_or_array(special.erf(math.sqrt(2.0) * omega_t0))
     if kind is WindowKind.LORENTZIAN_SQ:
-        return -math.expm1(-2.0 * omega_t0)
+        return float_or_array(-np.expm1(-2.0 * omega_t0))
     raise ValueError(f"no closed-form bound for the {kind.value} window")
-
-
-def closed_form_gaussian(omega_t0: float) -> float:
-    """R = 10*log10[erf(sqrt(2)*omega0*t0)] for the Gaussian window.
-
-    ``scipy.special.erf`` is accurate to machine precision, well inside
-    the 1e-12 absolute requirement.  omega_t0 = 0 gives the -inf sentinel.
-    """
-    return to_db(_closed_form_bracket(WindowKind.GAUSSIAN, omega_t0))
-
-
-def closed_form_lorentzian_sq(omega_t0: float) -> float:
-    """R = 10*log10[1 - exp(-2*omega0*t0)] for the squared-Lorentzian window."""
-    return to_db(_closed_form_bracket(WindowKind.LORENTZIAN_SQ, omega_t0))
 
 
 def bound_value(
     kind: WindowKind,
     n: float | None,
-    omega_t0: float,
+    omega_t0,
     method: Method | None = None,
     cfg: QuadratureConfig | None = None,
-) -> float:
+):
     """R (dB) of a window family at the phase argument omega0*t0, by the
     family's fastest method unless ``method`` is given.  Only a bound that
-    is not a closed form is floored at the -inf sentinel."""
+    is not a closed form is floored at the -inf sentinel; it runs one
+    quadrature per element of ``omega_t0``."""
     if method is None:
         method = resolve_method(kind)
     if method is Method.CLOSED_FORM:
@@ -324,35 +308,40 @@ def bound_value(
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
     w = SamplingWindow(kind, 1.0, n)
-    return numeric_bound_detail(w, SpectralFunction(omega0=omega_t0), cfg, method).r_db
+    args = np.asarray(omega_t0, dtype=float)
+    r_db = [numeric_bound_detail(w, SpectralFunction(omega0=float(a)), cfg, method).r_db
+            for a in args.flat]
+    return float_or_array(np.reshape(r_db, args.shape))
 
 
-def phase_argument(variant: Variant, window: WindowKind, ft: float, scale: float = 1.0) -> float:
+def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0):
     """Map a squeezed fraction F_T to the phase argument omega0*t0.
 
     ``paper``: omega0*t0 = pi*F_T*scale for every family.  ``marecki``:
     omega0*t0 = F_T*scale, except the Gaussian family where the
     transcribed result doubles the argument (2*F_T*scale).
     """
-    base = ft * scale
+    base = np.asarray(ft, dtype=float) * scale
     if variant is Variant.WITH_PI:
-        return math.pi * base
-    if window is WindowKind.GAUSSIAN:
-        return 2.0 * base
-    return base
+        base = math.pi * base
+    elif window is WindowKind.GAUSSIAN:
+        base = 2.0 * base
+    return float_or_array(base)
 
 
-def curve_value(curve: QiCurve, ft: float, cfg: QuadratureConfig | None = None) -> float:
+def curve_value(curve: QiCurve, ft, cfg: QuadratureConfig | None = None):
     """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
-    if not (0.0 < ft <= 1.0):
-        raise ValueError(f"ft must lie in (0, 1], got {ft}")
+    ft = np.asarray(ft, dtype=float)
+    ok = (ft > 0.0) & (ft <= 1.0)
+    if not ok.all():
+        raise ValueError(f"ft must lie in (0, 1], got {ft[~ok][0]}")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
     return bound_value(curve.window, curve.n, arg, curve.method, cfg)
 
 
 def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Evaluate a curve on a grid of F_T values, in input order."""
-    return np.array([curve_value(curve, float(ft), cfg) for ft in np.atleast_1d(fts)])
+    return curve_value(curve, np.atleast_1d(fts), cfg)
 
 
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"

@@ -9,16 +9,24 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # CODATA 2018; c is exact by definition of the metre.
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m/s
 
 
-def to_db(ratio: float) -> float:
-    """10*log10 of a linear variance ratio; 0 or below maps to -inf."""
-    if ratio <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(ratio)
+def float_or_array(values):
+    """A float for a 0-d result, else the array: what float-or-array functions return."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def to_db(ratio):
+    """10*log10 of a linear variance ratio, a float or an array; 0 or below maps to -inf."""
+    ratio = np.asarray(ratio, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.where(ratio <= 0.0, -np.inf, 10.0 * np.log10(ratio))
+    return float_or_array(db)
 
 
 def format_db(db: float) -> str:

@@ -27,12 +27,11 @@ from sqzqi.qi_bound import (
     SpectralFunction,
     SpectralShape,
     Variant,
+    bound_value,
     casimir_density,
-    closed_form_gaussian,
-    closed_form_lorentzian_sq,
     curve_value,
     ford_bound,
-    numeric_bound,
+    numeric_bound_detail,
 )
 from sqzqi.units import to_db
 from sqzqi.windows import WindowKind, gaussian_window, lorentzian_sq_window
@@ -53,9 +52,10 @@ def test_criterion_01_numeric_bound_matches_closed_forms():
     worst = 0.0
     for arg in args:
         mu = SpectralFunction(omega0=arg)
-        dev_g = abs(numeric_bound(gaussian_window(1.0), mu) - closed_form_gaussian(arg))
-        dev_l = abs(numeric_bound(lorentzian_sq_window(1.0), mu)
-                    - closed_form_lorentzian_sq(arg))
+        dev_g = abs(numeric_bound_detail(gaussian_window(1.0), mu).r_db
+                    - bound_value(WindowKind.GAUSSIAN, None, arg))
+        dev_l = abs(numeric_bound_detail(lorentzian_sq_window(1.0), mu).r_db
+                    - bound_value(WindowKind.LORENTZIAN_SQ, None, arg))
         worst = max(worst, dev_g, dev_l)
         assert dev_g <= 1e-6
         assert dev_l <= 1e-6
@@ -170,9 +170,9 @@ def test_criterion_08_spectral_weight_robustness():
     w = gaussian_window(1.0)
     worst = 0.0
     for omega0 in (0.5, 1.0, 2.0):
-        delta = numeric_bound(w, SpectralFunction(omega0=omega0))
-        full = numeric_bound(w, SpectralFunction(
-            omega0=omega0, delta_omega=0.01 * omega0, shape=SpectralShape.GAUSSIAN))
+        delta = numeric_bound_detail(w, SpectralFunction(omega0=omega0)).r_db
+        full = numeric_bound_detail(w, SpectralFunction(
+            omega0=omega0, delta_omega=0.01 * omega0, shape=SpectralShape.GAUSSIAN)).r_db
         worst = max(worst, abs(full - delta))
         assert abs(full - delta) < 1e-3
     ok(8, f"explicit narrow spectral weight shifts the bound by at most "

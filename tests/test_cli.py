@@ -71,6 +71,10 @@ def test_bound_usage_errors(capsys):
     assert run(capsys, "bound", "--window", "bogus", "--ft", "0.1:0.2:0.1")[0] == 2
     assert run(capsys, "bound", "--window", "gaussian", "--n", "2",
                "--ft", "0.1:0.2:0.1")[0] == 2
+    for grid in ("0.1:0.2:nan", "0.1:0.2:inf", "0.1:0.2:-0.1", "nan:0.2:0.1", "0.1:inf:0.1"):
+        code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", grid)
+        assert code == 2 and out == ""
+        assert err == f"sqzqi: grid {grid!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf\n"
 
 
 def test_bound_numeric_failure_exit_code(capsys, tmp_path):
@@ -256,12 +260,27 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
     assert err.startswith("sqzqi: dataset error: ")
     assert "absent.json" in err
     assert not (tmp_path / "x.svg").exists()
+    for name, text in (("empty.json", "{}"), ("text.json", "not json")):
+        (tmp_path / name).write_text(text)
+        code, _, err = run(capsys, "plot", "--fig", "5", "--report", str(tmp_path / name),
+                           "--out", str(tmp_path / "x.svg"))
+        assert code == 4
+        assert err.startswith(f"sqzqi: dataset error: malformed report {tmp_path / name}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_usage_errors(capsys, tmp_path):
     assert run(capsys, "plot", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "9", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "5")[0] == 2  # missing --out
+    for step in ("-0.01", "0", "nan", "inf", "0.6"):
+        for target in (("--fig", "5"), ("--curve", "gaussian-paper")):
+            code, _, err = run(capsys, "plot", *target, "--grid-step", step,
+                               "--out", str(tmp_path / "x.svg"))
+            assert code == 2
+            assert err.startswith("sqzqi: --grid-step must lie in (0, 0.5], got ")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_db_floor_changes_output(capsys, tmp_path):

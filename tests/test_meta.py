@@ -170,6 +170,17 @@ def test_load_rejects_non_finite_fields(row):
         load_records(header + "\n" + row + "\n")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s_minus_db", math.nan),   # once classified "within-error" with r_db_used nan
+    ("s_plus_db", math.inf),
+    ("ft_err", math.nan),
+    ("w", -math.inf),
+])
+def test_record_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"record a: {field}={value} is not a finite number"):
+        SqueezingRecord(id="a", ft_formula=0.2, **{field: value})
+
+
 # --- classification ----------------------------------------------------------
 
 def vah_like_records():
@@ -233,6 +244,31 @@ def test_classify_order_independent():
         shuffled = records[:]
         random.Random(seed).shuffle(shuffled)
         assert classify(shuffled, curves).to_json() == base
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.fixed_dictionaries({
+    "s_minus_db": st.floats(-20.0, -0.01),
+    "ft_formula": st.floats(0.005, 0.995),
+    "ft_graphical": st.none() | st.floats(0.005, 0.995),
+    "s_err_db": st.none() | st.floats(0.0, 2.0),
+    "ft_err": st.none() | st.floats(0.0, 0.1),
+}), max_size=6))
+def test_classify_rows_equal_single_record_classification(rows):
+    records = [SqueezingRecord(id=f"h{i}", **fields) for i, fields in enumerate(rows)] + [
+        SqueezingRecord(id="low", s_minus_db=-3.0, ft_formula=0.01, ft_err=0.05),  # ft - ft_err < 0
+        SqueezingRecord(id="edge", s_minus_db=-3.0, ft_formula=0.03, ft_err=0.03),  # = 0
+        SqueezingRecord(id="high", s_minus_db=-0.1, ft_formula=0.98, ft_err=0.05),  # > 1
+        SqueezingRecord(id="stub"),
+        SqueezingRecord(id="depthless", ft_formula=0.2),
+    ]
+    curves = [GAUSS_PAPER, GAUSS_MARECKI, LOR2_PAPER,
+              QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=0.2)]
+    report = classify(records, curves)
+    assert len(report.per_record) == len(records) - 2
+    by_id = {r.id: r for r in records}
+    for row in report.per_record:
+        assert classify([by_id[row.record_id]], curves).per_record == [row]
 
 
 def test_classify_empty_dataset():

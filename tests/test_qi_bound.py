@@ -8,6 +8,7 @@ spectrum path against its nested-quadrature path.
 """
 
 import math
+import re
 import time
 
 import mpmath
@@ -25,13 +26,11 @@ from sqzqi.qi_bound import (
     SpectralShape,
     Variant,
     _check_bracket,
+    bound_value,
     casimir_density,
-    closed_form_gaussian,
-    closed_form_lorentzian_sq,
     curve_csv,
     curve_value,
     ford_bound,
-    numeric_bound,
     numeric_bound_detail,
     parse_curve_id,
     phase_argument,
@@ -89,68 +88,71 @@ def test_closed_form_gaussian_vs_series(arg):
     z = math.sqrt(2.0) * arg
     assert float(special.erf(z)) == pytest.approx(erf_series(z), abs=1e-14)
     expected = db(erf_series(z))
-    assert closed_form_gaussian(arg) == pytest.approx(expected, abs=1e-10)
+    assert bound_value(WindowKind.GAUSSIAN, None, arg) == pytest.approx(expected, abs=1e-10)
 
 
 def test_closed_form_gaussian_examples():
-    assert closed_form_gaussian(0.0) == -math.inf
-    assert abs(closed_form_gaussian(10.0)) < 1e-10
-    assert closed_form_gaussian(1.0) == pytest.approx(-0.2022, abs=5e-4)
+    assert bound_value(WindowKind.GAUSSIAN, None, 0.0) == -math.inf
+    assert abs(bound_value(WindowKind.GAUSSIAN, None, 10.0)) < 1e-10
+    assert bound_value(WindowKind.GAUSSIAN, None, 1.0) == pytest.approx(-0.2022, abs=5e-4)
     # erf argument 0.6220 (i.e. omega0*t0 = 0.6220/sqrt(2)): erf ~ 0.621
     assert erf_series(0.6220) == pytest.approx(0.620946, abs=1e-6)
-    assert closed_form_gaussian(0.6220 / math.sqrt(2.0)) == pytest.approx(-2.07, abs=5e-3)
+    assert bound_value(WindowKind.GAUSSIAN, None, 0.6220 / math.sqrt(2.0)) == pytest.approx(
+        -2.07, abs=5e-3)
     with pytest.raises(ValueError):
-        closed_form_gaussian(-0.1)
+        bound_value(WindowKind.GAUSSIAN, None, -0.1)
 
 
 def test_closed_form_lorentzian_examples():
-    assert closed_form_lorentzian_sq(0.0) == -math.inf
-    assert closed_form_lorentzian_sq(math.pi / 2) == pytest.approx(
+    assert bound_value(WindowKind.LORENTZIAN_SQ, None, 0.0) == -math.inf
+    assert bound_value(WindowKind.LORENTZIAN_SQ, None, math.pi / 2) == pytest.approx(
         db(1.0 - math.exp(-math.pi)), abs=1e-12)
-    assert closed_form_lorentzian_sq(math.pi / 2) == pytest.approx(-0.1919, abs=5e-4)
-    assert closed_form_lorentzian_sq(0.5) == pytest.approx(-1.9921, abs=5e-4)
-    assert abs(closed_form_lorentzian_sq(50.0)) < 1e-12
+    assert bound_value(WindowKind.LORENTZIAN_SQ, None, math.pi / 2) == pytest.approx(
+        -0.1919, abs=5e-4)
+    assert bound_value(WindowKind.LORENTZIAN_SQ, None, 0.5) == pytest.approx(-1.9921, abs=5e-4)
+    assert abs(bound_value(WindowKind.LORENTZIAN_SQ, None, 50.0)) < 1e-12
     with pytest.raises(ValueError):
-        closed_form_lorentzian_sq(-1.0)
+        bound_value(WindowKind.LORENTZIAN_SQ, None, -1.0)
 
 
 @pytest.mark.parametrize("arg", ARGS)
 def test_closed_form_lorentzian_vs_mpmath(arg):
     with mpmath.workdps(40):
         expected = float(10 * mpmath.log10(1 - mpmath.exp(-2 * mpmath.mpf(arg))))
-    assert closed_form_lorentzian_sq(arg) == pytest.approx(expected, abs=1e-12)
+    assert bound_value(WindowKind.LORENTZIAN_SQ, None, arg) == pytest.approx(expected, abs=1e-12)
 
 
 # --- numeric bound vs closed forms ----------------------------------------
 
 @pytest.mark.parametrize("arg", ARGS)
 def test_numeric_bound_matches_gaussian_closed_form(arg):
-    r = numeric_bound(gaussian_window(1.0), SpectralFunction(omega0=arg))
-    assert r == pytest.approx(closed_form_gaussian(arg), abs=1e-6)
+    r = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=arg)).r_db
+    assert r == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, arg), abs=1e-6)
 
 
 @pytest.mark.parametrize("arg", ARGS)
 def test_numeric_bound_matches_lorentzian_closed_form(arg):
-    r = numeric_bound(lorentzian_sq_window(1.0), SpectralFunction(omega0=arg))
-    assert r == pytest.approx(closed_form_lorentzian_sq(arg), abs=1e-6)
+    r = numeric_bound_detail(lorentzian_sq_window(1.0), SpectralFunction(omega0=arg)).r_db
+    assert r == pytest.approx(bound_value(WindowKind.LORENTZIAN_SQ, None, arg), abs=1e-6)
 
 
 def test_numeric_bound_scale_invariance():
     # depends on omega0 and t0 only through their product
-    r1 = numeric_bound(gaussian_window(2.0), SpectralFunction(omega0=0.5))
-    r2 = numeric_bound(gaussian_window(0.25), SpectralFunction(omega0=4.0))
-    assert r1 == pytest.approx(closed_form_gaussian(1.0), abs=1e-9)
-    assert r2 == pytest.approx(closed_form_gaussian(1.0), abs=1e-9)
+    r1 = numeric_bound_detail(gaussian_window(2.0), SpectralFunction(omega0=0.5)).r_db
+    r2 = numeric_bound_detail(gaussian_window(0.25), SpectralFunction(omega0=4.0)).r_db
+    assert r1 == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, 1.0), abs=1e-9)
+    assert r2 == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, 1.0), abs=1e-9)
 
 
 def test_numeric_bound_saturates_for_long_observation():
-    assert abs(numeric_bound(gaussian_window(1.0), SpectralFunction(omega0=20.0))) < 1e-6
+    res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=20.0))
+    assert abs(res.r_db) < 1e-6
 
 
 def test_forced_numeric_spectrum_path():
     res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=1.0),
                                method=Method.NESTED)
-    assert res.r_db == pytest.approx(closed_form_gaussian(1.0), abs=1e-7)
+    assert res.r_db == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, 1.0), abs=1e-7)
     assert 0.0 < res.bracket < 1.0
     assert res.bracket_error < 1e-7
 
@@ -164,7 +166,8 @@ def test_bracket_stays_in_unit_interval(arg):
 
 
 def test_zero_omega_gives_sentinel():
-    assert numeric_bound(gaussian_window(1.0), SpectralFunction(omega0=0.0)) == -math.inf
+    res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=0.0))
+    assert res.r_db == -math.inf
     res = numeric_bound_detail(square_window(1.0), SpectralFunction(omega0=0.0))
     assert res.r_db == -math.inf
     assert res.bracket <= BRACKET_FLOOR
@@ -175,10 +178,10 @@ def test_zero_omega_gives_sentinel():
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 2.0])
 def test_gaussian_weight_matches_delta_limit(omega0):
     w = gaussian_window(1.0)
-    delta = numeric_bound(w, SpectralFunction(omega0=omega0))
+    delta = numeric_bound_detail(w, SpectralFunction(omega0=omega0)).r_db
     mu = SpectralFunction(omega0=omega0, delta_omega=0.01 * omega0,
                           shape=SpectralShape.GAUSSIAN)
-    full = numeric_bound(w, mu)
+    full = numeric_bound_detail(w, mu).r_db
     assert full == pytest.approx(delta, abs=1e-3)
 
 
@@ -424,6 +427,47 @@ def test_sample_curve_preserves_order():
     assert vals[2] == curve_value(curve, 0.2)
 
 
+# --- arrays through the one evaluation core -----------------------------------
+
+# one member of each family, each by its default method
+FAMILIES = [(WindowKind.GAUSSIAN, None), (WindowKind.LORENTZIAN_SQ, None),
+            (WindowKind.TRAPEZOID, 0.2), (WindowKind.SQUARE, None)]
+FAMILY_IDS = [kind.value for kind, _ in FAMILIES]
+
+
+@pytest.mark.parametrize("kind, n", FAMILIES, ids=FAMILY_IDS)
+@settings(max_examples=8, deadline=None)
+@given(args=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6))
+def test_bound_value_array_matches_scalar_calls(kind, n, args):
+    args = np.sort(args)
+    r = bound_value(kind, n, args)
+    assert isinstance(r, np.ndarray) and r.shape == args.shape
+    scalars = [bound_value(kind, n, float(a)) for a in args]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_array_equal(r, scalars)
+    np.testing.assert_array_equal(bound_value(kind, n, args.reshape(-1, 1)), r.reshape(-1, 1))
+    assert np.all(r <= 0.0)
+    # every bracket is certified to within bound_tol, so two neighbours
+    # may invert by at most twice that
+    bracket = 10.0 ** (r / 10.0)
+    assert np.all(np.diff(bracket) >= -2.0 * QuadratureConfig().bound_tol)
+
+
+@pytest.mark.parametrize("kind, n", FAMILIES, ids=FAMILY_IDS)
+@settings(max_examples=8, deadline=None)
+@given(
+    good=st.lists(st.floats(1e-3, 1.0), max_size=4),
+    bad=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                  st.just(math.nan)),
+    where=st.integers(0, 4),
+)
+def test_curve_value_names_first_element_outside_unit_interval(kind, n, good, bad, where):
+    curve = QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True)
+    fts = good[:where] + [bad] + good[where:] + [0.0]
+    with pytest.raises(ValueError, match=re.escape(f"ft must lie in (0, 1], got {bad}")):
+        curve_value(curve, np.array(fts))
+
+
 # --- variant and family orderings -------------------------------------------
 
 def test_variant_ordering_gaussian():
@@ -447,7 +491,7 @@ def test_trapezoid_more_negative_for_smaller_n():
 def test_bound_nonconvergence_reports_achieved():
     cfg = QuadratureConfig(bound_tol=1e-18)
     with pytest.raises(QuadratureError) as err:
-        numeric_bound(trapezoid_window(1.0, 0.001), SpectralFunction(omega0=1.0), cfg)
+        numeric_bound_detail(trapezoid_window(1.0, 0.001), SpectralFunction(omega0=1.0), cfg).r_db
     assert err.value.achieved is not None
     assert err.value.achieved > 1e-18
 
