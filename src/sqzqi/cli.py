@@ -7,10 +7,10 @@ Subcommands::
     sqzqi analyze  classify a squeezing dataset against bound curves
     sqzqi plot     emit a deterministic SVG figure (presets 4-8)
 
-Exit codes: 0 success, 2 usage/domain error, 3 numeric non-convergence,
-4 dataset error.  An optional ``--config`` file (``key=value`` lines)
-understands ``quad.max_nodes`` (the quadrature subdivision limit) and
-``plot.db_floor``; a missing config file is a usage error.
+Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
+convergence or a failed self-check), 4 dataset error.  A ``--config``
+file (``key=value`` lines) understands ``quad.max_nodes`` (the quadrature
+subdivision limit) and ``plot.db_floor``; a missing one is a usage error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .windows import QuadratureConfig, QuadratureError, WindowKind, resolve_meth
 DEFAULT_DB_FLOOR = -25.0
 DEFAULT_CURVES = "gaussian-paper,gaussian-marecki,lorentzian2-paper,lorentzian2-marecki"
 TRAPEZOID_FAMILY = (0.001, 0.2, 0.5, 1.0, 3.0, 5.0)
+MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(ValueError):
@@ -76,6 +77,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"grid must be lo:hi:step, got {spec!r}") from None
     if not (0.0 < lo <= hi <= 1.0 and 0.0 < step < math.inf):
         raise UsageError(f"grid {spec!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf")
+    _check_grid_size(hi - lo, step)
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return np.round(lo + step * np.arange(count), 12)
 
@@ -84,7 +86,13 @@ def _plot_grid(step: float | None, default: float) -> np.ndarray:
     step = default if step is None else step
     if not 0.0 < step <= 0.5:
         raise UsageError(f"--grid-step must lie in (0, 0.5], got {step:g}")
+    _check_grid_size(0.5, step)
     return np.round(np.arange(step, 0.5 + step * 1e-6, step), 10)
+
+
+def _check_grid_size(span: float, step: float) -> None:
+    if span / step >= MAX_GRID_POINTS:  # before any array is built
+        raise UsageError(f"a step of {step:g} gives more than {MAX_GRID_POINTS} grid points")
 
 
 def _shipped_dataset() -> Path:

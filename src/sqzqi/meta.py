@@ -137,11 +137,8 @@ def _parse_field(raw: str, line: int, name: str) -> float | None:
 
 
 def load_records(source: str | Path) -> list[SqueezingRecord]:
-    """Read a dataset CSV from a path or from literal CSV text."""
-    if isinstance(source, Path) or "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
+    """Read a dataset CSV from a path (any ``os.PathLike``) or from CSV text (a ``str``)."""
+    text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
     records = []
     header_seen = False
     reader = csv.reader(io.StringIO(text))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qi_bound import ConsistencyError
 from .units import to_db
 
 
@@ -126,7 +127,7 @@ def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
         F_T = 1 - (2/pi) * arctan sqrt( (S+ - 1) / (1 - S-) )
 
     The ratio under the root reduces to ((1+x)^2+w^2)/((1-x)^2+w^2),
-    independent of beta; the reduction is verified on every call.
+    independent of beta; every call verifies that (ConsistencyError if not).
     """
     _validate(x, beta, w)
     sp = s_plus(x, beta, w)
@@ -140,7 +141,7 @@ def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
     eps = 2.220446049250313e-16
     slack = 64.0 * eps * ratio_reduced * (1.0 + 1.0 / (sp - 1.0) + 1.0 / (1.0 - sm))
     if not math.isclose(ratio, ratio_reduced, rel_tol=1e-12, abs_tol=slack):
-        raise AssertionError(
+        raise ConsistencyError(
             f"extremal-variance ratio {ratio!r} disagrees with its "
             f"beta-free reduction {ratio_reduced!r}"
         )

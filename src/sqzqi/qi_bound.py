@@ -21,7 +21,7 @@ the pi (and, for the Gaussian family only, doubles the argument).  Both
 are first-class; no attempt is made to adjudicate between them.
 
 A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
-squeezing"), serialized as the literal string "-inf".
+squeezing"), serialized as the literal string "-inf", whatever the method.
 
 :func:`bound_value`, :func:`phase_argument`, :func:`curve_value` (and
 :func:`sqzqi.units.to_db`) take a float or an array: a float in gives a
@@ -112,11 +112,7 @@ class QiCurve:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale}")
-        if self.window is WindowKind.TRAPEZOID:
-            if self.n is None or not (math.isfinite(self.n) and self.n > 0):
-                raise ValueError(f"trapezoid curves require a finite n > 0, got {self.n}")
-        elif self.n is not None:
-            raise ValueError(f"{self.window.value} curves take no n parameter")
+        SamplingWindow(self.window, 1.0, self.n)  # checks n
         if self.window is WindowKind.SQUARE and not self.allow_unstable:
             raise ValueError(
                 "the square window is mathematically unstable in the bound "
@@ -173,24 +169,30 @@ class BoundResult:
     bracket_error: float
 
 
-def _check_bracket(bracket: float, err: float, cfg: QuadratureConfig) -> None:
-    if bracket > 1.0 + 1e-9 + err:
-        raise ConsistencyError(
-            f"bound bracket {bracket!r} exceeds 1; the window spectrum is "
-            "inconsistent with unit normalization"
-        )
-    if err > cfg.bound_tol:
-        raise QuadratureError("bound quadrature did not converge", achieved=err)
+def _check_bracket(bracket, err, cfg: QuadratureConfig) -> None:
+    """ConsistencyError if a bracket exceeds 1, QuadratureError if an error
+    estimate exceeds ``cfg.bound_tol``; floats or arrays."""
+    bracket, err = np.asarray(bracket), np.asarray(err)
+    if (bracket > 1.0 + 1e-9 + err).any():
+        raise ConsistencyError(f"bound bracket {float(bracket.max())!r} exceeds 1; the window "
+                               "spectrum is inconsistent with unit normalization")
+    if (err > cfg.bound_tol).any():
+        raise QuadratureError("bound quadrature did not converge", achieved=float(err.max()))
+
+
+def _floored_db(bracket):
+    """R (dB) of a bracket, a float or an array; at or below the floor, -inf."""
+    return to_db(np.where(bracket <= BRACKET_FLOOR, 0.0, bracket))
 
 
 def _bracket_analytic(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
     # Direct form 1 - 4pi * integral_{omega0}^inf V(u) du with the
-    # closed-form spectrum V; both families decay fast, so the
-    # semi-infinite rule converges without truncation.
+    # closed-form spectrum V; both families decay fast, so the semi-infinite
+    # rule converges without truncation.  (Their complement form can round
+    # above 1, by up to two ulps, where the bracket saturates.)
     V = lambda u: _analytic_sqrt_ft_squared(w, u)
-    out = integrate.quad(V, omega0, np.inf, epsabs=cfg.abs_tol,
-                         epsrel=1e-12, limit=cfg.max_subdivisions, full_output=1)
-    tail, err = out[0], out[1]
+    tail, err = integrate.quad(V, omega0, np.inf, epsabs=cfg.abs_tol, epsrel=1e-12,
+                               limit=cfg.max_subdivisions, full_output=1)[:2]
     return 1.0 - 4.0 * math.pi * tail, 4.0 * math.pi * err
 
 
@@ -201,9 +203,8 @@ def _bracket_numeric(V, omega0: float, cfg: QuadratureConfig) -> tuple[float, fl
     # This trades the slowly decaying oscillatory tail (the square
     # window's spectrum falls only like 1/u^2) for a finite interval, and
     # evaluates small brackets without cancellation.
-    out = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol,
-                         epsrel=1e-11, limit=cfg.max_subdivisions, full_output=1)
-    val, err = out[0], out[1]
+    val, err = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol, epsrel=1e-11,
+                              limit=cfg.max_subdivisions, full_output=1)[:2]
     return 4.0 * math.pi * val, 4.0 * math.pi * err
 
 
@@ -222,17 +223,32 @@ def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> 
     return bracket, err + 4.0 * math.pi * inner_err * omega0
 
 
-def _bracket(w: SamplingWindow, omega0: float, cfg: QuadratureConfig,
-             method: Method) -> tuple[float, float]:
-    # ``method`` is resolved: supported by the family, never None.
+def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
+    """(bracket, error estimate) at omega0, a float or an array, each of the
+    same shape; ``method`` is resolved (supported by the family, never None).
+
+    A closed form is one NumPy expression with a zero error estimate; every
+    other method runs one quadrature per element of ``omega0``.
+    """
+    omega0 = np.asarray(omega0, dtype=float)
+    ok = np.isfinite(omega0) & (omega0 >= 0)
+    if not ok.all():
+        raise ValueError(f"omega0 must be a non-negative real, got {omega0[~ok][0]}")
     if method is Method.CLOSED_FORM:
-        return _closed_form_bracket(w.kind, omega0 * w.t0), 0.0
+        # erf(sqrt(2)*omega0*t0) for the Gaussian, 1 - exp(-2*omega0*t0) for the Lorentzian^2
+        x = omega0 * w.t0
+        if w.kind is WindowKind.GAUSSIAN:
+            return special.erf(math.sqrt(2.0) * x), 0.0
+        return -np.expm1(-2.0 * x), 0.0
     if method is Method.NESTED:
-        return _bracket_nested(w, omega0, cfg)
-    if w.kind is WindowKind.TRAPEZOID:
+        one = lambda o: _bracket_nested(w, o, cfg)
+    elif w.kind is WindowKind.TRAPEZOID:
         # compact support: the complement form over a finite interval
-        return _bracket_numeric(lambda u: _analytic_sqrt_ft_squared(w, u), omega0, cfg)
-    return _bracket_analytic(w, omega0, cfg)
+        one = lambda o: _bracket_numeric(lambda u: _analytic_sqrt_ft_squared(w, u), o, cfg)
+    else:
+        one = lambda o: _bracket_analytic(w, o, cfg)
+    out = np.array([one(o) for o in omega0.ravel().tolist()]).reshape(*omega0.shape, 2)
+    return out[..., 0], out[..., 1]
 
 
 def numeric_bound_detail(
@@ -251,8 +267,8 @@ def numeric_bound_detail(
     survives.  That reduction is the default path.
 
     The Gaussian shape keeps the weight explicit and evaluates both
-    integrals (a Gauss-Hermite sum over omega_p), confirming numerically
-    that the cancellation holds to lowest order in delta_omega.
+    integrals (a Gauss-Hermite sum over one array of omega_p), confirming
+    numerically that the cancellation holds to lowest order in delta_omega.
     """
     cfg = cfg or DEFAULT_QUADRATURE
     method = resolve_method(w.kind, method, numeric=True)
@@ -263,31 +279,12 @@ def numeric_bound_detail(
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        err = 0.0
-        brackets = np.empty_like(omega_p)
-        for i, op in enumerate(omega_p):
-            brackets[i], e = _bracket(w, float(op), cfg, method)
-            err = max(err, e)
+        brackets, errs = _bracket(w, omega_p, cfg, method)
         wp3 = weights * omega_p**3
-        bracket = float(np.sum(wp3 * brackets) / np.sum(wp3))
+        bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
     _check_bracket(bracket, err, cfg)
-    if bracket <= BRACKET_FLOOR:
-        return BoundResult(r_db=-math.inf, bracket=bracket, bracket_error=err)
-    return BoundResult(r_db=to_db(bracket), bracket=bracket, bracket_error=err)
-
-
-def _closed_form_bracket(kind: WindowKind, omega_t0):
-    """erf(sqrt(2)*omega0*t0) for the Gaussian window, 1 - exp(-2*omega0*t0)
-    for the squared-Lorentzian one; ValueError for any other family."""
-    omega_t0 = np.asarray(omega_t0, dtype=float)
-    ok = np.isfinite(omega_t0) & (omega_t0 >= 0)
-    if not ok.all():
-        raise ValueError(f"omega_t0 must be a non-negative real, got {omega_t0[~ok][0]}")
-    if kind is WindowKind.GAUSSIAN:
-        return float_or_array(special.erf(math.sqrt(2.0) * omega_t0))
-    if kind is WindowKind.LORENTZIAN_SQ:
-        return float_or_array(-np.expm1(-2.0 * omega_t0))
-    raise ValueError(f"no closed-form bound for the {kind.value} window")
+    return BoundResult(r_db=_floored_db(bracket), bracket=float(bracket),
+                       bracket_error=float(err))
 
 
 def bound_value(
@@ -298,20 +295,15 @@ def bound_value(
     cfg: QuadratureConfig | None = None,
 ):
     """R (dB) of a window family at the phase argument omega0*t0, by the
-    family's fastest method unless ``method`` is given.  Only a bound that
-    is not a closed form is floored at the -inf sentinel; it runs one
-    quadrature per element of ``omega_t0``."""
-    if method is None:
-        method = resolve_method(kind)
-    if method is Method.CLOSED_FORM:
-        return to_db(_closed_form_bracket(kind, omega_t0))
+    family's fastest method unless ``method`` is given; a bracket at or
+    below the floor gives the -inf sentinel, whatever the method."""
+    cfg = cfg or DEFAULT_QUADRATURE
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
-    w = SamplingWindow(kind, 1.0, n)
-    args = np.asarray(omega_t0, dtype=float)
-    r_db = [numeric_bound_detail(w, SpectralFunction(omega0=float(a)), cfg, method).r_db
-            for a in args.flat]
-    return float_or_array(np.reshape(r_db, args.shape))
+    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, cfg,
+                            resolve_method(kind, method))
+    _check_bracket(bracket, err, cfg)
+    return _floored_db(bracket)
 
 
 def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0):

@@ -8,8 +8,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sqzqi import opa
 from sqzqi.cli import main
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
 
@@ -62,7 +66,11 @@ def test_bound_square_requires_opt_in(capsys):
     assert "square-paper" in out
 
 
-def test_bound_usage_errors(capsys):
+def no_arange(*args, **kwargs):
+    raise AssertionError("the grid was built before its size was checked")
+
+
+def test_bound_usage_errors(capsys, monkeypatch):
     assert run(capsys, "bound", "--window", "gaussian")[0] == 2  # no grid/arg
     assert run(capsys, "bound", "--window", "gaussian",
                "--ft", "0.1:0.2:0.1", "--omega-t0", "1")[0] == 2  # both
@@ -75,6 +83,11 @@ def test_bound_usage_errors(capsys):
         code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", grid)
         assert code == 2 and out == ""
         assert err == f"sqzqi: grid {grid!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf\n"
+    # 990,000,001 points would take gigabytes: refused before any array exists
+    monkeypatch.setattr(np, "arange", no_arange)
+    code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", "0.01:1:1e-9")
+    assert code == 2 and out == ""
+    assert err == "sqzqi: a step of 1e-09 gives more than 1000000 grid points\n"
 
 
 def test_bound_numeric_failure_exit_code(capsys, tmp_path):
@@ -121,6 +134,14 @@ def test_opa_theta_and_ft(capsys):
     assert "S(theta=0) = 79" in out
     code, out, _ = run(capsys, "opa", "--x", "0.8", "--beta", "0.975", "--ft")
     assert "F_T = 0.0704466" in out
+
+
+def test_opa_failed_self_check_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: 2.0)
+    code, out, err = run(capsys, "opa", "--x", "0.8", "--beta", "0.975", "--ft")
+    assert code == 3 and out == ""
+    assert err.startswith("sqzqi: numeric failure: extremal-variance ratio ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_opa_usage_errors(capsys):
@@ -187,6 +208,38 @@ def test_analyze_fit_without_usable_records_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--fit", "--data", str(data))
     assert code == 4
     assert err.startswith("sqzqi: dataset error: ")
+    assert "Traceback" not in err
+
+
+# values of every kind a field may hold: in and out of range, wrong sign,
+# non-finite, not a number, empty
+FIELD_VALUES = ["", " ", "0", "0.02", "0.1", "0.5", "0.9", "1", "1.5", "-0.5", "-3.0",
+                "4.0", "12", "nan", "inf", "-inf", "1e400", "abc", "a", '"q']
+BAD_HEADERS = [HEADER.replace("beta", "b"), HEADER + ",extra",
+               ",".join(DATASET_COLUMNS[:-1]), "# comment only", ""]
+# each column's well-formed values, so that some datasets parse and classify
+GOOD_ROW = st.tuples(
+    st.sampled_from(["a", "b"]), st.just("lab"), st.sampled_from(["", "0.5", "0.8"]),
+    st.sampled_from(["", "0", "0.3"]), st.sampled_from(["", "0.9", "1"]),
+    st.sampled_from(["", "-3.0", "-10"]), st.sampled_from(["", "4.0", "12"]),
+    st.sampled_from(["", "0.2"]), st.sampled_from(["", "0.1", "0.3"]),
+    st.sampled_from(["", "0.12"]), st.sampled_from(["", "0.01"]),
+)
+BAD_ROW = st.lists(st.sampled_from(FIELD_VALUES), max_size=len(DATASET_COLUMNS) + 2)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    header=st.one_of(st.just(HEADER), st.sampled_from(BAD_HEADERS)),
+    rows=st.lists(st.one_of(GOOD_ROW, BAD_ROW), max_size=5),
+    fit=st.booleans(),
+)
+def test_analyze_malformed_csv_exits_0_2_or_4(capsys, tmp_path, header, rows, fit):
+    data = tmp_path / "fuzz.csv"
+    data.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    code, _, err = run(capsys, "analyze", "--data", str(data), *(["--fit"] if fit else []))
+    assert code in (0, 2, 4)
     assert "Traceback" not in err
 
 
@@ -270,7 +323,7 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
         assert not (tmp_path / "x.svg").exists()
 
 
-def test_plot_usage_errors(capsys, tmp_path):
+def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, "plot", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "9", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "5")[0] == 2  # missing --out
@@ -280,6 +333,12 @@ def test_plot_usage_errors(capsys, tmp_path):
                                "--out", str(tmp_path / "x.svg"))
             assert code == 2
             assert err.startswith("sqzqi: --grid-step must lie in (0, 0.5], got ")
+    with monkeypatch.context() as m:
+        m.setattr(np, "arange", no_arange)
+        code, _, err = run(capsys, "plot", "--curve", "gaussian-paper", "--grid-step", "1e-9",
+                           "--out", str(tmp_path / "x.svg"))
+    assert code == 2
+    assert err == "sqzqi: a step of 1e-09 gives more than 1000000 grid points\n"
     assert not (tmp_path / "x.svg").exists()
 
 

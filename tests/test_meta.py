@@ -142,6 +142,8 @@ def test_load_from_text_with_comments():
     records = load_records(text)
     assert [r.id for r in records] == ["a", "b"]
     assert records[1].ft_err == 0.01
+    # a str is CSV text even without a newline: a header alone is an empty dataset
+    assert load_records(",".join(DATASET_COLUMNS)) == []
 
 
 def test_load_errors_carry_line_numbers():
@@ -156,6 +158,8 @@ def test_load_errors_carry_line_numbers():
         load_records("id,wrong,header\na,b,c\n")
     with pytest.raises(DatasetError, match="header"):
         load_records("# only a comment\n")
+    with pytest.raises(DatasetError, match="line 1"):
+        load_records("id,wrong,header")  # text, not a file name, without a newline
 
 
 @pytest.mark.parametrize("row", [

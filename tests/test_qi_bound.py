@@ -165,6 +165,23 @@ def test_bracket_stays_in_unit_interval(arg):
         assert 0.0 < res.bracket <= 1.0
 
 
+@pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ],
+                         ids=lambda k: k.value)
+def test_floor_holds_for_every_method(kind):
+    # Method.NESTED is left out: its semi-infinite spectrum quadrature reads
+    # 0, with a zero error estimate, at frequencies this small.
+    w = SamplingWindow(kind, 1.0)
+    brackets = []
+    for method in (Method.CLOSED_FORM, Method.SPECTRUM):
+        assert bound_value(kind, None, 1e-16, method) == -math.inf
+        r = bound_value(kind, None, 1e-15, method)
+        detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15), method=method)
+        assert math.isfinite(r) and detail.r_db == r
+        brackets.append(detail.bracket)
+    # the direct form 1 - 4pi*tail rounds in steps of eps/2 this close to 0
+    assert brackets[1] == pytest.approx(brackets[0], abs=2 * np.finfo(float).eps)
+
+
 def test_zero_omega_gives_sentinel():
     res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=0.0))
     assert res.r_db == -math.inf
