@@ -10,7 +10,8 @@ Subcommands::
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
 convergence or a failed self-check), 4 dataset error.  A ``--config``
 file (``key=value`` lines) understands ``quad.max_nodes`` (the quadrature
-subdivision limit) and ``plot.db_floor``; a missing one is a usage error.
+subdivision limit) and ``plot.db_floor``; a missing file, or a value that
+does not parse or is out of range, is a usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class Config:
 
 
 def _load_config(path: str | None) -> Config:
-    quad_kwargs = {}
+    quad = QuadratureConfig()
     db_floor = DEFAULT_DB_FLOOR
     if path:
         try:
@@ -61,13 +61,18 @@ def _load_config(path: str | None) -> Config:
                 raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "quad.max_nodes":
-                quad_kwargs["max_subdivisions"] = int(value)
-            elif key == "plot.db_floor":
-                db_floor = float(value)
-            else:
+            if key not in ("quad.max_nodes", "plot.db_floor"):
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-    return Config(quad=QuadratureConfig(**quad_kwargs), db_floor=db_floor)
+            try:
+                if key == "quad.max_nodes":
+                    quad = QuadratureConfig(max_subdivisions=int(value))
+                else:
+                    db_floor = float(value)
+                    if not (math.isfinite(db_floor) and db_floor < 0.0):
+                        raise ValueError(f"must be finite and negative, got {value!r}")
+            except ValueError as exc:
+                raise UsageError(f"{path}:{line_no}: {key}: {exc}") from None
+    return Config(quad=quad, db_floor=db_floor)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -96,7 +101,7 @@ def _check_grid_size(span: float, step: float) -> None:
 
 
 def _shipped_dataset() -> Path:
-    return Path(str(resources.files("sqzqi").joinpath("data/records.csv")))
+    return Path(__file__).parent / "data" / "records.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .opa import ideal_r_db
 from .qi_bound import QiCurve, QuadratureConfig, curve_csv, curve_value
@@ -432,6 +431,7 @@ def fit_scale(
         bound = np.maximum(curve_value(replace(curve, scale=k), ft, cfg), -60.0)
         return float(np.sum((r - bound) ** 2))
 
+    from scipy import optimize
     ls = optimize.minimize_scalar(cost, bounds=(1e-4, 2.0), method="bounded",
                                   options={"xatol": 1e-8})
     return ScaleFit(curve_id=curve.curve_id, envelope_k=envelope,

@@ -35,7 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+
+# SciPy subpackages are imported inside the functions that use them (here,
+# in windows and in meta.fit_scale), so a command loads only what its path
+# needs: a closed-form bound no quadrature or optimizer code, and the
+# squared Lorentzian and the OPA model no SciPy at all.
 
 from .units import HBAR, C_LIGHT, float_or_array, format_db, to_db
 from .windows import (
@@ -190,6 +194,7 @@ def _bracket_analytic(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -
     # closed-form spectrum V; both families decay fast, so the semi-infinite
     # rule converges without truncation.  (Their complement form can round
     # above 1, by up to two ulps, where the bracket saturates.)
+    from scipy import integrate
     V = lambda u: _analytic_sqrt_ft_squared(w, u)
     tail, err = integrate.quad(V, omega0, np.inf, epsabs=cfg.abs_tol, epsrel=1e-12,
                                limit=cfg.max_subdivisions, full_output=1)[:2]
@@ -203,6 +208,7 @@ def _bracket_numeric(V, omega0: float, cfg: QuadratureConfig) -> tuple[float, fl
     # This trades the slowly decaying oscillatory tail (the square
     # window's spectrum falls only like 1/u^2) for a finite interval, and
     # evaluates small brackets without cancellation.
+    from scipy import integrate
     val, err = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol, epsrel=1e-11,
                               limit=cfg.max_subdivisions, full_output=1)[:2]
     return 4.0 * math.pi * val, 4.0 * math.pi * err
@@ -238,6 +244,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
         # erf(sqrt(2)*omega0*t0) for the Gaussian, 1 - exp(-2*omega0*t0) for the Lorentzian^2
         x = omega0 * w.t0
         if w.kind is WindowKind.GAUSSIAN:
+            from scipy import special
             return special.erf(math.sqrt(2.0) * x), 0.0
         return -np.expm1(-2.0 * x), 0.0
     if method is Method.NESTED:

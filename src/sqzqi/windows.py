@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 
 class WindowKind(enum.Enum):
@@ -115,6 +114,9 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
+        # QUADPACK allocates workspace in proportion to the limit
+        if self.max_subdivisions > 100_000:
+            raise ValueError("max_subdivisions must be at most 100000")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -224,6 +226,7 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u: float) -> float:
     h = _trapezoid_height(w)
     if u == 0.0:
         return math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi
+    from scipy import special
     S, C = special.fresnel(math.sqrt(2.0 * u * L / math.pi))
     pref = math.sqrt(math.pi / (2.0 * u))
     A = (math.sqrt(L) * math.sin(u * L) - pref * S) / u
@@ -253,6 +256,7 @@ def _sqrt_ft_numeric(w: SamplingWindow, omega: float, cfg: QuadratureConfig) -> 
     families go through the semi-infinite oscillatory rule, so no tail is
     ever dropped.
     """
+    from scipy import integrate
     u = abs(omega)
     edges = w.segment_edges if math.isfinite(w.half_support) else (0.0, np.inf)
     total = 0.0

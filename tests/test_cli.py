@@ -6,6 +6,9 @@ Every subcommand runs against the shipped dataset or its own inputs via
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sqzqi
 from sqzqi import opa
 from sqzqi.cli import main
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
@@ -374,6 +378,35 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
         assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("quad.max_nodes=abc", "quad.max_nodes: invalid literal for int()"),
+    ("quad.max_nodes=5", "quad.max_nodes: max_subdivisions must be at least 10"),
+    # QUADPACK would overflow, or ask for gigabytes of workspace
+    ("quad.max_nodes=99999999999", "quad.max_nodes: max_subdivisions must be at most 100000"),
+    ("plot.db_floor=deep", "plot.db_floor: could not convert"),
+    ("plot.db_floor=nan", "plot.db_floor: must be finite and negative, got 'nan'"),
+    ("plot.db_floor=-inf", "plot.db_floor: must be finite and negative, got '-inf'"),
+    ("plot.db_floor=0", "plot.db_floor: must be finite and negative, got '0'"),
+])
+def test_config_bad_value_names_file_line_and_key(capsys, tmp_path, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"# quadrature\n{line}\n")
+    code, out, err = run(capsys, "--config", str(config), "bound", "--window", "gaussian",
+                         "--omega-t0", "1", "--numeric")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"sqzqi: {config}:2: {message}")
+    assert err.count("\n") == 1
+
+
+def test_config_max_nodes_upper_limit_accepted(capsys, tmp_path):
+    config = tmp_path / "wide.cfg"
+    config.write_text("quad.max_nodes=100000\n")
+    code, out, _ = run(capsys, "--config", str(config), "bound", "--window", "gaussian",
+                       "--omega-t0", "1", "--numeric")
+    assert code == 0
+    assert "R = -0.2022 dB" in out
+
+
 def test_config_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
                        "opa", "--ideal-bound", "0.2")
@@ -385,3 +418,41 @@ def test_config_missing_file_exit_2(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "bound", "--help")[0] == 0
+
+
+# --- start-up ----------------------------------------------------------------------
+
+# Runs one command in a fresh interpreter, then prints the SciPy modules it
+# loaded as the last line of stdout.
+SCIPY_PROBE = """
+import sys
+from sqzqi.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+NO_SCIPY = {"scipy"}
+NO_QUADRATURE = {"scipy.integrate", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ((), NO_SCIPY),  # import sqzqi.cli alone
+    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), NO_SCIPY),
+    (("plot", "--fig", "4", "--out", "fig.svg"), NO_SCIPY),
+    (("plot", "--fig", "6", "--out", "fig.svg"), NO_SCIPY),
+    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), NO_SCIPY),
+    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), NO_QUADRATURE),
+    (("plot", "--fig", "5", "--out", "fig.svg"), NO_QUADRATURE),
+    (("analyze", "--report", "report.json"), NO_QUADRATURE),
+    (("analyze", "--fit", "--report", "report.json"), {"scipy.integrate"}),
+], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
+        "plot-5", "analyze", "analyze-fit"])
+def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv, absent):
+    src = str(Path(sqzqi.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert not loaded & absent
