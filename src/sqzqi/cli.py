@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,7 @@ def _load_config(path: str | None) -> Config:
     db_floor = DEFAULT_DB_FLOOR
     if path:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
         for line_no, line in enumerate(text.splitlines(), 1):
@@ -290,18 +290,17 @@ def cmd_analyze(args, config: Config) -> int:
     return 0
 
 
+def _points(xs: np.ndarray, ys: np.ndarray):
+    return tuple(xs.tolist()), tuple(ys.tolist())
+
+
 def _curve_points(curve: QiCurve, grid: np.ndarray, quad: QuadratureConfig):
-    values = qi_bound.sample_curve(curve, grid, quad)
-    return tuple(float(x) for x in grid), tuple(float(v) for v in values)
-
-
-def _ideal_points(grid: np.ndarray):
-    return tuple(float(x) for x in grid), tuple(opa.ideal_r_db(float(x)) for x in grid)
+    return _points(grid, qi_bound.sample_curve(curve, grid, quad))
 
 
 def _report_points(path: str) -> svgfig.PointSet:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise meta.DatasetError(f"cannot read report {path}: {exc.strerror}") from None
     try:
@@ -322,19 +321,19 @@ def _fig_spec(fig: int, grid_step: float | None, db_floor: float,
               quad: QuadratureConfig) -> svgfig.PlotSpec:
     if fig == 4:
         xs = np.round(np.arange(0.005, 0.9951, 0.005), 10)
-        ys = tuple(to_db(opa.s_minus(float(x), 1.0, 0.0)) for x in xs)
         return svgfig.PlotSpec(
             title="Deepest squeezing vs pump ratio (lossless, on resonance)",
             x_label="x = P/P_th", y_label="S- (dB)",
             x_range=(0.0, 1.0), y_range=(db_floor, 0.0),
-            curves=[svgfig.CurveTrace("S-(x, 0), beta = 1", tuple(float(x) for x in xs), ys)],
+            curves=[svgfig.CurveTrace("S-(x, 0), beta = 1",
+                                      *_points(xs, to_db(opa.s_minus(xs, 1.0, 0.0))))],
         )
     grid = _plot_grid(grid_step, 0.02 if fig == 8 else 0.005)
     spec = svgfig.PlotSpec(
         title="", x_label="F_T", y_label="R (dB)",
         x_range=(0.0, 0.5), y_range=(db_floor, 0.0),
     )
-    ideal = svgfig.CurveTrace("ideal OPA", *_ideal_points(grid), style="solid", width=2.2)
+    ideal = svgfig.CurveTrace("ideal OPA", *_points(grid, opa.ideal_r_db(grid)), width=2.2)
     if fig == 5:
         spec.title = "Gaussian-window bound vs squeezed fraction"
         g1 = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI)
@@ -349,13 +348,11 @@ def _fig_spec(fig: int, grid_step: float | None, db_floor: float,
         spec.title = "Squared-Lorentzian-window bound vs squeezed fraction"
         l1 = QiCurve(WindowKind.LORENTZIAN_SQ, Variant.WITH_PI)
         l2 = QiCurve(WindowKind.LORENTZIAN_SQ, Variant.NO_PI)
-        ideal_dashed = svgfig.CurveTrace("ideal OPA", *_ideal_points(grid),
-                                         style="dashed", width=2.2)
         spec.curves = [
             svgfig.CurveTrace(l1.curve_id, *_curve_points(l1, grid, quad), style="solid"),
             svgfig.CurveTrace(l2.curve_id, *_curve_points(l2, grid, quad), style="dashed",
                               color="#666666"),
-            ideal_dashed,
+            replace(ideal, style="dashed"),
         ]
     elif fig == 7:
         spec.title = "Best-fit argument scales"

@@ -11,7 +11,7 @@ Dataset format: CSV with header
 
     id,ref_label,x,omega_over_gamma,beta,s_minus_db,s_plus_db,s_err_db,ft_formula,ft_graphical,ft_err
 
-UTF-8, ``#`` comment lines permitted, absent values are empty fields.
+UTF-8 (a leading BOM is skipped), ``#`` comment lines permitted, absent values are empty fields.
 Reports serialize to JSON with all numbers quantized to 6 significant
 digits at assembly time, so serialization round-trips losslessly; the
 -inf squeezing sentinel is carried as the string "-inf".
@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .opa import ideal_r_db
-from .qi_bound import QiCurve, QuadratureConfig, curve_csv, curve_value
+from .qi_bound import CURVE_CSV_HEADER, QiCurve, QuadratureConfig, curve_csv, curve_value
 from .units import round_sig
 
 # Applied when a source gives no uncertainty; always flagged in the report.
@@ -137,7 +137,7 @@ def _parse_field(raw: str, line: int, name: str) -> float | None:
 
 def load_records(source: str | Path) -> list[SqueezingRecord]:
     """Read a dataset CSV from a path (any ``os.PathLike``) or from CSV text (a ``str``)."""
-    text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8")
+    text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8-sig")
     records = []
     header_seen = False
     reader = csv.reader(io.StringIO(text))
@@ -305,6 +305,7 @@ def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
 
 
 DEFAULT_FT_GRID = tuple(np.round(np.arange(0.01, 0.5001, 0.01), 6))
+FIT_TOL = 1e-6
 
 
 def classify(
@@ -313,7 +314,6 @@ def classify(
     include_ideal: bool = True,
     fit_curves: list[QiCurve] | None = None,
     cfg: QuadratureConfig | None = None,
-    ft_grid=DEFAULT_FT_GRID,
 ) -> AnalysisReport:
     """Classify every record against every curve; assemble the report.
 
@@ -336,18 +336,11 @@ def classify(
             continue
         if rec.discrepancy is not None:
             discrepancies.append(rec.discrepancy)
-        assumed = []
-        s_err = record.s_err_db
-        if s_err is None:
-            s_err = DEFAULT_S_ERR_DB
-            assumed.append("s_err_db")
-        ft_err = record.ft_err
-        if ft_err is None:
-            ft_err = DEFAULT_FT_ERR
-            assumed.append("ft_err")
+        assumed = [name for name in ("s_err_db", "ft_err") if getattr(record, name) is None]
+        s_err = DEFAULT_S_ERR_DB if record.s_err_db is None else record.s_err_db
+        ft_err = DEFAULT_FT_ERR if record.ft_err is None else record.ft_err
         r = record.s_minus_db
         columns += (r, rec.ft, s_err, ft_err)
-        exceeded = bool(r < ideal_r_db(rec.ft)) if include_ideal else None
         report.per_record.append(RecordResult(
             record_id=record.id,
             ft_used=_q(rec.ft),
@@ -357,11 +350,11 @@ def classify(
             ft_err_used=_q(ft_err),
             violations={},
             flags={},
-            ideal_opa_exceeded=exceeded,
+            ideal_opa_exceeded=None,
             ft_discrepancy=_q(rec.discrepancy),
             assumed_error_fields=assumed,
         ))
-    # each curve is evaluated once per column of the classified records
+    # each curve, and the lossless-OPA limit, is evaluated once per column
     r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
     for curve in curves:
         below = r < curve_value(curve, ft, cfg)
@@ -369,16 +362,15 @@ def classify(
         for row, violates, flag in zip(report.per_record, below, flags):
             row.violations[curve.curve_id] = bool(violates)
             row.flags[curve.curve_id] = flag
+        report.curve_samples[curve.curve_id] = curve_csv([curve], DEFAULT_FT_GRID, cfg)
+    if include_ideal:
+        for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
+            row.ideal_opa_exceeded = bool(exceeded)
+        rows = [f"{f:.6g},{db:.4f},ideal-opa,ideal-opa,,1"
+                for f, db in zip(DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID))]
+        report.curve_samples["ideal-opa"] = "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
-    fts = list(ft_grid)
-    for curve in curves:
-        report.curve_samples[curve.curve_id] = curve_csv([curve], fts, cfg)
-    if include_ideal:
-        lines = ["ft,r_db,curve_id,window,variant,scale"]
-        for ft in fts:
-            lines.append(f"{float(ft):.6g},{ideal_r_db(float(ft)):.4f},ideal-opa,ideal-opa,,1")
-        report.curve_samples["ideal-opa"] = "\n".join(lines) + "\n"
     for curve in (fit_curves or []):
         fit = fit_scale(records, curve, cfg)
         report.fitted_scales[curve.curve_id] = ScaleFit(
@@ -393,13 +385,12 @@ def fit_scale(
     records: list[SqueezingRecord],
     curve: QiCurve,
     cfg: QuadratureConfig | None = None,
-    tol: float = 1e-6,
 ) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
     The primary result is the envelope scale: the largest k in (0, 1]
     such that no record falls below the scaled curve, found by bisection
-    to ``tol``.  (Shrinking k drags the curve toward -inf everywhere, so
+    to :data:`FIT_TOL`.  (Shrinking k drags the curve toward -inf everywhere, so
     some feasible k always exists for finite data.)  A least-squares k
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
@@ -419,7 +410,7 @@ def fit_scale(
         lo, hi = 1e-9, 1.0
         if violations(lo) > 0:
             raise FitError("no feasible envelope scale at k -> 0 (malformed data)")
-        while hi - lo > tol:
+        while hi - lo > FIT_TOL:
             mid = 0.5 * (lo + hi)
             if violations(mid) == 0:
                 lo = mid

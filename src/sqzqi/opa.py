@@ -21,7 +21,10 @@ L, and round-trip length l; published experiments span full widths
 2*gamma/2pi of roughly 9 to 84 MHz, so omega/gamma stays below ~1 in the
 measurement band.
 
-All dB conversions go through :mod:`sqzqi.units`.
+The functions of x, beta, w or ft take floats or arrays that broadcast
+together, each array element equal to its scalar call bit for bit; only
+``OpaParams``, ``variance``, ``extremes`` and ``effective_ft`` describe one
+operating point.  All dB conversions go through :mod:`sqzqi.units`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qi_bound import ConsistencyError
-from .units import to_db
+from .units import checked, float_or_array, to_db
 
 
 class NoSqueezingError(RuntimeError):
@@ -47,12 +50,7 @@ class OpaParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.x < 1.0):
-            raise ValueError(f"pump ratio x must lie in (0, 1), got {self.x}")
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"efficiency beta must lie in (0, 1], got {self.beta}")
-        if not (math.isfinite(self.w) and self.w >= 0.0):
-            raise ValueError(f"normalized frequency w must be >= 0, got {self.w}")
+        _validate(self.x, self.beta, self.w)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -80,32 +78,31 @@ class SqueezingPoint:
 
 
 def variance(p: OpaParams) -> float:
-    """Relative variance S(theta, x, w); < 1 means squeezing.
+    """Relative variance S(theta, x, w) at one operating point; < 1 means squeezing.
 
     The antisqueezing and squeezing terms are accumulated separately so
     the extremal phases reproduce :func:`s_plus` / :func:`s_minus` bit
     for bit.
     """
-    a = (1.0 + p.x) ** 2 + p.w * p.w
-    b = (1.0 - p.x) ** 2 + p.w * p.w
+    a, b = _widths(p.x, p.w)
     anti = 4.0 * p.beta * p.x * math.cos(p.theta) ** 2 / b
     sq = 4.0 * p.beta * p.x * math.sin(p.theta) ** 2 / a
     return 1.0 + anti - sq
 
 
-def s_minus(x: float, beta: float, w: float = 0.0) -> float:
+def s_minus(x, beta, w=0.0):
     """Deepest squeezing, attained at theta = pi/2."""
-    _validate(x, beta, w)
-    return 1.0 - 4.0 * beta * x / ((1.0 + x) ** 2 + w * w)
+    x, beta, w = _validate(x, beta, w)
+    return float_or_array(1.0 - 4.0 * beta * x / _widths(x, w)[0])
 
 
-def s_plus(x: float, beta: float, w: float = 0.0) -> float:
+def s_plus(x, beta, w=0.0):
     """Peak antisqueezing, attained at theta = 0 (or pi)."""
-    _validate(x, beta, w)
-    return 1.0 + 4.0 * beta * x / ((1.0 - x) ** 2 + w * w)
+    x, beta, w = _validate(x, beta, w)
+    return float_or_array(1.0 + 4.0 * beta * x / _widths(x, w)[1])
 
 
-def extremal_product(x: float, beta: float, w: float = 0.0) -> float:
+def extremal_product(x, beta, w=0.0):
     """Closed form of s_minus*s_plus.
 
     Expanding the product of the two extremal variances gives
@@ -115,41 +112,45 @@ def extremal_product(x: float, beta: float, w: float = 0.0) -> float:
     which is 1 exactly at beta = 1, as the uncertainty principle demands
     for a lossless system, and above 1 otherwise.
     """
-    _validate(x, beta, w)
-    a = (1.0 + x) ** 2 + w * w
-    b = (1.0 - x) ** 2 + w * w
-    return 1.0 + 16.0 * beta * (1.0 - beta) * x * x / (a * b)
+    x, beta, w = _validate(x, beta, w)
+    a, b = _widths(x, w)
+    return float_or_array(1.0 + 16.0 * beta * (1.0 - beta) * x * x / (a * b))
 
 
-def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
+def squeezed_fraction(x, beta=1.0, w=0.0):
     """Fraction F_T of the cycle with variance below vacuum.
 
         F_T = 1 - (2/pi) * arctan sqrt( (S+ - 1) / (1 - S-) )
 
     The ratio under the root reduces to ((1+x)^2+w^2)/((1-x)^2+w^2),
-    independent of beta; every call verifies that (ConsistencyError if not).
+    independent of beta; every call verifies that, element by element
+    (ConsistencyError naming the first element that fails).
     """
-    _validate(x, beta, w)
+    x, beta, w = _validate(x, beta, w)
     sp = s_plus(x, beta, w)
     sm = s_minus(x, beta, w)
-    if not (sp > 1.0 and sm < 1.0):
+    if not (np.all(sp > 1.0) and np.all(sm < 1.0)):
         raise ValueError("squeezed fraction needs s_plus > 1 and s_minus < 1")
-    ratio = (sp - 1.0) / (1.0 - sm)
-    ratio_reduced = ((1.0 + x) ** 2 + w * w) / ((1.0 - x) ** 2 + w * w)
+    a, b = _widths(x, w)
+    ratio, ratio_reduced = np.broadcast_arrays((sp - 1.0) / (1.0 - sm), a / b)
     # the extremes route computes S+- 1 by cancellation, so allow it the
     # rounding slack its conditioning implies
     eps = 2.220446049250313e-16
     slack = 64.0 * eps * ratio_reduced * (1.0 + 1.0 / (sp - 1.0) + 1.0 / (1.0 - sm))
-    if not math.isclose(ratio, ratio_reduced, rel_tol=1e-12, abs_tol=slack):
+    # math.isclose(ratio, ratio_reduced, rel_tol=1e-12, abs_tol=slack), elementwise
+    close = np.abs(ratio - ratio_reduced) <= np.maximum(
+        1e-12 * np.maximum(np.abs(ratio), np.abs(ratio_reduced)), slack)
+    if not close.all():
+        i = np.argmin(close)  # the first element that fails
         raise ConsistencyError(
-            f"extremal-variance ratio {ratio!r} disagrees with its "
-            f"beta-free reduction {ratio_reduced!r}"
+            f"extremal-variance ratio {float(ratio.flat[i])!r} disagrees with its "
+            f"beta-free reduction {float(ratio_reduced.flat[i])!r}"
         )
-    return 1.0 - (2.0 / math.pi) * math.atan(math.sqrt(ratio_reduced))
+    return float_or_array(_ft_from_ratio(ratio_reduced))
 
 
 def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
-    """Extremal variances and squeezed fraction in one container."""
+    """Extremal variances and squeezed fraction at one operating point."""
     return SqueezingPoint(
         s_minus=s_minus(x, beta, w),
         s_plus=s_plus(x, beta, w),
@@ -157,33 +158,30 @@ def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
     )
 
 
-def ideal_bound(ft: float) -> float:
+def ideal_bound(ft):
     """Deepest squeezing a lossless OPA allows at squeezed fraction ft.
 
     s_minus = tan^2(ft * pi/2), valid on 0 < ft < 0.5.
     """
-    if not (0.0 < ft < 0.5):
-        raise ValueError(f"ft must lie in (0, 0.5), got {ft}")
-    return math.tan(ft * math.pi / 2.0) ** 2
+    ft = checked(ft, lambda f: (0.0 < f) & (f < 0.5), "ft must lie in (0, 0.5)")
+    return float_or_array(np.square(np.tan(ft * math.pi / 2.0)))
 
 
-def ideal_r_db(ft: float) -> float:
+def ideal_r_db(ft):
     """:func:`ideal_bound` in dB, saturating at 0 dB for ft >= 0.5
     (squeezing can never occupy more than half the cycle)."""
-    if ft >= 0.5:
-        return 0.0
-    return to_db(ideal_bound(ft))
+    half = np.asarray(ft, dtype=float) >= 0.5
+    return float_or_array(np.where(half, 0.0, to_db(ideal_bound(np.where(half, 0.25, ft)))))
 
 
-def ideal_ft(s_min: float) -> float:
+def ideal_ft(s_min):
     """Squeezed fraction of a lossless OPA at squeezing depth s_min.
 
     Exact inverse of :func:`ideal_bound` on 0 < s_min < 1, obtained by
     substituting s_plus = 1/s_minus into the fraction formula.
     """
-    if not (0.0 < s_min < 1.0):
-        raise ValueError(f"s_minus must lie in (0, 1), got {s_min}")
-    return 1.0 - (2.0 / math.pi) * math.atan(math.sqrt(1.0 / s_min))
+    s_min = checked(s_min, lambda s: (0.0 < s) & (s < 1.0), "s_minus must lie in (0, 1)")
+    return float_or_array(_ft_from_ratio(1.0 / s_min))
 
 
 def effective_ft(
@@ -208,21 +206,32 @@ def effective_ft(
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     ws = np.linspace(0.0, w_max, nodes)
-    ft = np.array([squeezed_fraction(x, beta, float(w)) for w in ws])
-    if kernel == "depth":
-        weight = np.array([_depth_weight(x, beta, float(w)) for w in ws])
-    else:
-        weight = np.ones_like(ws)
+    ft = squeezed_fraction(x, beta, ws)
+    weight = _depth_weight(x, beta, ws) if kernel == "depth" else np.ones_like(ws)
     total = np.trapezoid(weight, ws)
     if total <= 0.0:
         raise NoSqueezingError(f"no squeezing anywhere in [0, {w_max}]")
     return float(np.trapezoid(weight * ft, ws) / total)
 
 
-def _depth_weight(x: float, beta: float, w: float) -> float:
+def _depth_weight(x, beta, w):
     """Squeezing depth 1 - S-(x, beta, w), the default averaging kernel."""
     return 1.0 - s_minus(x, beta, w)
 
 
-def _validate(x: float, beta: float, w: float) -> None:
-    OpaParams(x=x, beta=beta, w=w)
+def _validate(x, beta, w):
+    """x, beta and w as float arrays; ValueError naming the first bad element."""
+    return (checked(x, lambda v: (0.0 < v) & (v < 1.0), "pump ratio x must lie in (0, 1)"),
+            checked(beta, lambda v: (0.0 < v) & (v <= 1.0), "efficiency beta must lie in (0, 1]"),
+            checked(w, lambda v: np.isfinite(v) & (v >= 0), "normalized frequency w must be >= 0"))
+
+
+def _widths(x, w):
+    """((1+x)^2 + w^2, (1-x)^2 + w^2), squaring by products so floats and arrays round alike."""
+    with np.errstate(over="ignore"):  # w^2 -> inf is the far-off-resonance limit
+        return (1.0 + x) * (1.0 + x) + w * w, (1.0 - x) * (1.0 - x) + w * w
+
+
+def _ft_from_ratio(ratio):
+    """F_T = 1 - (2/pi) * arctan sqrt(ratio), with ratio = (S+ - 1)/(1 - S-)."""
+    return 1.0 - (2.0 / math.pi) * np.arctan(np.sqrt(ratio))

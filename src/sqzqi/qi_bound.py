@@ -41,7 +41,7 @@ import numpy as np
 # needs: a closed-form bound no quadrature or optimizer code, and the
 # squared Lorentzian and the OPA model no SciPy at all.
 
-from .units import HBAR, C_LIGHT, float_or_array, format_db, to_db
+from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
 from .windows import (
     DEFAULT_QUADRATURE,
     Method,
@@ -236,10 +236,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
     A closed form is one NumPy expression with a zero error estimate; every
     other method runs one quadrature per element of ``omega0``.
     """
-    omega0 = np.asarray(omega0, dtype=float)
-    ok = np.isfinite(omega0) & (omega0 >= 0)
-    if not ok.all():
-        raise ValueError(f"omega0 must be a non-negative real, got {omega0[~ok][0]}")
+    omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
     if method is Method.CLOSED_FORM:
         # erf(sqrt(2)*omega0*t0) for the Gaussian, 1 - exp(-2*omega0*t0) for the Lorentzian^2
         x = omega0 * w.t0
@@ -330,10 +327,7 @@ def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0)
 
 def curve_value(curve: QiCurve, ft, cfg: QuadratureConfig | None = None):
     """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
-    ft = np.asarray(ft, dtype=float)
-    ok = (ft > 0.0) & (ft <= 1.0)
-    if not ok.all():
-        raise ValueError(f"ft must lie in (0, 1], got {ft[~ok][0]}")
+    ft = checked(ft, lambda f: (f > 0.0) & (f <= 1.0), "ft must lie in (0, 1]")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
     return bound_value(curve.window, curve.n, arg, curve.method, cfg)
 

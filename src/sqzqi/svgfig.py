@@ -20,10 +20,11 @@ from pathlib import Path
 _WIDTH, _HEIGHT = 640.0, 440.0
 _ML, _MR, _MT, _MB = 64.0, 18.0, 30.0, 48.0
 
+# stroke-dasharray attribute of each stroke style
 _DASHES = {
-    "solid": None,
-    "dashed": "8,5",
-    "dotted": "2.5,3.5",
+    "solid": "",
+    "dashed": ' stroke-dasharray="8,5"',
+    "dotted": ' stroke-dasharray="2.5,3.5"',
 }
 
 
@@ -109,10 +110,9 @@ class _Canvas:
     def add(self, element: str) -> None:
         self.parts.append(element)
 
-    def line(self, x1, y1, x2, y2, color="#000000", width=1.0, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, color="#000000", width=1.0):
         self.add(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                 f'stroke="{color}" stroke-width="{width:g}" fill="none"{d}/>')
+                 f'stroke="{color}" stroke-width="{width:g}" fill="none"/>')
 
     def text(self, x, y, s, size=12.0, anchor="middle", rotate=None):
         tr = f' transform="rotate(-90 {_fmt(x)} {_fmt(y)})"' if rotate else ""
@@ -187,11 +187,10 @@ def render_svg(spec: PlotSpec) -> str:
 
     floor = spec.y_floor if spec.y_floor is not None else c.y0
     for trace in spec.curves:
-        dash = _DASHES[trace.style]
+        d = _DASHES[trace.style]
         segments, markers = _clip_segments(trace.x, trace.y, floor, c.x0, c.x1)
         for seg in segments:
             pts = " ".join(f"{_fmt(c.px(x))},{_fmt(c.py(y))}" for x, y in seg)
-            d = f' stroke-dasharray="{dash}"' if dash else ""
             c.add(f'<polyline points="{pts}" fill="none" stroke="{trace.color}" '
                   f'stroke-width="{trace.width:g}"{d}/>')
         for mx, my in markers:
@@ -227,8 +226,7 @@ def render_svg(spec: PlotSpec) -> str:
         for i, item in enumerate(labeled):
             y = ly + 16 * i
             if isinstance(item, CurveTrace):
-                dash = _DASHES[item.style]
-                d = f' stroke-dasharray="{dash}"' if dash else ""
+                d = _DASHES[item.style]
                 c.add(f'<line x1="{_fmt(lx)}" y1="{_fmt(y - 4)}" x2="{_fmt(lx + 24)}" '
                       f'y2="{_fmt(y - 4)}" stroke="{item.color}" '
                       f'stroke-width="{item.width:g}"{d}/>')

@@ -21,6 +21,16 @@ def float_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def checked(values, ok, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError "<what>, got <v>" for the first
+    element ``v`` that fails the elementwise test ``ok`` (NaN fails every test)."""
+    values = np.asarray(values, dtype=float)
+    good = ok(values)
+    if not good.all():
+        raise ValueError(f"{what}, got {values[~good][0]}")
+    return values
+
+
 def to_db(ratio):
     """10*log10 of a linear variance ratio, a float or an array; 0 or below maps to -inf."""
     ratio = np.asarray(ratio, dtype=float)

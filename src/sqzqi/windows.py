@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .units import float_or_array
+
 
 class WindowKind(enum.Enum):
     GAUSSIAN = "gaussian"
@@ -201,9 +203,7 @@ def evaluate_window(w: SamplingWindow, t):
         h = _trapezoid_height(w)
         slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
         out = h * np.where(at <= b, 1.0, slope)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float_or_array(out)
 
 
 def sqrt_window(w: SamplingWindow, t):

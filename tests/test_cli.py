@@ -415,6 +415,29 @@ def test_config_missing_file_exit_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
+    # spreadsheet exports begin UTF-8 text with a byte-order mark
+    bom = "\ufeff"
+    shipped = Path(sqzqi.__file__).parent / "data" / "records.csv"
+    data = tmp_path / "records.csv"
+    data.write_text(bom + shipped.read_text(encoding="utf-8"), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "analyze", "--data", str(data), "--report", str(report))
+    assert code == 0
+    assert "records: 3 classified, 13 skipped" in out
+    plain = tmp_path / "plain.svg"
+    assert run(capsys, "plot", "--fig", "5", "--db-floor", "-20", "--report", str(report),
+               "--out", str(plain))[0] == 0
+    report.write_text(bom + report.read_text(encoding="utf-8"), encoding="utf-8")
+    config = tmp_path / "sqzqi.cfg"
+    config.write_text(bom + "plot.db_floor = -20\n", encoding="utf-8")
+    marked = tmp_path / "marked.svg"
+    code, _, err = run(capsys, "--config", str(config), "plot", "--fig", "5",
+                       "--report", str(report), "--out", str(marked))
+    assert (code, err) == (0, "")
+    assert marked.read_bytes() == plain.read_bytes()
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "bound", "--help")[0] == 0

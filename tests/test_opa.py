@@ -24,6 +24,7 @@ from sqzqi.opa import (
     squeezed_fraction,
     variance,
 )
+from sqzqi.qi_bound import ConsistencyError
 from sqzqi.units import to_db
 
 xs = st.floats(1e-3, 0.999)
@@ -236,6 +237,115 @@ def test_effective_ft_validation_and_zero_weight(monkeypatch):
         effective_ft(0.8, 0.975, 0.0)
     with pytest.raises(ValueError):
         effective_ft(0.8, 0.975, 1.0, kernel="bogus")
-    monkeypatch.setattr(opa, "_depth_weight", lambda x, beta, w: 0.0)
+    monkeypatch.setattr(opa, "_depth_weight", lambda x, beta, w: np.zeros_like(w))
     with pytest.raises(NoSqueezingError):
         effective_ft(0.8, 0.975, 1.0)
+
+
+# --- float-or-array contract -------------------------------------------------
+
+ARRAY_FUNCTIONS = (s_minus, s_plus, extremal_product, squeezed_fraction)
+
+
+@settings(max_examples=60)
+@given(points=st.lists(st.tuples(xs, betas, ws), min_size=1, max_size=12))
+def test_array_calls_equal_scalar_calls_bit_for_bit(points):
+    x, beta, w = (np.array(column) for column in zip(*points))
+    for f in ARRAY_FUNCTIONS:
+        assert np.array_equal(f(x, beta, w), [f(*p) for p in points]), f.__name__
+
+
+def test_dense_grid_equals_scalar_calls_bit_for_bit():
+    # a 0-d path that squared through libm pow would round differently from
+    # an array square at a few of these points
+    x, w = np.linspace(0.001, 0.999, 3001), np.linspace(0.0, 3.0, 3001)
+    for f in ARRAY_FUNCTIONS:
+        want = [f(a, 0.9, b) for a, b in zip(x.tolist(), w.tolist())]
+        assert np.array_equal(f(x, 0.9, w), want), f.__name__
+
+
+@settings(max_examples=40)
+@given(x=xs, beta=betas, w_max=st.floats(1e-3, 50.0))
+def test_w_array_equals_scalar_calls_bit_for_bit(x, beta, w_max):
+    # the shape effective_ft uses: scalar x and beta, a grid of w
+    w = np.linspace(0.0, w_max, 33)
+    for f in ARRAY_FUNCTIONS:
+        assert np.array_equal(f(x, beta, w), [f(x, beta, float(v)) for v in w]), f.__name__
+
+
+@settings(max_examples=60)
+@given(fts=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=12),
+       depths=st.lists(st.floats(1e-9, 0.999), min_size=1, max_size=12))
+def test_ideal_array_calls_equal_scalar_calls_bit_for_bit(fts, depths):
+    assert np.array_equal(ideal_r_db(np.array(fts)), [ideal_r_db(f) for f in fts])
+    open_fts = [f for f in fts if f < 0.5] or [0.25]
+    assert np.array_equal(ideal_bound(np.array(open_fts)), [ideal_bound(f) for f in open_fts])
+    assert np.array_equal(ideal_ft(np.array(depths)), [ideal_ft(s) for s in depths])
+
+
+def test_scalar_in_gives_float_out():
+    for value in (*(f(0.5, 0.9, 0.3) for f in ARRAY_FUNCTIONS),
+                  ideal_bound(0.2), ideal_r_db(0.2), ideal_r_db(0.7), ideal_ft(0.3)):
+        assert type(value) is float
+
+
+@pytest.mark.parametrize("call, bad, what", [
+    (lambda v: s_minus(np.array([0.2, v, 0.7]), 0.9), 1.25, "pump ratio x"),
+    (lambda v: s_plus(0.5, np.array([0.9, v])), -0.5, "efficiency beta"),
+    (lambda v: extremal_product(0.5, 0.9, np.array([0.0, 1.0, v])), math.nan,
+     "normalized frequency w"),
+    (lambda v: squeezed_fraction(0.5, 1.0, np.array([0.0, v, -3.0])), -2.0,
+     "normalized frequency w"),
+    (lambda v: ideal_bound(np.array([0.1, v, 0.9])), 0.75, "ft must lie in"),
+    (lambda v: ideal_r_db(np.array([0.1, 0.7, v])), -0.125, "ft must lie in"),
+    (lambda v: ideal_ft(np.array([0.5, v])), 1.5, "s_minus must lie in"),
+], ids=["x", "beta", "w-nan", "w", "ideal_bound", "ideal_r_db", "ideal_ft"])
+def test_out_of_domain_element_is_named(call, bad, what):
+    with pytest.raises(ValueError, match=what) as exc:
+        call(bad)
+    assert str(exc.value).endswith(f"got {bad}")
+
+
+def test_w_squared_overflow_is_the_far_off_resonance_limit():
+    # w*w overflows to inf, which is the limit itself: no RuntimeWarning
+    w = np.array([0.0, 1e200])
+    assert s_minus(0.8, 0.975, w)[1] == s_plus(0.8, 0.975, w)[1] == 1.0
+
+
+def test_ideal_r_db_saturates_per_element():
+    got = ideal_r_db(np.array([0.1, 0.5, 0.3, 0.7, 1.0]))
+    assert np.array_equal(got[[1, 3, 4]], [0.0, 0.0, 0.0])
+    assert np.array_equal(got[[0, 2]], [to_db(ideal_bound(0.1)), to_db(ideal_bound(0.3))])
+    assert (got[[0, 2]] < 0.0).all()
+
+
+def test_self_check_names_the_first_bad_element(monkeypatch):
+    w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    corrupted = s_plus(0.8, 0.975, w)
+    corrupted[[2, 4]] = 2.0
+    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: corrupted)
+    ratio = (2.0 - 1.0) / (1.0 - s_minus(0.8, 0.975, 1.0))
+    with pytest.raises(ConsistencyError, match=f"ratio {ratio!r} disagrees"):
+        squeezed_fraction(0.8, 0.975, w)
+
+
+@pytest.mark.parametrize("rel", [0.0, 5e-13, 9.9e-13, 1.0e-12, 1.01e-12, 3e-12])
+def test_self_check_keeps_math_isclose_semantics(monkeypatch, rel):
+    x, beta = 0.8, 0.975
+    w = np.array([0.0, 0.5, 1.0, 2.0, 7.0])
+    sm = s_minus(x, beta, w)
+    perturbed = 1.0 + (s_plus(x, beta, w) - 1.0) * (1.0 + rel * np.array([0.0, 1.0, -1.0, 0.5, 1.0]))
+    eps = 2.220446049250313e-16
+    bad = []
+    for sp_i, sm_i, w_i in zip(perturbed.tolist(), sm.tolist(), w.tolist()):
+        ratio = (sp_i - 1.0) / (1.0 - sm_i)
+        reduced = ((1.0 + x) * (1.0 + x) + w_i * w_i) / ((1.0 - x) * (1.0 - x) + w_i * w_i)
+        slack = 64.0 * eps * reduced * (1.0 + 1.0 / (sp_i - 1.0) + 1.0 / (1.0 - sm_i))
+        if not math.isclose(ratio, reduced, rel_tol=1e-12, abs_tol=slack):
+            bad.append(ratio)
+    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: perturbed)
+    if not bad:
+        squeezed_fraction(x, beta, w)
+    else:
+        with pytest.raises(ConsistencyError, match=f"ratio {bad[0]!r} disagrees"):
+            squeezed_fraction(x, beta, w)
