@@ -24,7 +24,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -246,7 +246,7 @@ class AnalysisReport:
     caveats: list[str] = field(default_factory=lambda: list(_CAVEATS))
 
     def to_json(self) -> str:
-        return json.dumps(_encode(asdict(self)), indent=2, sort_keys=True) + "\n"
+        return json.dumps(_encode(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -263,12 +263,16 @@ class AnalysisReport:
 
 
 def _encode(obj):
+    """A report as JSON-ready dicts and lists (what ``asdict`` would give,
+    without its deep copy), the -inf sentinel as the string "-inf"."""
+    if isinstance(obj, float):
+        return "-inf" if obj == -math.inf else obj
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_encode(v) for v in obj]
-    if isinstance(obj, float):
-        return "-inf" if obj == -math.inf else obj
+    if is_dataclass(obj):
+        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -422,8 +426,78 @@ def fit_scale(
         bound = np.maximum(curve_value(replace(curve, scale=k), ft, cfg), -60.0)
         return float(np.sum((r - bound) ** 2))
 
-    from scipy import optimize
-    ls = optimize.minimize_scalar(cost, bounds=(1e-4, 2.0), method="bounded",
-                                  options={"xatol": 1e-8})
     return ScaleFit(curve_id=curve.curve_id, envelope_k=envelope,
-                    least_squares_k=float(ls.x))
+                    least_squares_k=_minimize_bounded(cost, 1e-4, 2.0, xatol=1e-8))
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _minimize_bounded(f, lo: float, hi: float, xatol: float, maxfun: int = 500) -> float:
+    """The x in [lo, hi] that Brent's bounded minimization (Forsythe, Malcolm
+    & Moler's ``fmin``) finds for ``f``: golden-section steps, replaced by a
+    parabolic step through the three best points whenever the parabola's
+    minimum falls inside the bracket and the step shrinks fast enough.
+
+    Step for step the algorithm of ``scipy.optimize.minimize_scalar(f,
+    bounds=(lo, hi), method="bounded", options={"xatol": xatol})`` (same
+    constants, tolerance updates, acceptance test and ``maxfun``), so it
+    returns the same float.
+    """
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN * (b - a)  # best, second-best, third-best x
+    fx = fnfc = ffulc = f(xf)
+    num = 1
+    rat = e = 0.0  # the last step, and the one before it
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf

@@ -93,13 +93,13 @@ def variance(p: OpaParams) -> float:
 def s_minus(x, beta, w=0.0):
     """Deepest squeezing, attained at theta = pi/2."""
     x, beta, w = _validate(x, beta, w)
-    return float_or_array(1.0 - 4.0 * beta * x / _widths(x, w)[0])
+    return float_or_array(_s_minus(x, beta, _widths(x, w)[0]))
 
 
 def s_plus(x, beta, w=0.0):
     """Peak antisqueezing, attained at theta = 0 (or pi)."""
     x, beta, w = _validate(x, beta, w)
-    return float_or_array(1.0 + 4.0 * beta * x / _widths(x, w)[1])
+    return float_or_array(_s_plus(x, beta, _widths(x, w)[1]))
 
 
 def extremal_product(x, beta, w=0.0):
@@ -127,11 +127,15 @@ def squeezed_fraction(x, beta=1.0, w=0.0):
     (ConsistencyError naming the first element that fails).
     """
     x, beta, w = _validate(x, beta, w)
-    sp = s_plus(x, beta, w)
-    sm = s_minus(x, beta, w)
+    a, b = _widths(x, w)
+    return float_or_array(_fraction(_s_minus(x, beta, a), _s_plus(x, beta, b), a, b))
+
+
+def _fraction(sm, sp, a, b):
+    """:func:`squeezed_fraction` from the extremes and the widths of
+    validated arrays, with its consistency check."""
     if not (np.all(sp > 1.0) and np.all(sm < 1.0)):
         raise ValueError("squeezed fraction needs s_plus > 1 and s_minus < 1")
-    a, b = _widths(x, w)
     ratio, ratio_reduced = np.broadcast_arrays((sp - 1.0) / (1.0 - sm), a / b)
     # the extremes route computes S+- 1 by cancellation, so allow it the
     # rounding slack its conditioning implies
@@ -146,16 +150,16 @@ def squeezed_fraction(x, beta=1.0, w=0.0):
             f"extremal-variance ratio {float(ratio.flat[i])!r} disagrees with its "
             f"beta-free reduction {float(ratio_reduced.flat[i])!r}"
         )
-    return float_or_array(_ft_from_ratio(ratio_reduced))
+    return _ft_from_ratio(ratio_reduced)
 
 
 def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
     """Extremal variances and squeezed fraction at one operating point."""
-    return SqueezingPoint(
-        s_minus=s_minus(x, beta, w),
-        s_plus=s_plus(x, beta, w),
-        ft=squeezed_fraction(x, beta, w),
-    )
+    x, beta, w = _validate(x, beta, w)
+    a, b = _widths(x, w)
+    sm, sp = _s_minus(x, beta, a), _s_plus(x, beta, b)
+    return SqueezingPoint(s_minus=float_or_array(sm), s_plus=float_or_array(sp),
+                          ft=float_or_array(_fraction(sm, sp, a, b)))
 
 
 def ideal_bound(ft):
@@ -230,6 +234,16 @@ def _widths(x, w):
     """((1+x)^2 + w^2, (1-x)^2 + w^2), squaring by products so floats and arrays round alike."""
     with np.errstate(over="ignore"):  # w^2 -> inf is the far-off-resonance limit
         return (1.0 + x) * (1.0 + x) + w * w, (1.0 - x) * (1.0 - x) + w * w
+
+
+def _s_minus(x, beta, a):
+    """S- of validated arrays, given a = (1+x)^2 + w^2."""
+    return 1.0 - 4.0 * beta * x / a
+
+
+def _s_plus(x, beta, b):
+    """S+ of validated arrays, given b = (1-x)^2 + w^2."""
+    return 1.0 + 4.0 * beta * x / b
 
 
 def _ft_from_ratio(ratio):

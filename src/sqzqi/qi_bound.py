@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# SciPy subpackages are imported inside the functions that use them (here,
-# in windows and in meta.fit_scale), so a command loads only what its path
-# needs: a closed-form bound no quadrature or optimizer code, and the
-# squared Lorentzian and the OPA model no SciPy at all.
+# scipy.integrate (and, for the trapezoid spectrum, scipy.special) is
+# imported inside the quadrature functions that use it, here and in
+# windows, so only a quadrature path loads SciPy: the closed-form bounds
+# run on NumPy and math.erf, and meta's least-squares fit has its own
+# bounded minimizer.
 
 from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
 from .windows import (
@@ -56,6 +57,11 @@ from .windows import (
 
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
+
+
+def _erf(z: np.ndarray) -> np.ndarray:
+    """math.erf element by element, in the shape of ``z`` (0-d included)."""
+    return np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 class ConsistencyError(RuntimeError):
@@ -241,8 +247,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
         # erf(sqrt(2)*omega0*t0) for the Gaussian, 1 - exp(-2*omega0*t0) for the Lorentzian^2
         x = omega0 * w.t0
         if w.kind is WindowKind.GAUSSIAN:
-            from scipy import special
-            return special.erf(math.sqrt(2.0) * x), 0.0
+            return _erf(math.sqrt(2.0) * x), 0.0
         return -np.expm1(-2.0 * x), 0.0
     if method is Method.NESTED:
         one = lambda o: _bracket_nested(w, o, cfg)

@@ -141,7 +141,7 @@ def test_opa_theta_and_ft(capsys):
 
 
 def test_opa_failed_self_check_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: 2.0)
+    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: 2.0)
     code, out, err = run(capsys, "opa", "--x", "0.8", "--beta", "0.975", "--ft")
     assert code == 3 and out == ""
     assert err.startswith("sqzqi: numeric failure: extremal-variance ratio ")
@@ -454,28 +454,38 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 sys.exit(code)
 """
-NO_SCIPY = {"scipy"}
-NO_QUADRATURE = {"scipy.integrate", "scipy.optimize"}
 
 
-@pytest.mark.parametrize("argv, absent", [
-    ((), NO_SCIPY),  # import sqzqi.cli alone
-    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), NO_SCIPY),
-    (("plot", "--fig", "4", "--out", "fig.svg"), NO_SCIPY),
-    (("plot", "--fig", "6", "--out", "fig.svg"), NO_SCIPY),
-    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), NO_SCIPY),
-    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), NO_QUADRATURE),
-    (("plot", "--fig", "5", "--out", "fig.svg"), NO_QUADRATURE),
-    (("analyze", "--report", "report.json"), NO_QUADRATURE),
-    (("analyze", "--fit", "--report", "report.json"), {"scipy.integrate"}),
-], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
-        "plot-5", "analyze", "analyze-fit"])
-def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv, absent):
+def scipy_loaded_by(tmp_path, *argv) -> set[str]:
     src = str(Path(sqzqi.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert not loaded & absent
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# No closed-form command loads SciPy: only the quadrature paths (trapezoid,
+# square, --numeric) need it.
+@pytest.mark.parametrize("argv", [
+    (),  # import sqzqi.cli alone
+    ("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"),
+    ("plot", "--fig", "4", "--out", "fig.svg"),
+    ("plot", "--fig", "6", "--out", "fig.svg"),
+    ("opa", "--x", "0.8", "--beta", "0.975", "--extremes"),
+    ("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"),
+    ("plot", "--fig", "5", "--out", "fig.svg"),
+    ("plot", "--fig", "7", "--out", "fig.svg"),
+    ("analyze", "--report", "report.json"),
+    ("analyze", "--fit", "--report", "report.json"),
+], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
+        "plot-5", "plot-7", "analyze", "analyze-fit"])
+def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv):
+    assert scipy_loaded_by(tmp_path, *argv) == set()
+
+
+def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
+    loaded = scipy_loaded_by(tmp_path, "bound", "--window", "gaussian", "--omega-t0", "1",
+                             "--numeric")
+    assert "scipy.integrate" in loaded

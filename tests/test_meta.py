@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from sqzqi import meta
 from sqzqi.meta import (
     DATASET_COLUMNS,
     DEFAULT_FT_ERR,
@@ -29,7 +31,7 @@ from sqzqi.meta import (
     reconcile_ft,
 )
 from sqzqi.opa import extremes, ideal_ft, squeezed_fraction
-from sqzqi.qi_bound import QiCurve, Variant, curve_value
+from sqzqi.qi_bound import QiCurve, Variant, curve_value, parse_curve_id
 from sqzqi.units import to_db
 from sqzqi.windows import WindowKind
 
@@ -410,3 +412,70 @@ def test_fit_scale_no_violation_at_unity():
 def test_fit_scale_requires_classifiable_records():
     with pytest.raises(FitError):
         fit_scale([SqueezingRecord(id="stub")], GAUSS_PAPER)
+
+
+# --- least-squares minimizer against SciPy's bounded Brent ------------------------
+
+def replay(f, lo, hi, xatol, maxfun=500):
+    """Run meta's minimizer and scipy.optimize.minimize_scalar(method="bounded")
+    on f; both must evaluate the same points and return the same float."""
+    ours, theirs = [], []
+    got = meta._minimize_bounded(lambda x: ours.append(x) or f(float(x)), lo, hi, xatol, maxfun)
+    want = optimize.minimize_scalar(lambda x: theirs.append(float(x)) or f(float(x)),
+                                    bounds=(lo, hi), method="bounded",
+                                    options={"xatol": xatol, "maxiter": maxfun})
+    assert [x.hex() for x in ours] == [x.hex() for x in theirs]
+    assert got.hex() == float(want.x).hex()
+    return ours
+
+
+@pytest.mark.parametrize("curve_id", ["gaussian-paper", "gaussian-marecki",
+                                      "lorentzian2-paper", "lorentzian2-marecki"])
+def test_least_squares_k_replays_scipy_on_the_shipped_dataset(monkeypatch, curve_id):
+    calls, minimize = [], meta._minimize_bounded
+
+    def spy(f, lo, hi, xatol, maxfun=500):
+        calls.append((f, lo, hi, xatol, maxfun))
+        return minimize(f, lo, hi, xatol, maxfun)
+
+    monkeypatch.setattr(meta, "_minimize_bounded", spy)
+    fit = fit_scale(load_records(DATASET), parse_curve_id(curve_id))
+    [(cost, lo, hi, xatol, maxfun)] = calls
+    assert (lo, hi, xatol, maxfun) == (1e-4, 2.0, 1e-8, 500)
+    want = optimize.minimize_scalar(cost, bounds=(lo, hi), method="bounded",
+                                    options={"xatol": xatol})
+    assert fit.least_squares_k.hex() == float(want.x).hex()
+
+
+bounds = st.tuples(st.floats(-5.0, 5.0), st.floats(1e-3, 10.0)).map(lambda b: (b[0], b[0] + b[1]))
+xatols = st.sampled_from([1e-8, 1e-5, 1e-3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds, xatols, st.floats(-8.0, 8.0), st.floats(0.5, 4.0), st.floats(1e-3, 1e3))
+def test_minimizer_replays_scipy_on_unimodal_functions(b, xatol, c, power, height):
+    replay(lambda x: height * abs(x - c) ** power, *b, xatol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(bounds, xatols, st.floats(-1e3, 1e3))
+def test_minimizer_replays_scipy_on_flat_functions(b, xatol, level):
+    replay(lambda x: level, *b, xatol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds, xatols, st.floats(-5.0, 5.0), st.floats(0.1, 5.0), st.floats(-2.0, 2.0))
+def test_minimizer_replays_scipy_on_two_well_functions(b, xatol, c, gap, tilt):
+    replay(lambda x: (x - c) ** 2 * (x - c - gap) ** 2 + tilt * x, *b, xatol)
+
+
+def test_minimizer_replays_scipy_on_a_zero_parabolic_step():
+    # the parabola through the three best points has its vertex on the best
+    # point itself, so the step is 0 and its sign rule decides the direction
+    replay(lambda x: (x - 0.49992499999999995) ** 2, -1.0, 0.9999, 1e-3)
+
+
+def test_minimizer_stops_at_maxfun_like_scipy():
+    # with xatol = 0 the tolerance shrinks with |x| as x -> 0, so it never converges
+    assert len(replay(abs, -1.0, 1.5, 0.0)) == 500
+    assert len(replay(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-8, maxfun=5)) == 5

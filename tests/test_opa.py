@@ -323,7 +323,7 @@ def test_self_check_names_the_first_bad_element(monkeypatch):
     w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     corrupted = s_plus(0.8, 0.975, w)
     corrupted[[2, 4]] = 2.0
-    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: corrupted)
+    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: corrupted)
     ratio = (2.0 - 1.0) / (1.0 - s_minus(0.8, 0.975, 1.0))
     with pytest.raises(ConsistencyError, match=f"ratio {ratio!r} disagrees"):
         squeezed_fraction(0.8, 0.975, w)
@@ -343,7 +343,7 @@ def test_self_check_keeps_math_isclose_semantics(monkeypatch, rel):
         slack = 64.0 * eps * reduced * (1.0 + 1.0 / (sp_i - 1.0) + 1.0 / (1.0 - sm_i))
         if not math.isclose(ratio, reduced, rel_tol=1e-12, abs_tol=slack):
             bad.append(ratio)
-    monkeypatch.setattr(opa, "s_plus", lambda x, beta, w=0.0: perturbed)
+    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: perturbed)
     if not bad:
         squeezed_fraction(x, beta, w)
     else:

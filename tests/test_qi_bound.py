@@ -25,6 +25,7 @@ from sqzqi.qi_bound import (
     SpectralFunction,
     SpectralShape,
     Variant,
+    _bracket,
     _check_bracket,
     bound_value,
     casimir_density,
@@ -36,8 +37,9 @@ from sqzqi.qi_bound import (
     phase_argument,
     sample_curve,
 )
-from sqzqi.units import C_LIGHT, HBAR
+from sqzqi.units import C_LIGHT, HBAR, format_db, to_db
 from sqzqi.windows import (
+    DEFAULT_QUADRATURE,
     Method,
     QuadratureConfig,
     QuadratureError,
@@ -84,11 +86,34 @@ ARGS = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0]
 
 @pytest.mark.parametrize("arg", ARGS + [0.6220])
 def test_closed_form_gaussian_vs_series(arg):
-    # the library erf itself must hold 1e-12 absolute accuracy
+    # the library's closed-form bracket, erf(sqrt(2)*arg), to 1e-14 absolute
     z = math.sqrt(2.0) * arg
-    assert float(special.erf(z)) == pytest.approx(erf_series(z), abs=1e-14)
+    bracket, err = _bracket(gaussian_window(1.0), arg, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    assert float(bracket) == pytest.approx(erf_series(z), abs=1e-14) and err == 0.0
     expected = db(erf_series(z))
     assert bound_value(WindowKind.GAUSSIAN, None, arg) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)])
+def test_closed_form_gaussian_keeps_the_shape(shape):
+    omega0 = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
+    bracket, _ = _bracket(gaussian_window(1.0), omega0, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    assert bracket.shape == shape
+    want = [math.erf(math.sqrt(2.0) * o) for o in omega0.ravel().tolist()]
+    assert bracket.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_closed_form_gaussian_db_strings_match_scipy_erf(variant):
+    # math.erf and scipy.special.erf differ by an ulp or two at some points;
+    # no 4-decimal dB string on the grid may show it
+    grid = np.round(np.arange(0.005, 1.0001, 0.005), 10)
+    for scale in np.round(np.arange(0.1, 1.0001, 0.05), 10):
+        curve = QiCurve(WindowKind.GAUSSIAN, variant, scale=float(scale))
+        got = [format_db(r) for r in sample_curve(curve, grid)]
+        erf = special.erf(math.sqrt(2.0) * phase_argument(variant, WindowKind.GAUSSIAN, grid, scale))
+        want = [format_db(to_db(e)) if e > BRACKET_FLOOR else "-inf" for e in erf.tolist()]
+        assert got == want, scale
 
 
 def test_closed_form_gaussian_examples():
