@@ -329,7 +329,9 @@ def classify(
     report = AnalysisReport()
     discrepancies = []
     columns = []
-    for record in sorted(records, key=lambda r: r.id):
+    order = []  # the input position of each classified record
+    for index in sorted(range(len(records)), key=lambda i: records[i].id):
+        record = records[index]
         rec = reconcile_ft(record)
         if rec is None:
             reason = "no measurements" if record.is_stub else "no F_T route available"
@@ -345,6 +347,7 @@ def classify(
         ft_err = DEFAULT_FT_ERR if record.ft_err is None else record.ft_err
         r = record.s_minus_db
         columns += (r, rec.ft, s_err, ft_err)
+        order.append(index)
         report.per_record.append(RecordResult(
             record_id=record.id,
             ft_used=_q(rec.ft),
@@ -375,8 +378,12 @@ def classify(
         report.curve_samples["ideal-opa"] = "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
+    # the fit takes the same columns back in input order, the order in
+    # which fit_scale(records, ...) would reconcile them itself
+    by_input = np.argsort(order)
+    points = ft[by_input], r[by_input]
     for curve in (fit_curves or []):
-        fit = fit_scale(records, curve, cfg)
+        fit = fit_scale(records, curve, cfg, points=points)
         report.fitted_scales[curve.curve_id] = ScaleFit(
             curve_id=fit.curve_id,
             envelope_k=_q(fit.envelope_k),
@@ -389,6 +396,8 @@ def fit_scale(
     records: list[SqueezingRecord],
     curve: QiCurve,
     cfg: QuadratureConfig | None = None,
+    *,
+    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
@@ -398,12 +407,18 @@ def fit_scale(
     some feasible k always exists for finite data.)  A least-squares k
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
+
+    ``points``, the (F_T, depth) columns of the classifiable records in
+    input order, spares reconciling the records again when the caller
+    (:func:`classify`) has built them already.
     """
-    points = [(rec.ft, record.s_minus_db) for record in records
-              if (rec := reconcile_ft(record)) is not None and record.s_minus_db is not None]
-    if not points:
+    if points is None:
+        points = np.array([(rec.ft, record.s_minus_db) for record in records
+                           if (rec := reconcile_ft(record)) is not None
+                           and record.s_minus_db is not None], dtype=float).reshape(-1, 2).T
+    ft, r = points
+    if ft.size == 0:
         raise FitError("no classifiable records to fit")
-    ft, r = np.array(points, dtype=float).T
 
     def violations(k: float) -> int:
         return int(np.count_nonzero(r < curve_value(replace(curve, scale=k), ft, cfg)))

@@ -9,10 +9,13 @@ so a measured value of -X dB is inconsistent with the bound whenever
 X > |R|.  By default (:data:`sqzqi.windows.METHODS`) the Gaussian and
 squared-Lorentzian bounds are closed forms (an error function and an
 exponential in omega0*t0); the trapezoid integrates its closed-form
-Fresnel spectrum with one adaptive quadrature, in the complement form
-4pi * integral_0^{omega0} |(f^{1/2})_FT|^2; the square window alone nests
-a quadrature of its spectrum inside it.  ``Method.NESTED`` selects that
-nested path for any family, as a cross-check.
+Fresnel spectrum in the complement form 4pi * integral_0^{omega0}
+|(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
+every omega0 of a call at once; the square window alone nests a quadrature
+of its spectrum inside SciPy's ``quad``.  ``Method.NESTED`` selects that
+nested path for any family, and ``--numeric`` (``Method.SPECTRUM``) puts
+the Gaussian and squared-Lorentzian spectra through ``quad``: a second
+quadrature engine, kept as an independent check of the first.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -36,11 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.integrate (and, for the trapezoid spectrum, scipy.special) is
-# imported inside the quadrature functions that use it, here and in
-# windows, so only a quadrature path loads SciPy: the closed-form bounds
-# run on NumPy and math.erf, and meta's least-squares fit has its own
-# bounded minimizer.
+# scipy.integrate is imported inside the functions that call quad, here
+# and in windows, so only those paths (the square window, Method.NESTED
+# and the Gaussian/Lorentzian^2 spectrum) load SciPy: the closed-form
+# bounds run on NumPy and math.erf, the trapezoid spectrum on windows'
+# NumPy Fresnel integrals and its bracket on the Gauss-Kronrod rule below,
+# and meta's least-squares fit has its own bounded minimizer.
 
 from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
 from .windows import (
@@ -207,22 +211,16 @@ def _bracket_analytic(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -
     return 1.0 - 4.0 * math.pi * tail, 4.0 * math.pi * err
 
 
-def _bracket_numeric(V, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
+def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
     # Complement form: unit window normalization fixes the half-line
     # spectrum integral at exactly 1/(4pi), so
     #     1 - 4pi * integral_{omega0}^inf V = 4pi * integral_0^{omega0} V.
     # This trades the slowly decaying oscillatory tail (the square
     # window's spectrum falls only like 1/u^2) for a finite interval, and
-    # evaluates small brackets without cancellation.
+    # evaluates small brackets without cancellation.  The spectrum itself
+    # is an oscillatory quadrature at every outer node; its worst pointwise
+    # error is charged over the whole interval.
     from scipy import integrate
-    val, err = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol, epsrel=1e-11,
-                              limit=cfg.max_subdivisions, full_output=1)[:2]
-    return 4.0 * math.pi * val, 4.0 * math.pi * err
-
-
-def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    # The spectrum itself by oscillatory quadrature at every outer node;
-    # its worst pointwise error is charged over the whole interval.
     inner_err = 0.0
 
     def V(u: float) -> float:
@@ -231,16 +229,127 @@ def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> 
         inner_err = max(inner_err, 2.0 * abs(amp) * err)
         return amp * amp
 
-    bracket, err = _bracket_numeric(V, omega0, cfg)
-    return bracket, err + 4.0 * math.pi * inner_err * omega0
+    val, err = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol, epsrel=1e-11,
+                              limit=cfg.max_subdivisions, full_output=1)[:2]
+    return 4.0 * math.pi * val, 4.0 * math.pi * (err + inner_err * omega0)
+
+
+# QUADPACK dqk21 on [-1, 1]: the non-negative Kronrod nodes, largest first
+# (every second one, from the second, is a node of the 10-point Gauss rule),
+# their Kronrod weights and those Gauss nodes' Gauss weights.  _K21_NODES
+# holds all 21 nodes in ascending order; _G10_WEIGHTS is zero at the 11
+# nodes Kronrod added, the centre among them.
+_KRONROD_X = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+              0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+              0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+              0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+              0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_KRONROD_W = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+              0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+              0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+              0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+              0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+              0.149445554002916905664936468389821)
+_GAUSS_W = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+            0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+            0.295524224714752870173892994651338)
+_K21_NODES = np.array([-x for x in _KRONROD_X[:-1]] + list(_KRONROD_X[::-1]))
+_K21_WEIGHTS = _KRONROD_W[:-1] + _KRONROD_W[::-1]
+_G10_WEIGHTS = tuple(_GAUSS_W[min(j, 20 - j) // 2] if j % 2 else 0.0 for j in range(21))
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
+    """QUADPACK ``dqk21`` on each interval [lo, hi]: the 21-point Kronrod
+    integral, its error estimate (QUADPACK's transform of |K21 - G10|), and
+    the rounding floor 50*eps*resabs that the estimate is not allowed below.
+
+    ``f`` is called once, on all 21 nodes of every interval.  Each row is
+    summed node by node in one fixed order, so an interval's numbers do not
+    depend on which other intervals share the call.
+    """
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx = f(center[:, None] + half[:, None] * _K21_NODES)
+    resk = resg = resabs = 0.0
+    for j in range(21):
+        resk = resk + _K21_WEIGHTS[j] * fx[:, j]
+        resg = resg + _G10_WEIGHTS[j] * fx[:, j]
+        resabs = resabs + _K21_WEIGHTS[j] * np.abs(fx[:, j])
+    reskh = 0.5 * resk
+    resasc = 0.0
+    for j in range(21):
+        resasc = resasc + _K21_WEIGHTS[j] * np.abs(fx[:, j] - reskh)
+    resabs, resasc = resabs * half, resasc * half
+    est = np.abs((resk - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.where((resasc != 0.0) & (est != 0.0),
+                       resasc * np.minimum(1.0, (200.0 * est / resasc) ** 1.5), est)
+    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    return resk * half, est, floor
+
+
+def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
+    """4pi * integral_0^{omega0} V of the closed-form trapezoid spectrum, for
+    every element of ``omega0`` at once: (bracket, error), each of its shape.
+
+    Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
+    breakpoints at the spectrum's own scale, pi/c * 2^k below omega0 with c
+    the half support, so no rule straddles a peak that is narrow next to
+    [0, omega0].  Each pass evaluates the spectrum once, on every new
+    interval, and bisects, in each element whose summed error exceeds
+    max(abs_tol, 1e-11 * |integral|), the intervals whose error exceeds
+    their share of that tolerance (by length) and is not the rounding
+    floor.  An element stops with the error it has when only such floors
+    are left, or when bisecting would take it past ``cfg.max_subdivisions``
+    intervals; the caller's ``_check_bracket`` then raises QuadratureError,
+    with that error, if it exceeds ``cfg.bound_tol``.
+    """
+    flat = omega0.ravel()
+    step = math.pi / w.half_support
+    edges = []
+    for o in flat.tolist():
+        points, p = [0.0], step
+        while p < o:
+            points.append(p)
+            p *= 2.0
+        edges.append(points + [o])
+    owner = np.repeat(np.arange(flat.size), [len(e) - 1 for e in edges])
+    lo = np.array([x for e in edges for x in e[:-1]])
+    hi = np.array([x for e in edges for x in e[1:]])
+    V = lambda u: _analytic_sqrt_ft_squared(w, u)
+    res, est, floor = _kronrod21(V, lo, hi)
+    while True:
+        total = np.bincount(owner, res, flat.size)
+        error = np.bincount(owner, np.maximum(est, floor), flat.size)
+        tol = np.maximum(cfg.abs_tol, 1e-11 * np.abs(total))
+        active = (error > tol)[owner]
+        split = active & (est > floor) & (est * flat[owner] > tol[owner] * (hi - lo))
+        # an element whose intervals would outgrow the budget stops here
+        split &= (np.bincount(owner, 1.0 + split, flat.size) <= cfg.max_subdivisions)[owner]
+        if not split.any():
+            break
+        # each split interval becomes its two halves, in place
+        counts = 1 + split
+        first = np.cumsum(counts) - counts
+        owner, lo, hi = (np.repeat(a, counts) for a in (owner, lo, hi))
+        res, est, floor = (np.repeat(a, counts) for a in (res, est, floor))
+        left = first[split]
+        mid = 0.5 * (lo[left] + hi[left])
+        hi[left] = lo[left + 1] = mid
+        new = np.concatenate((left, left + 1))
+        res[new], est[new], floor[new] = _kronrod21(V, lo[new], hi[new])
+    bracket = np.minimum(4.0 * math.pi * total, 1.0)
+    return bracket.reshape(omega0.shape), (4.0 * math.pi * error).reshape(omega0.shape)
 
 
 def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
     """(bracket, error estimate) at omega0, a float or an array, each of the
     same shape; ``method`` is resolved (supported by the family, never None).
 
-    A closed form is one NumPy expression with a zero error estimate; every
-    other method runs one quadrature per element of ``omega0``.
+    A closed form is one NumPy expression with a zero error estimate, and
+    the trapezoid spectrum one adaptive quadrature over every element of
+    ``omega0``; every other method runs one SciPy quadrature per element.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
     if method is Method.CLOSED_FORM:
@@ -252,8 +361,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
     if method is Method.NESTED:
         one = lambda o: _bracket_nested(w, o, cfg)
     elif w.kind is WindowKind.TRAPEZOID:
-        # compact support: the complement form over a finite interval
-        one = lambda o: _bracket_numeric(lambda u: _analytic_sqrt_ft_squared(w, u), o, cfg)
+        return _bracket_trapezoid(w, omega0, cfg)
     else:
         one = lambda o: _bracket_analytic(w, o, cfg)
     out = np.array([one(o) for o in omega0.ravel().tolist()]).reshape(*omega0.shape, 2)

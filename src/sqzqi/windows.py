@@ -19,13 +19,14 @@ Four even families are provided:
                       horizontal extent n*t0 each
 
 The Gaussian, squared-Lorentzian and trapezoid spectra have closed forms
-(the trapezoid's through Fresnel integrals, Abramowitz & Stegun 7.3).  The
-square window alone is evaluated by oscillatory quadrature over its
-compact support; ``Method.NESTED`` selects that quadrature for every
-family, as the independent cross-check of the closed forms.  The square
-window is numerically ill-behaved in the bound integrals -- its spectrum
-decays only like 1/omega^2 -- so building bound curves from it requires an
-explicit opt-in at the curve level.
+(the trapezoid's through Fresnel integrals, Abramowitz & Stegun 7.3, by a
+NumPy port of Cephes' ``fresnl``, so it takes arrays and loads no SciPy).
+The square window alone is evaluated by oscillatory quadrature over its
+compact support (SciPy's ``quad``); ``Method.NESTED`` selects that
+quadrature for every family, as the independent cross-check of the closed
+forms.  The square window is numerically ill-behaved in the bound
+integrals -- its spectrum decays only like 1/omega^2 -- so building bound
+curves from it requires an explicit opt-in at the curve level.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
+    # The QUADPACK workspace of each scipy.integrate.quad call (the nested
+    # path and the Gaussian/Lorentzian^2 spectrum); for the trapezoid
+    # spectrum, the Gauss-Kronrod intervals allowed per bracket.
     max_subdivisions: int = 200
     # On the nested path (the square window, or any family under
     # Method.NESTED) the bracket error accumulates the
@@ -116,7 +120,8 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
-        # QUADPACK allocates workspace in proportion to the limit
+        # QUADPACK's workspace and the Gauss-Kronrod interval arrays both
+        # grow in proportion to the limit
         if self.max_subdivisions > 100_000:
             raise ValueError("max_subdivisions must be at most 100000")
 
@@ -211,38 +216,116 @@ def sqrt_window(w: SamplingWindow, t):
     return np.sqrt(evaluate_window(w, t))
 
 
-def _trapezoid_sqrt_ft(w: SamplingWindow, u: float) -> float:
-    """(f^{1/2})_FT of the trapezoid at u >= 0, through Fresnel integrals.
+# Cephes ``fresnl`` (S. L. Moshier), the routine behind scipy.special.fresnel:
+# rational approximations in x^4 for x^2 < 2.5625, the auxiliary functions f
+# and g as rationals in 1/(pi x^2)^2 up to x = 36974, the leading asymptotic
+# terms beyond.  Coefficients highest power first.
+_FRESNEL_SN = (-2.99181919401019853726e3, 7.08840045257738576863e5, -6.29741486205862506537e7,
+               2.54890880573376359104e9, -4.42979518059697779103e10, 3.18016297876567817986e11)
+_FRESNEL_SD = (2.81376268889994315696e2, 4.55847810806532581675e4, 5.17343888770096400730e6,
+               4.19320245898111231129e8, 2.24411795645340920940e10, 6.07366389490084639049e11)
+_FRESNEL_CN = (-4.98843114573573548651e-8, 9.50428062829859605134e-6, -6.45191435683965050962e-4,
+               1.88843319396703850064e-2, -2.05525900955013891793e-1, 9.99999999999999998822e-1)
+_FRESNEL_CD = (3.99982968972495980367e-12, 9.15439215774657478799e-10, 1.25001862479598821474e-7,
+               1.22262789024179030997e-5, 8.68029542941784300606e-4, 4.12142090722199792936e-2,
+               1.00000000000000000118e0)
+_FRESNEL_FN = (4.21543555043677546506e-1, 1.43407919780758885261e-1, 1.15220955073585758835e-2,
+               3.45017939782574027900e-4, 4.63613749287867322088e-6, 3.05568983790257605827e-8,
+               1.02304514164907233465e-10, 1.72010743268161828879e-13, 1.34283276233062758925e-16,
+               3.76329711269987889006e-20)
+_FRESNEL_FD = (7.51586398353378947175e-1, 1.16888925859191382142e-1, 6.44051526508858611005e-3,
+               1.55934409164153020873e-4, 1.84627567348930545870e-6, 1.12699224763999035261e-8,
+               3.60140029589371370404e-11, 5.88754533621578410010e-14, 4.52001434074129701496e-17,
+               1.25443237090011264384e-20)
+_FRESNEL_GN = (5.04442073643383265887e-1, 1.97102833525523411709e-1, 1.87648584092575249293e-2,
+               6.84079380915393090172e-4, 1.15138826111884280931e-5, 9.82852443688422223854e-8,
+               4.45344415861750144738e-10, 1.08268041139020870318e-12, 1.37555460633261799868e-15,
+               8.36354435630677421531e-19, 1.86958710162783235106e-22)
+_FRESNEL_GD = (1.47495759925128324529e0, 3.37748989120019970451e-1, 2.53603741420338795122e-2,
+               8.14679107184306179049e-4, 1.27545075667729118702e-5, 1.04314589657571990585e-7,
+               4.60680728146520428211e-10, 1.10273215066240270757e-12, 1.38796531259578871258e-15,
+               8.39158816283118707363e-19, 1.86958710162783236342e-22)
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first (Cephes ``polevl``; ``p1evl`` is
+    this with a leading 1.0, since 1.0*x rounds to x)."""
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _fresnel(z):
+    """(S(z), C(z)) = integral_0^z (sin, cos)(pi t^2/2) dt for z >= 0, a
+    float or an array, element by element in Cephes' order of operations.
+
+    Every branch is evaluated on every element and the right one kept, so
+    an element's value does not depend on its neighbours.
+    """
+    x = np.asarray(z, dtype=float)
+    x2 = x * x
+    t = x2 * x2
+    s_series = x * x2 * _polevl(t, _FRESNEL_SN) / _polevl(t, (1.0,) + _FRESNEL_SD)
+    c_series = x * _polevl(t, _FRESNEL_CN) / _polevl(t, _FRESNEL_CD)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = math.pi * x2
+        u = 1.0 / (t * t)
+        t = 1.0 / t
+        f = 1.0 - u * _polevl(u, _FRESNEL_FN) / _polevl(u, (1.0,) + _FRESNEL_FD)
+        g = t * _polevl(u, _FRESNEL_GN) / _polevl(u, (1.0,) + _FRESNEL_GD)
+        t = (math.pi / 2.0) * x2
+        cos, sin = np.cos(t), np.sin(t)
+        t = math.pi * x
+        s_aux = 0.5 - (f * cos + g * sin) / t
+        c_aux = 0.5 + (f * sin - g * cos) / t
+        phase = math.pi * x * x / 2.0
+        s_far = 0.5 - 1.0 / (math.pi * x) * np.cos(phase)
+        c_far = 0.5 + 1.0 / (math.pi * x) * np.sin(phase)
+    series, far = x2 < 2.5625, x > 36974.0
+    S = np.where(series, s_series, np.where(far, s_far, s_aux))
+    C = np.where(series, c_series, np.where(far, c_far, c_aux))
+    return float_or_array(S), float_or_array(C)
+
+
+def _trapezoid_sqrt_ft(w: SamplingWindow, u):
+    """(f^{1/2})_FT of the trapezoid at u >= 0, a float or an array, through
+    Fresnel integrals.
 
     The flat top contributes sqrt(h)*sin(u b)/u.  Each sloping side is the
     integral of sqrt(h s/L) cos(u(c - s)) over 0 <= s <= L, which the
     substitution s = v^2 reduces to Fresnel C/S (A&S 7.3).  The one
     cancellation, in the cosine term as u -> 0, is multiplied by
-    sin(u c) ~ u c, so the absolute error stays at rounding level.
+    sin(u c) ~ u c, so the absolute error stays at rounding level.  Below
+    u c = 1e-100 an element takes the u = 0 limit, which it equals in double
+    precision (the first correction is of order (u c)^2) and which keeps
+    the 1/u factors from overflowing near the bottom of the float range.
     """
+    u = np.asarray(u, dtype=float)
     b = 0.5 * w.t0
     L = w.n * w.t0
     c = b + L
     h = _trapezoid_height(w)
-    if u == 0.0:
-        return math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi
-    from scipy import special
-    S, C = special.fresnel(math.sqrt(2.0 * u * L / math.pi))
-    pref = math.sqrt(math.pi / (2.0 * u))
-    A = (math.sqrt(L) * math.sin(u * L) - pref * S) / u
-    B = (pref * C - math.sqrt(L) * math.cos(u * L)) / u
-    side = math.sqrt(h / L) * (math.cos(u * c) * A + math.sin(u * c) * B)
-    return float(math.sqrt(h) * math.sin(u * b) / u + side) / math.pi
+    limit = u * c < 1e-100
+    safe = np.where(limit, 1.0, u)
+    S, C = _fresnel(np.sqrt(2.0 * safe * L / math.pi))
+    pref = np.sqrt(math.pi / (2.0 * safe))
+    A = (math.sqrt(L) * np.sin(safe * L) - pref * S) / safe
+    B = (pref * C - math.sqrt(L) * np.cos(safe * L)) / safe
+    side = math.sqrt(h / L) * (np.cos(safe * c) * A + np.sin(safe * c) * B)
+    amp = (math.sqrt(h) * np.sin(safe * b) / safe + side) / math.pi
+    return float_or_array(np.where(limit, math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi, amp))
 
 
-def _analytic_sqrt_ft_squared(w: SamplingWindow, omega: float) -> float:
-    """Closed-form |(f^{1/2})_FT|^2 for every family but the square."""
+def _analytic_sqrt_ft_squared(w: SamplingWindow, omega):
+    """Closed-form |(f^{1/2})_FT|^2 for every family but the square; the
+    trapezoid's takes a float or an array, the others a float."""
     if w.kind is WindowKind.GAUSSIAN:
         return w.t0 / (math.pi * math.sqrt(2.0 * math.pi)) * math.exp(-2.0 * (w.t0 * omega) ** 2)
     if w.kind is WindowKind.LORENTZIAN_SQ:
         return w.t0 / (2.0 * math.pi) * math.exp(-2.0 * w.t0 * abs(omega))
     if w.kind is WindowKind.TRAPEZOID:
-        amp = _trapezoid_sqrt_ft(w, abs(omega))
+        amp = _trapezoid_sqrt_ft(w, np.abs(omega))
         return amp * amp
     raise ValueError(f"no analytic spectrum for {w.kind.value}")
 

@@ -106,6 +106,16 @@ def test_bound_numeric_failure_exit_code(capsys, tmp_path):
     assert "achieved error estimate" in err
 
 
+def test_bound_trapezoid_narrow_peak_exit_code(capsys):
+    # the spectral peak is about 4.5 wide against [0, 1e7]: the bracket
+    # cannot be certified within the interval budget, and says so
+    code, out, err = run(capsys, "bound", "--window", "trapezoid", "--n", "0.2",
+                         "--omega-t0", "1e7")
+    assert (code, out) == (3, "")
+    assert "bound quadrature did not converge" in err
+    assert "achieved error estimate" in err
+
+
 # --- opa -----------------------------------------------------------------------
 
 def test_opa_extremes(capsys):
@@ -466,8 +476,9 @@ def scipy_loaded_by(tmp_path, *argv) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# No closed-form command loads SciPy: only the quadrature paths (trapezoid,
-# square, --numeric) need it.
+# Only the paths that run scipy.integrate.quad (the square window, --numeric
+# and Method.NESTED) load SciPy; the closed forms and the trapezoid's own
+# Gauss-Kronrod bracket run on NumPy.
 @pytest.mark.parametrize("argv", [
     (),  # import sqzqi.cli alone
     ("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"),
@@ -479,8 +490,12 @@ def scipy_loaded_by(tmp_path, *argv) -> set[str]:
     ("plot", "--fig", "7", "--out", "fig.svg"),
     ("analyze", "--report", "report.json"),
     ("analyze", "--fit", "--report", "report.json"),
+    ("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"),
+    ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
+    ("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
-        "plot-5", "plot-7", "analyze", "analyze-fit"])
+        "plot-5", "plot-7", "analyze", "analyze-fit", "plot-8", "analyze-fit-trapezoid",
+        "bound-trapezoid"])
 def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv):
     assert scipy_loaded_by(tmp_path, *argv) == set()
 

@@ -414,6 +414,26 @@ def test_fit_scale_requires_classifiable_records():
         fit_scale([SqueezingRecord(id="stub")], GAUSS_PAPER)
 
 
+def test_classify_fits_from_its_own_columns(monkeypatch):
+    # classify reconciles each record once and hands its columns, back in
+    # input order, to every fit: the same bits as fit_scale(records, ...)
+    rng = random.Random(3)
+    records = [SqueezingRecord(id=f"r{rng.randrange(10**6):06d}", s_minus_db=-rng.uniform(0.1, 15.0),
+                               ft_formula=rng.uniform(0.01, 0.99)) for _ in range(200)]
+    records += [SqueezingRecord(id="stub"), SqueezingRecord(id="g", ft_graphical=0.3)]
+    rng.shuffle(records)
+    curves = [GAUSS_PAPER, LOR2_PAPER]
+    want = [fit_scale(records, curve) for curve in curves]
+    fits, reconciled = [], []
+    fit, reconcile = meta.fit_scale, meta.reconcile_ft
+    monkeypatch.setattr(meta, "fit_scale", lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+    monkeypatch.setattr(meta, "reconcile_ft", lambda r: reconciled.append(r.id) or reconcile(r))
+    classify(records, curves, fit_curves=curves)
+    assert sorted(reconciled) == sorted(r.id for r in records)
+    assert [(f.envelope_k.hex(), f.least_squares_k.hex()) for f in fits] == [
+        (f.envelope_k.hex(), f.least_squares_k.hex()) for f in want]
+
+
 # --- least-squares minimizer against SciPy's bounded Brent ------------------------
 
 def replay(f, lo, hi, xatol, maxfun=500):

@@ -4,7 +4,8 @@ The error function is checked against its own Maclaurin series evaluated
 in 40-digit arithmetic; the numeric bound brackets are checked against
 independently derived special-function forms (Si for the square window,
 Fresnel quadrature for the trapezoid), and the trapezoid's closed-form
-spectrum path against its nested-quadrature path.
+spectrum path against its nested-quadrature path and, for its own
+Gauss-Kronrod rule, against SciPy's ``quad`` on the same spectrum.
 """
 
 import math
@@ -25,6 +26,9 @@ from sqzqi.qi_bound import (
     SpectralFunction,
     SpectralShape,
     Variant,
+    _G10_WEIGHTS,
+    _K21_NODES,
+    _K21_WEIGHTS,
     _bracket,
     _check_bracket,
     bound_value,
@@ -37,6 +41,7 @@ from sqzqi.qi_bound import (
     phase_argument,
     sample_curve,
 )
+from sqzqi.cli import TRAPEZOID_FAMILY
 from sqzqi.units import C_LIGHT, HBAR, format_db, to_db
 from sqzqi.windows import (
     DEFAULT_QUADRATURE,
@@ -45,6 +50,7 @@ from sqzqi.windows import (
     QuadratureError,
     SamplingWindow,
     WindowKind,
+    _analytic_sqrt_ft_squared,
     gaussian_window,
     lorentzian_sq_window,
     sqrt_ft_squared,
@@ -293,6 +299,92 @@ def test_trapezoid_closed_form_bracket_matches_nested_quadrature(n):
         nested = numeric_bound_detail(w, mu, method=Method.NESTED)
         assert fast.bracket == pytest.approx(nested.bracket, rel=0, abs=1e-12)
         assert 0.0 < fast.bracket_error < nested.bracket_error
+
+
+# --- the trapezoid's Gauss-Kronrod bracket ------------------------------------
+
+@pytest.mark.parametrize("weights, degree", [(_K21_WEIGHTS, 31), (_G10_WEIGHTS, 19)],
+                         ids=["K21", "G10"])
+def test_gauss_kronrod_rules_integrate_polynomials_exactly(weights, degree):
+    # int_{-1}^{1} x^d dx = 2/(d+1) for even d, 0 for odd d; exact up to
+    # the rule's degree and no further
+    def error(d):
+        return abs(math.fsum(w * x**d for w, x in zip(weights, _K21_NODES.tolist()))
+                   - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+    for d in range(degree + 1):
+        assert error(d) <= 4 * np.finfo(float).eps, d
+    assert error(degree + 1) > 1e-13
+
+
+def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
+    # the same closed-form spectrum through QUADPACK's qags, on every n of
+    # fig 8 and both argument conventions of its F_T grid
+    fts = np.round(np.arange(0.02, 0.5001, 0.02), 10)
+    omega0 = np.concatenate((math.pi * fts, fts))
+    for n in TRAPEZOID_FAMILY:
+        w = trapezoid_window(1.0, n)
+        bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+        for o, b in zip(omega0.tolist(), bracket.tolist()):
+            val, _ = integrate.quad(lambda u: _analytic_sqrt_ft_squared(w, u), 0.0, o,
+                                    epsabs=1e-15, epsrel=1e-13, limit=200)
+            assert b == pytest.approx(4.0 * math.pi * val, rel=0, abs=1e-13), (n, o)
+        assert np.all(err < 1e-12)
+
+
+def split_quad_bracket(n: float, omega0: float) -> tuple[float, float]:
+    """4pi * int_0^omega0 of the Fresnel oracle spectrum by scipy.integrate.quad,
+    split at pi/c * 2^k so that every piece holds a few spectral widths."""
+    edges, p = [0.0], math.pi / (0.5 + n)
+    while p < omega0:
+        edges.append(p)
+        p *= 2.0
+    edges.append(omega0)
+    total = total_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = integrate.quad(lambda u: trapezoid_spectrum_oracle(u, 1.0, n), lo, hi,
+                                  epsabs=1e-16, epsrel=1e-13, limit=2000)
+        total, total_err = total + val, total_err + err
+    return 4.0 * math.pi * total, 4.0 * math.pi * total_err
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_omega0=st.floats(-6.0, 8.0), log_n=st.floats(-3.0, 10.0))
+def test_trapezoid_bracket_is_right_or_raises_when_the_peak_is_narrow(log_omega0, log_n):
+    # The spectrum's peak is about pi/c wide (c the half support), so for
+    # large n or omega0 it is narrow next to [0, omega0]; the oscillating
+    # tail then needs more intervals than the budget, which must raise.
+    omega0, n = 10.0**log_omega0, 10.0**log_n
+    try:
+        res = numeric_bound_detail(trapezoid_window(1.0, n), SpectralFunction(omega0=omega0))
+    except QuadratureError as exc:
+        assert exc.achieved > QuadratureConfig().bound_tol
+        return
+    assert 0.0 <= res.bracket <= 1.0
+    ref, ref_err = split_quad_bracket(n, omega0)
+    assert abs(res.bracket - ref) <= res.bracket_error + ref_err
+
+
+@pytest.mark.parametrize("n, omega0", [(0.2, 1e7), (1e9, 0.5), (1e10, 0.5)])
+def test_trapezoid_bracket_with_a_narrow_peak_raises(n, omega0):
+    # QUADPACK's qags once returned -75.4, -113.2 and -131.8 dB here with
+    # small error estimates; the true brackets are within 1e-5 of 1
+    with pytest.raises(QuadratureError, match="bound quadrature did not converge") as exc:
+        bound_value(WindowKind.TRAPEZOID, n, omega0)
+    assert exc.value.achieved > QuadratureConfig().bound_tol
+
+
+def test_trapezoid_bracket_interval_budget():
+    # too few intervals leave an honest, large error estimate, which the
+    # bound gate turns into QuadratureError
+    w = trapezoid_window(1.0, 5.0)
+    bracket, err = _bracket(w, 50.0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+    small = QuadratureConfig(max_subdivisions=10)
+    coarse, coarse_err = _bracket(w, 50.0, small, Method.SPECTRUM)
+    assert err < 1e-12 and small.bound_tol < coarse_err
+    assert abs(coarse - bracket) <= coarse_err
+    with pytest.raises(QuadratureError) as exc:
+        bound_value(WindowKind.TRAPEZOID, 5.0, 50.0, cfg=small)
+    assert exc.value.achieved == pytest.approx(float(coarse_err))
 
 
 def test_square_window_bracket_convergence_diagnostic():

@@ -11,6 +11,7 @@ default against the oracle.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from sqzqi.windows import (
     QuadratureError,
     SamplingWindow,
     WindowKind,
+    _fresnel,
     evaluate_window,
     gaussian_window,
     lorentzian_sq_window,
@@ -242,6 +244,50 @@ def test_trapezoid_default_spectrum_is_fresnel_closed_form(n):
         assert sqrt_ft_squared(w, u) == pytest.approx(
             trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-12, abs=1e-30)
     assert resolve_method(WindowKind.TRAPEZOID) is Method.SPECTRUM
+
+
+@pytest.mark.parametrize("n", [0.001, 0.2, 1e10])
+def test_trapezoid_spectrum_takes_its_limit_at_tiny_frequencies(n):
+    # the formula's 1/u factors overflow below about 1e-308, where the
+    # spectrum has long equalled its u = 0 value
+    w = trapezoid_window(1.0, n)
+    at_zero = sqrt_ft_squared(w, 0.0)
+    for u in (5e-324, 1e-310, 1e-200, -1e-310):
+        assert sqrt_ft_squared(w, u) == at_zero
+    assert sqrt_ft_squared(w, 1e-9 / (0.5 + n)) == pytest.approx(at_zero, rel=1e-15)
+
+
+# --- the Fresnel integrals behind the trapezoid spectrum ----------------------
+
+def test_fresnel_matches_mpmath():
+    # 30-digit references over [0, 40], both sides of the series/auxiliary
+    # switch at z^2 = 2.5625.  Above it the phase pi z^2/2 is rounded, which
+    # costs about eps*z/2 in absolute terms; allow 2*eps*max(1, z).
+    z = np.concatenate((np.linspace(0.0, 40.0, 401), [1.6, 1.6008, 1.6009, 1e-8, 1e-3]))
+    S, C = _fresnel(z)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for zi, s, c in zip(z.tolist(), S.tolist(), C.tolist()):
+            tol = 2.0 * eps * max(1.0, zi)
+            assert abs(s - float(mpmath.fresnels(zi))) <= tol, zi
+            assert abs(c - float(mpmath.fresnelc(zi))) <= tol, zi
+
+
+def test_fresnel_power_series_is_scipy_bit_for_bit():
+    # below z^2 = 2.5625 both run Cephes' rational approximation, operation
+    # for operation
+    z = np.linspace(0.0, 1.6, 20001)
+    S, C = _fresnel(z)
+    s_ref, c_ref = special.fresnel(z)
+    np.testing.assert_array_equal(S, s_ref)
+    np.testing.assert_array_equal(C, c_ref)
+
+
+def test_fresnel_keeps_the_shape():
+    assert all(type(v) is float for v in _fresnel(0.7))
+    S, C = _fresnel(np.full((2, 3), 5.0))
+    assert S.shape == C.shape == (2, 3)
+    assert (S[0, 0], C[0, 0]) == _fresnel(5.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
