@@ -381,9 +381,8 @@ def classify(
     # the fit takes the same columns back in input order, the order in
     # which fit_scale(records, ...) would reconcile them itself
     by_input = np.argsort(order)
-    points = ft[by_input], r[by_input]
     for curve in (fit_curves or []):
-        fit = fit_scale(records, curve, cfg, points=points)
+        fit = _fit_columns(ft[by_input], r[by_input], curve, cfg)
         report.fitted_scales[curve.curve_id] = ScaleFit(
             curve_id=fit.curve_id,
             envelope_k=_q(fit.envelope_k),
@@ -396,8 +395,6 @@ def fit_scale(
     records: list[SqueezingRecord],
     curve: QiCurve,
     cfg: QuadratureConfig | None = None,
-    *,
-    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
@@ -407,16 +404,17 @@ def fit_scale(
     some feasible k always exists for finite data.)  A least-squares k
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
-
-    ``points``, the (F_T, depth) columns of the classifiable records in
-    input order, spares reconciling the records again when the caller
-    (:func:`classify`) has built them already.
     """
-    if points is None:
-        points = np.array([(rec.ft, record.s_minus_db) for record in records
-                           if (rec := reconcile_ft(record)) is not None
-                           and record.s_minus_db is not None], dtype=float).reshape(-1, 2).T
-    ft, r = points
+    ft, r = np.array([(rec.ft, record.s_minus_db) for record in records
+                      if (rec := reconcile_ft(record)) is not None
+                      and record.s_minus_db is not None], dtype=float).reshape(-1, 2).T
+    return _fit_columns(ft, r, curve, cfg)
+
+
+def _fit_columns(ft: np.ndarray, r: np.ndarray, curve: QiCurve,
+                 cfg: QuadratureConfig | None) -> ScaleFit:
+    """:func:`fit_scale` on the (F_T, depth) columns of the classifiable
+    records, in input order."""
     if ft.size == 0:
         raise FitError("no classifiable records to fit")
 

@@ -11,8 +11,8 @@ squared-Lorentzian bounds are closed forms (an error function and an
 exponential in omega0*t0); the trapezoid integrates its closed-form
 Fresnel spectrum in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-every omega0 of a call at once; the square window alone nests a quadrature
-of its spectrum inside SciPy's ``quad``.  ``Method.NESTED`` selects that
+the omega0 of a call together, in blocks; the square window alone nests
+a quadrature of its spectrum inside SciPy's ``quad``.  ``Method.NESTED`` selects that
 nested path for any family, and ``--numeric`` (``Method.SPECTRUM``) puts
 the Gaussian and squared-Lorentzian spectra through ``quad``: a second
 quadrature engine, kept as an independent check of the first.
@@ -185,12 +185,14 @@ class BoundResult:
 
 def _check_bracket(bracket, err, cfg: QuadratureConfig) -> None:
     """ConsistencyError if a bracket exceeds 1, QuadratureError if an error
-    estimate exceeds ``cfg.bound_tol``; floats or arrays."""
+    estimate exceeds ``cfg.bound_tol`` or is NaN, or a bracket is not finite
+    (its error then counts as infinite); floats or arrays."""
     bracket, err = np.asarray(bracket), np.asarray(err)
     if (bracket > 1.0 + 1e-9 + err).any():
         raise ConsistencyError(f"bound bracket {float(bracket.max())!r} exceeds 1; the window "
                                "spectrum is inconsistent with unit normalization")
-    if (err > cfg.bound_tol).any():
+    err = np.where(np.isfinite(bracket), err, np.inf)
+    if not (err <= cfg.bound_tol).all():
         raise QuadratureError("bound quadrature did not converge", achieved=float(err.max()))
 
 
@@ -258,6 +260,12 @@ _K21_WEIGHTS = _KRONROD_W[:-1] + _KRONROD_W[::-1]
 _G10_WEIGHTS = tuple(_GAUSS_W[min(j, 20 - j) // 2] if j % 2 else 0.0 for j in range(21))
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# Memory bounds of the trapezoid bracket: the intervals one block of
+# elements may hold at their full budgets, and the intervals whose 21 nodes
+# go to the spectrum in one call (its Fresnel evaluation keeps about twenty
+# temporaries of that size alive).
+_BLOCK_INTERVALS = 2**17
+_KRONROD_ROWS = 2048
 
 
 def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
@@ -265,10 +273,14 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
     integral, its error estimate (QUADPACK's transform of |K21 - G10|), and
     the rounding floor 50*eps*resabs that the estimate is not allowed below.
 
-    ``f`` is called once, on all 21 nodes of every interval.  Each row is
-    summed node by node in one fixed order, so an interval's numbers do not
-    depend on which other intervals share the call.
+    ``f`` is called on all 21 nodes of up to ``_KRONROD_ROWS`` intervals at
+    a time.  Each row is summed node by node in one fixed order, so an
+    interval's numbers do not depend on which other intervals share a call.
     """
+    if lo.size > _KRONROD_ROWS:
+        parts = [_kronrod21(f, lo[i:i + _KRONROD_ROWS], hi[i:i + _KRONROD_ROWS])
+                 for i in range(0, lo.size, _KRONROD_ROWS)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fx = f(center[:, None] + half[:, None] * _K21_NODES)
     resk = resg = resabs = 0.0
@@ -291,7 +303,25 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
 
 def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
     """4pi * integral_0^{omega0} V of the closed-form trapezoid spectrum, for
-    every element of ``omega0`` at once: (bracket, error), each of its shape.
+    every element of ``omega0``: (bracket, error), each of its shape.
+
+    Elements never interact, so they are integrated in blocks small enough
+    that a block's intervals, each element at its full budget, number about
+    ``_BLOCK_INTERVALS``: memory stays bounded whatever the grid size.
+    """
+    flat = omega0.ravel()
+    size = max(1, _BLOCK_INTERVALS // cfg.max_subdivisions)
+    blocks = np.array_split(flat, max(1, -(-flat.size // size)))
+    # omega0 or u*L past the float range makes a bracket inf or NaN, which
+    # _check_bracket turns into QuadratureError
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket, error = (np.concatenate(column)
+                          for column in zip(*[_gauss_kronrod(w, b, cfg) for b in blocks]))
+    return bracket.reshape(omega0.shape), error.reshape(omega0.shape)
+
+
+def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
+    """(bracket, error) of :func:`_bracket_trapezoid` for a 1-d block.
 
     Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
     breakpoints at the spectrum's own scale, pi/c * 2^k below omega0 with c
@@ -300,33 +330,39 @@ def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureCon
     interval, and bisects, in each element whose summed error exceeds
     max(abs_tol, 1e-11 * |integral|), the intervals whose error exceeds
     their share of that tolerance (by length) and is not the rounding
-    floor.  An element stops with the error it has when only such floors
-    are left, or when bisecting would take it past ``cfg.max_subdivisions``
-    intervals; the caller's ``_check_bracket`` then raises QuadratureError,
-    with that error, if it exceeds ``cfg.bound_tol``.
+    floor.  An element that would outgrow ``cfg.max_subdivisions``
+    intervals bisects only as many of those as its budget has room for,
+    largest error first.  It stops with the error it has when only floors
+    are left or its budget is spent; the caller's ``_check_bracket`` then
+    raises QuadratureError, with that error, if it exceeds ``cfg.bound_tol``.
     """
-    flat = omega0.ravel()
     step = math.pi / w.half_support
     edges = []
-    for o in flat.tolist():
+    for o in omega0.tolist():
         points, p = [0.0], step
         while p < o:
             points.append(p)
             p *= 2.0
         edges.append(points + [o])
-    owner = np.repeat(np.arange(flat.size), [len(e) - 1 for e in edges])
+    owner = np.repeat(np.arange(omega0.size), [len(e) - 1 for e in edges])
     lo = np.array([x for e in edges for x in e[:-1]])
     hi = np.array([x for e in edges for x in e[1:]])
     V = lambda u: _analytic_sqrt_ft_squared(w, u)
     res, est, floor = _kronrod21(V, lo, hi)
     while True:
-        total = np.bincount(owner, res, flat.size)
-        error = np.bincount(owner, np.maximum(est, floor), flat.size)
+        total = np.bincount(owner, res, omega0.size)
+        error = np.bincount(owner, np.maximum(est, floor), omega0.size)
         tol = np.maximum(cfg.abs_tol, 1e-11 * np.abs(total))
         active = (error > tol)[owner]
-        split = active & (est > floor) & (est * flat[owner] > tol[owner] * (hi - lo))
-        # an element whose intervals would outgrow the budget stops here
-        split &= (np.bincount(owner, 1.0 + split, flat.size) <= cfg.max_subdivisions)[owner]
+        split = active & (est > floor) & (est * omega0[owner] > tol[owner] * (hi - lo))
+        # within its remaining budget, an element bisects its largest errors
+        # first; owner is sorted, so each element's candidates are contiguous
+        room = cfg.max_subdivisions - np.bincount(owner, minlength=omega0.size)
+        candidates = np.flatnonzero(split)
+        candidates = candidates[np.lexsort((-est[candidates], owner[candidates]))]
+        by = owner[candidates]
+        rank = np.arange(candidates.size) - np.searchsorted(by, by)
+        split[candidates[rank >= room[by]]] = False
         if not split.any():
             break
         # each split interval becomes its two halves, in place
@@ -339,8 +375,7 @@ def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureCon
         hi[left] = lo[left + 1] = mid
         new = np.concatenate((left, left + 1))
         res[new], est[new], floor[new] = _kronrod21(V, lo[new], hi[new])
-    bracket = np.minimum(4.0 * math.pi * total, 1.0)
-    return bracket.reshape(omega0.shape), (4.0 * math.pi * error).reshape(omega0.shape)
+    return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
 def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
@@ -348,7 +383,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
     same shape; ``method`` is resolved (supported by the family, never None).
 
     A closed form is one NumPy expression with a zero error estimate, and
-    the trapezoid spectrum one adaptive quadrature over every element of
+    the trapezoid spectrum one adaptive quadrature per block of elements of
     ``omega0``; every other method runs one SciPy quadrature per element.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")

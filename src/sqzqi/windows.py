@@ -104,7 +104,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     # The QUADPACK workspace of each scipy.integrate.quad call (the nested
     # path and the Gaussian/Lorentzian^2 spectrum); for the trapezoid
-    # spectrum, the Gauss-Kronrod intervals allowed per bracket.
+    # spectrum, the Gauss-Kronrod intervals allowed per bracket (per
+    # element of an omega0 array).
     max_subdivisions: int = 200
     # On the nested path (the square window, or any family under
     # Method.NESTED) the bracket error accumulates the
@@ -264,11 +265,11 @@ def _fresnel(z):
     an element's value does not depend on its neighbours.
     """
     x = np.asarray(z, dtype=float)
-    x2 = x * x
-    t = x2 * x2
-    s_series = x * x2 * _polevl(t, _FRESNEL_SN) / _polevl(t, (1.0,) + _FRESNEL_SD)
-    c_series = x * _polevl(t, _FRESNEL_CN) / _polevl(t, _FRESNEL_CD)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2 = x * x
+        t = x2 * x2
+        s_series = x * x2 * _polevl(t, _FRESNEL_SN) / _polevl(t, (1.0,) + _FRESNEL_SD)
+        c_series = x * _polevl(t, _FRESNEL_CN) / _polevl(t, _FRESNEL_CD)
         t = math.pi * x2
         u = 1.0 / (t * t)
         t = 1.0 / t

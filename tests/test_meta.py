@@ -415,8 +415,8 @@ def test_fit_scale_requires_classifiable_records():
 
 
 def test_classify_fits_from_its_own_columns(monkeypatch):
-    # classify reconciles each record once and hands its columns, back in
-    # input order, to every fit: the same bits as fit_scale(records, ...)
+    # classify reconciles each record once and fits its own columns, back
+    # in input order: the same bits as fit_scale(records, ...)
     rng = random.Random(3)
     records = [SqueezingRecord(id=f"r{rng.randrange(10**6):06d}", s_minus_db=-rng.uniform(0.1, 15.0),
                                ft_formula=rng.uniform(0.01, 0.99)) for _ in range(200)]
@@ -425,8 +425,8 @@ def test_classify_fits_from_its_own_columns(monkeypatch):
     curves = [GAUSS_PAPER, LOR2_PAPER]
     want = [fit_scale(records, curve) for curve in curves]
     fits, reconciled = [], []
-    fit, reconcile = meta.fit_scale, meta.reconcile_ft
-    monkeypatch.setattr(meta, "fit_scale", lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+    fit, reconcile = meta._fit_columns, meta.reconcile_ft
+    monkeypatch.setattr(meta, "_fit_columns", lambda *a: fits.append(fit(*a)) or fits[-1])
     monkeypatch.setattr(meta, "reconcile_ft", lambda r: reconciled.append(r.id) or reconcile(r))
     classify(records, curves, fit_curves=curves)
     assert sorted(reconciled) == sorted(r.id for r in records)

@@ -11,6 +11,7 @@ Gauss-Kronrod rule, against SciPy's ``quad`` on the same spectrum.
 import math
 import re
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -29,8 +30,10 @@ from sqzqi.qi_bound import (
     _G10_WEIGHTS,
     _K21_NODES,
     _K21_WEIGHTS,
+    _KRONROD_ROWS,
     _bracket,
     _check_bracket,
+    _kronrod21,
     bound_value,
     casimir_density,
     curve_csv,
@@ -371,6 +374,56 @@ def test_trapezoid_bracket_with_a_narrow_peak_raises(n, omega0):
     with pytest.raises(QuadratureError, match="bound quadrature did not converge") as exc:
         bound_value(WindowKind.TRAPEZOID, n, omega0)
     assert exc.value.achieved > QuadratureConfig().bound_tol
+
+
+def test_trapezoid_bracket_spends_its_whole_budget():
+    # at n = 1, omega0 = 1186 the last pass wants more bisections than the
+    # 200-interval budget has room for; bisecting the largest errors first
+    # still certifies the bracket, where skipping the whole pass left an
+    # error of 2.4e-7, above the bound gate
+    res = numeric_bound_detail(trapezoid_window(1.0, 1.0), SpectralFunction(omega0=1186.0))
+    ref, ref_err = split_quad_bracket(1.0, 1186.0)
+    assert res.bracket_error <= QuadratureConfig().bound_tol
+    assert abs(res.bracket - ref) <= res.bracket_error + ref_err
+
+
+def test_trapezoid_bracket_memory_does_not_grow_with_the_grid():
+    # elements are integrated in blocks: one array call over the whole grid
+    # peaked near 190 MB here, and chunked spectrum calls alone near 15 MB
+    omega = np.linspace(1e-6, math.pi, 50_000)
+    tracemalloc.start()
+    try:
+        r = bound_value(WindowKind.TRAPEZOID, 0.2, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    # blocks change no bit
+    for i in range(0, omega.size, 4999):
+        assert r[i] == bound_value(WindowKind.TRAPEZOID, 0.2, float(omega[i]))
+
+
+def test_kronrod21_evaluates_a_few_thousand_intervals_at_a_time():
+    rows = []
+
+    def f(u):
+        rows.append(u.shape[0])
+        return np.cos(u) ** 2
+
+    lo = np.linspace(0.0, 100.0, 5001)
+    out = _kronrod21(f, lo[:-1], lo[1:])
+    assert max(rows) <= _KRONROD_ROWS < lo.size - 1
+    for i in (0, _KRONROD_ROWS - 1, _KRONROD_ROWS, 4999):
+        assert [a[i] for a in out] == [a[0] for a in _kronrod21(f, lo[i:i + 1], lo[i + 1:i + 2])]
+
+
+def test_non_finite_bracket_raises():
+    # a NaN bracket, or a NaN error estimate, fails the gate instead of
+    # printing "R = nan dB"
+    with pytest.raises(QuadratureError, match="achieved error estimate inf"):
+        _check_bracket(np.array([0.5, np.nan]), np.zeros(2), DEFAULT_QUADRATURE)
+    with pytest.raises(QuadratureError, match="achieved error estimate nan"):
+        _check_bracket(0.5, np.nan, DEFAULT_QUADRATURE)
 
 
 def test_trapezoid_bracket_interval_budget():

@@ -283,6 +283,15 @@ def test_fresnel_power_series_is_scipy_bit_for_bit():
     np.testing.assert_array_equal(C, c_ref)
 
 
+def test_fresnel_far_range_raises_no_warning():
+    # the series branch, computed for every element, overflows past
+    # z ~ 1e77; only the asymptotic branch is kept there, and warnings are
+    # errors under this suite's configuration
+    S, C = _fresnel(np.array([1e78, 1e150]))
+    np.testing.assert_allclose(S, 0.5, atol=1e-70)
+    np.testing.assert_allclose(C, 0.5, atol=1e-70)
+
+
 def test_fresnel_keeps_the_shape():
     assert all(type(v) is float for v in _fresnel(0.7))
     S, C = _fresnel(np.full((2, 3), 5.0))
