@@ -27,7 +27,7 @@ import numpy as np
 from . import meta, opa, qi_bound, svgfig
 from .qi_bound import QiCurve, Variant, parse_curve_id
 from .units import format_db, to_db
-from .windows import QuadratureConfig, QuadratureError, WindowKind, resolve_method
+from .windows import Method, QuadratureConfig, QuadratureError, WindowKind
 
 DEFAULT_DB_FLOOR = -25.0
 DEFAULT_CURVES = "gaussian-paper,gaussian-marecki,lorentzian2-paper,lorentzian2-marecki"
@@ -185,7 +185,7 @@ def _curve_from_args(args) -> QiCurve:
         variant=Variant(args.variant),
         scale=args.scale,
         n=n,
-        method=resolve_method(kind, numeric=True) if args.numeric else None,
+        method=Method.SPECTRUM if args.numeric else None,
         allow_unstable=args.allow_square,
     )
 

@@ -8,14 +8,13 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
 so a measured value of -X dB is inconsistent with the bound whenever
 X > |R|.  By default (:data:`sqzqi.windows.METHODS`) the Gaussian and
 squared-Lorentzian bounds are closed forms (an error function and an
-exponential in omega0*t0); the trapezoid integrates its closed-form
-Fresnel spectrum in the complement form 4pi * integral_0^{omega0}
+exponential in omega0*t0).  ``Method.SPECTRUM``, the default of the square
+and trapezoid windows and ``--numeric`` for every family, integrates the
+family's closed-form spectrum in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-the omega0 of a call together, in blocks; the square window alone nests
-a quadrature of its spectrum inside SciPy's ``quad``.  ``Method.NESTED`` selects that
-nested path for any family, and ``--numeric`` (``Method.SPECTRUM``) puts
-the Gaussian and squared-Lorentzian spectra through ``quad``: a second
-quadrature engine, kept as an independent check of the first.
+the omega0 of a call together, in blocks.  ``Method.NESTED`` nests a
+quadrature of the spectrum inside SciPy's ``quad``: a second quadrature
+engine, kept as an independent check of the first.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -40,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # scipy.integrate is imported inside the functions that call quad, here
-# and in windows, so only those paths (the square window, Method.NESTED
-# and the Gaussian/Lorentzian^2 spectrum) load SciPy: the closed-form
-# bounds run on NumPy and math.erf, the trapezoid spectrum on windows'
-# NumPy Fresnel integrals and its bracket on the Gauss-Kronrod rule below,
-# and meta's least-squares fit has its own bounded minimizer.
+# and in windows, so only Method.NESTED loads SciPy: the closed-form
+# bounds run on NumPy and math.erf, every closed-form spectrum on NumPy
+# (the trapezoid's through windows' Fresnel integrals) and its bracket on
+# the Gauss-Kronrod rule below, and meta's least-squares fit has its own
+# bounded minimizer.
 
 from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
 from .windows import (
@@ -112,8 +111,9 @@ class QiCurve:
 
     ``scale`` multiplies F_T before the convention mapping (1.0 is the
     theoretical curve; fitted envelopes use smaller values).  Trapezoid
-    curves need ``n``; square curves must opt in to the numerically
-    unstable family explicitly.  ``method`` is resolved once, here.
+    curves need ``n``; square curves must opt in explicitly: the sharp
+    window is mathematically unstable in the bound integrals (its spectrum
+    decays only like 1/omega^2).  ``method`` is resolved once, here.
     """
 
     window: WindowKind
@@ -201,18 +201,6 @@ def _floored_db(bracket):
     return to_db(np.where(bracket <= BRACKET_FLOOR, 0.0, bracket))
 
 
-def _bracket_analytic(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    # Direct form 1 - 4pi * integral_{omega0}^inf V(u) du with the
-    # closed-form spectrum V; both families decay fast, so the semi-infinite
-    # rule converges without truncation.  (Their complement form can round
-    # above 1, by up to two ulps, where the bracket saturates.)
-    from scipy import integrate
-    V = lambda u: _analytic_sqrt_ft_squared(w, u)
-    tail, err = integrate.quad(V, omega0, np.inf, epsabs=cfg.abs_tol, epsrel=1e-12,
-                               limit=cfg.max_subdivisions, full_output=1)[:2]
-    return 1.0 - 4.0 * math.pi * tail, 4.0 * math.pi * err
-
-
 def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
     # Complement form: unit window normalization fixes the half-line
     # spectrum integral at exactly 1/(4pi), so
@@ -260,10 +248,10 @@ _K21_WEIGHTS = _KRONROD_W[:-1] + _KRONROD_W[::-1]
 _G10_WEIGHTS = tuple(_GAUSS_W[min(j, 20 - j) // 2] if j % 2 else 0.0 for j in range(21))
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Memory bounds of the trapezoid bracket: the intervals one block of
+# Memory bounds of the spectrum bracket: the intervals one block of
 # elements may hold at their full budgets, and the intervals whose 21 nodes
-# go to the spectrum in one call (its Fresnel evaluation keeps about twenty
-# temporaries of that size alive).
+# go to the spectrum in one call (the trapezoid's Fresnel evaluation keeps
+# about twenty temporaries of that size alive).
 _BLOCK_INTERVALS = 2**17
 _KRONROD_ROWS = 2048
 
@@ -301,8 +289,8 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
     return resk * half, est, floor
 
 
-def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
-    """4pi * integral_0^{omega0} V of the closed-form trapezoid spectrum, for
+def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
+    """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
     every element of ``omega0``: (bracket, error), each of its shape.
 
     Elements never interact, so they are integrated in blocks small enough
@@ -312,8 +300,8 @@ def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureCon
     flat = omega0.ravel()
     size = max(1, _BLOCK_INTERVALS // cfg.max_subdivisions)
     blocks = np.array_split(flat, max(1, -(-flat.size // size)))
-    # omega0 or u*L past the float range makes a bracket inf or NaN, which
-    # _check_bracket turns into QuadratureError
+    # omega0 or the trapezoid's u*L past the float range makes a bracket
+    # inf or NaN, which _check_bracket turns into QuadratureError
     with np.errstate(over="ignore", invalid="ignore"):
         bracket, error = (np.concatenate(column)
                           for column in zip(*[_gauss_kronrod(w, b, cfg) for b in blocks]))
@@ -321,26 +309,33 @@ def _bracket_trapezoid(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureCon
 
 
 def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
-    """(bracket, error) of :func:`_bracket_trapezoid` for a 1-d block.
+    """(bracket, error) of :func:`_bracket_spectrum` for a 1-d block.
 
     Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
     breakpoints at the spectrum's own scale, pi/c * 2^k below omega0 with c
-    the half support, so no rule straddles a peak that is narrow next to
-    [0, omega0].  Each pass evaluates the spectrum once, on every new
-    interval, and bisects, in each element whose summed error exceeds
-    max(abs_tol, 1e-11 * |integral|), the intervals whose error exceeds
-    their share of that tolerance (by length) and is not the rounding
-    floor.  An element that would outgrow ``cfg.max_subdivisions``
-    intervals bisects only as many of those as its budget has room for,
-    largest error first.  It stops with the error it has when only floors
-    are left or its budget is spent; the caller's ``_check_bracket`` then
-    raises QuadratureError, with that error, if it exceeds ``cfg.bound_tol``.
+    the half support (t0 for the unbounded families), so no rule straddles
+    a peak that is narrow next to [0, omega0].  They stop at pi/c * 2^53,
+    so an element at a huge omega0 keeps its budget to refine in: the tail
+    past that point holds less than eps of the bracket (the square and
+    trapezoid spectra obey V(u) <= f_max / (pi*u)^2, a tail of at most
+    4 / (pi^2 * 2^53); the smooth families decay exponentially).  Each pass
+    evaluates the spectrum once, on every new interval, and bisects, in
+    each element whose summed error exceeds max(abs_tol, 1e-11 *
+    |integral|), the intervals whose error exceeds their share of that
+    tolerance (by length) and is not the rounding floor.  An element that
+    would outgrow ``cfg.max_subdivisions`` intervals bisects only as many
+    of those as its budget has room for, largest error first.  It stops
+    with the error it has when only floors are left or its budget is spent;
+    the caller's ``_check_bracket`` then raises QuadratureError, with that
+    error, if it exceeds ``cfg.bound_tol``.
     """
-    step = math.pi / w.half_support
+    c = w.half_support if math.isfinite(w.half_support) else w.t0
+    step = math.pi / c
+    last = step * 2.0**53
     edges = []
     for o in omega0.tolist():
         points, p = [0.0], step
-        while p < o:
+        while p < o and p <= last:
             points.append(p)
             p *= 2.0
         edges.append(points + [o])
@@ -382,9 +377,10 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
     """(bracket, error estimate) at omega0, a float or an array, each of the
     same shape; ``method`` is resolved (supported by the family, never None).
 
-    A closed form is one NumPy expression with a zero error estimate, and
-    the trapezoid spectrum one adaptive quadrature per block of elements of
-    ``omega0``; every other method runs one SciPy quadrature per element.
+    ``CLOSED_FORM`` is one NumPy expression with a zero error estimate,
+    ``SPECTRUM`` one adaptive quadrature of the closed-form spectrum per
+    block of elements of ``omega0``, and ``NESTED`` one SciPy quadrature per
+    element, of a spectrum that is itself a quadrature at every node.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
     if method is Method.CLOSED_FORM:
@@ -393,13 +389,9 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
         if w.kind is WindowKind.GAUSSIAN:
             return _erf(math.sqrt(2.0) * x), 0.0
         return -np.expm1(-2.0 * x), 0.0
-    if method is Method.NESTED:
-        one = lambda o: _bracket_nested(w, o, cfg)
-    elif w.kind is WindowKind.TRAPEZOID:
-        return _bracket_trapezoid(w, omega0, cfg)
-    else:
-        one = lambda o: _bracket_analytic(w, o, cfg)
-    out = np.array([one(o) for o in omega0.ravel().tolist()]).reshape(*omega0.shape, 2)
+    if method is Method.SPECTRUM:
+        return _bracket_spectrum(w, omega0, cfg)
+    out = np.array([_bracket_nested(w, o, cfg) for o in omega0.ravel().tolist()]).reshape(*omega0.shape, 2)
     return out[..., 0], out[..., 1]
 
 
@@ -409,8 +401,8 @@ def numeric_bound_detail(
     cfg: QuadratureConfig | None = None,
     method: Method | None = None,
 ) -> BoundResult:
-    """Bound evaluation with bracket diagnostics; ``method`` defaults to
-    the family's fastest method that is not a closed-form bound.
+    """Bound evaluation with bracket diagnostics; ``method`` (None) defaults
+    to ``SPECTRUM``, the one quadrature every family supports.
 
     In the delta limit the spectral weight collapses onto omega0: the
     weight appears with identical omega_p^3-weighted integrals in the
@@ -423,7 +415,7 @@ def numeric_bound_detail(
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    method = resolve_method(w.kind, method, numeric=True)
+    method = resolve_method(w.kind, Method.SPECTRUM if method is None else method)
     if mu.shape is SpectralShape.DELTA_LIMIT:
         bracket, err = _bracket(w, mu.omega0, cfg, method)
     else:

@@ -18,15 +18,16 @@ Four even families are provided:
 * ``trapezoid``    -- flat top of full length t0, linear sides of
                       horizontal extent n*t0 each
 
-The Gaussian, squared-Lorentzian and trapezoid spectra have closed forms
-(the trapezoid's through Fresnel integrals, Abramowitz & Stegun 7.3, by a
-NumPy port of Cephes' ``fresnl``, so it takes arrays and loads no SciPy).
-The square window alone is evaluated by oscillatory quadrature over its
-compact support (SciPy's ``quad``); ``Method.NESTED`` selects that
-quadrature for every family, as the independent cross-check of the closed
-forms.  The square window is numerically ill-behaved in the bound
-integrals -- its spectrum decays only like 1/omega^2 -- so building bound
-curves from it requires an explicit opt-in at the curve level.
+Every family's spectrum has a closed form, which takes a float or an
+array: a Gaussian, an exponential, a sinc^2 for the square window and,
+for the trapezoid, Fresnel integrals (Abramowitz & Stegun 7.3, by a NumPy
+port of Cephes' ``fresnl``), so no spectrum loads SciPy.
+``Method.NESTED`` instead evaluates the spectrum by SciPy's oscillatory
+quadrature over the window's support, as the independent cross-check of
+the closed forms.  The square window's spectrum decays only like
+1/omega^2, a property of its sharp corners rather than of the numerics,
+so building bound curves from it requires an explicit opt-in at the curve
+level.
 """
 
 from __future__ import annotations
@@ -60,18 +61,16 @@ METHODS = {
     WindowKind.GAUSSIAN: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
     WindowKind.LORENTZIAN_SQ: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
     WindowKind.TRAPEZOID: (Method.SPECTRUM, Method.NESTED),
-    WindowKind.SQUARE: (Method.NESTED,),
+    WindowKind.SQUARE: (Method.SPECTRUM, Method.NESTED),
 }
 
 
-def resolve_method(kind: WindowKind, method: Method | None = None,
-                   numeric: bool = False) -> Method:
+def resolve_method(kind: WindowKind, method: Method | None = None) -> Method:
     """``method`` if ``kind`` supports it, else ValueError; when ``method``
-    is None, the family's fastest method, or with ``numeric`` its fastest
-    method that is not a closed-form bound."""
+    is None, the family's fastest method."""
     supported = METHODS[kind]
     if method is None:
-        return supported[1] if numeric and supported[0] is Method.CLOSED_FORM else supported[0]
+        return supported[0]
     if method not in supported:
         names = ", ".join(m.value for m in supported)
         raise ValueError(f"{kind.value} window supports {names}, not {method.value}")
@@ -102,17 +101,15 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    # The QUADPACK workspace of each scipy.integrate.quad call (the nested
-    # path and the Gaussian/Lorentzian^2 spectrum); for the trapezoid
-    # spectrum, the Gauss-Kronrod intervals allowed per bracket (per
-    # element of an omega0 array).
+    # Under Method.NESTED, the QUADPACK workspace of each
+    # scipy.integrate.quad call; under Method.SPECTRUM, the Gauss-Kronrod
+    # intervals allowed per bracket (per element of an omega0 array).
     max_subdivisions: int = 200
-    # On the nested path (the square window, or any family under
-    # Method.NESTED) the bracket error accumulates the
+    # Under Method.NESTED the bracket error accumulates the
     # worst per-point spectrum estimate over the whole integration range,
     # which overstates the true error by orders of magnitude; the gate
     # leaves headroom for that while staying far below any stated
-    # tolerance.  A closed-form spectrum (the trapezoid's included) adds
+    # tolerance.  Under Method.SPECTRUM the closed-form spectrum adds
     # nothing to the single bracket quadrature's own estimate.
     bound_tol: float = 5e-8
 
@@ -319,16 +316,25 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u):
 
 
 def _analytic_sqrt_ft_squared(w: SamplingWindow, omega):
-    """Closed-form |(f^{1/2})_FT|^2 for every family but the square; the
-    trapezoid's takes a float or an array, the others a float."""
-    if w.kind is WindowKind.GAUSSIAN:
-        return w.t0 / (math.pi * math.sqrt(2.0 * math.pi)) * math.exp(-2.0 * (w.t0 * omega) ** 2)
-    if w.kind is WindowKind.LORENTZIAN_SQ:
-        return w.t0 / (2.0 * math.pi) * math.exp(-2.0 * w.t0 * abs(omega))
-    if w.kind is WindowKind.TRAPEZOID:
-        amp = _trapezoid_sqrt_ft(w, np.abs(omega))
-        return amp * amp
-    raise ValueError(f"no analytic spectrum for {w.kind.value}")
+    """Closed-form |(f^{1/2})_FT|^2 at omega, a float or an array.
+
+    The square window's amplitude is the trapezoid's flat-top term,
+    sqrt(h)*sin(u b)/(pi u) with h = 1/t0 and b = t0/2.  Where t0*omega
+    overflows, the Gaussian's and squared Lorentzian's exponents are -inf
+    and their spectra 0.
+    """
+    u = np.abs(np.asarray(omega, dtype=float))
+    with np.errstate(over="ignore"):
+        if w.kind is WindowKind.GAUSSIAN:
+            out = w.t0 / (math.pi * math.sqrt(2.0 * math.pi)) * np.exp(-2.0 * (w.t0 * u) ** 2)
+        elif w.kind is WindowKind.LORENTZIAN_SQ:
+            out = w.t0 / (2.0 * math.pi) * np.exp(-2.0 * w.t0 * u)
+        elif w.kind is WindowKind.SQUARE:
+            out = w.t0 / (4.0 * math.pi**2) * np.sinc(u * w.t0 / (2.0 * math.pi)) ** 2
+        else:
+            amp = _trapezoid_sqrt_ft(w, u)
+            out = amp * amp
+    return float_or_array(out)
 
 
 def _sqrt_ft_numeric(w: SamplingWindow, omega: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -369,9 +375,9 @@ def sqrt_ft_squared(
 ) -> float:
     """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds).
 
-    ``NESTED`` (the square family's only method) evaluates it by numeric
-    quadrature, every other method by its closed form; ``NESTED`` on a
-    closed-form family is the standard cross-check of the closed forms.
+    ``NESTED`` evaluates it by numeric quadrature, every other method by
+    the family's closed form; ``NESTED`` is the standard cross-check of the
+    closed forms.
 
     Raises :class:`QuadratureError` when the numeric path cannot certify
     the requested tolerance; the achieved estimate rides on the exception.

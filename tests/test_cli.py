@@ -49,6 +49,17 @@ def test_bound_single_argument_numeric(capsys):
     assert "R = -0.2022 dB" in out
 
 
+@pytest.mark.parametrize("window", ["gaussian", "lorentzian2"])
+@pytest.mark.parametrize("omega_t0", ["1e155", "1e300"])
+def test_bound_numeric_at_a_huge_phase_argument(capsys, window, omega_t0):
+    # past the float range of (omega*t0)^2 the Gaussian spectrum is 0 (it
+    # raised OverflowError); both brackets saturate at 1 within the budget
+    code, out, err = run(capsys, "bound", "--window", window, "--omega-t0", omega_t0,
+                         "--numeric")
+    assert (code, err) == (0, "")
+    assert out.startswith("R = 0.0000 dB")
+
+
 def test_bound_trapezoid_family_member(capsys, tmp_path):
     out_path = tmp_path / "trap.csv"
     code, _, _ = run(capsys, "bound", "--window", "trapezoid", "--n", "0.001",
@@ -461,30 +472,35 @@ def test_help_exits_zero(capsys):
 
 # --- start-up ----------------------------------------------------------------------
 
-# Runs one command in a fresh interpreter, then prints the SciPy modules it
-# loaded as the last line of stdout.
+# Runs a statement that sets ``code`` (by default one command of the CLI) in
+# a fresh interpreter, then prints the SciPy modules it loaded as the last
+# line of stdout.
 SCIPY_PROBE = """
 import sys
-from sqzqi.cli import main
-code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+{statement}
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 sys.exit(code)
 """
+CLI_COMMAND = """
+from sqzqi.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+"""
 
 
-def scipy_loaded_by(tmp_path, *argv) -> set[str]:
+def scipy_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> set[str]:
     src = str(Path(sqzqi.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], cwd=tmp_path, env=env,
+    probe = SCIPY_PROBE.format(statement=statement)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# Only the paths that run scipy.integrate.quad (the square window, --numeric
-# and Method.NESTED) load SciPy; the closed forms and the trapezoid's own
-# Gauss-Kronrod bracket run on NumPy.
+# Only Method.NESTED, which no command selects, runs scipy.integrate.quad;
+# the closed forms and the Gauss-Kronrod bracket of every closed-form
+# spectrum (--numeric, the square and trapezoid windows) run on NumPy.
 @pytest.mark.parametrize("argv", [
     (),  # import sqzqi.cli alone
     ("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"),
@@ -499,14 +515,18 @@ def scipy_loaded_by(tmp_path, *argv) -> set[str]:
     ("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"),
     ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
     ("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"),
+    ("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"),
+    ("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
         "plot-5", "plot-7", "analyze", "analyze-fit", "plot-8", "analyze-fit-trapezoid",
-        "bound-trapezoid"])
+        "bound-trapezoid", "bound-numeric", "bound-square"])
 def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv):
     assert scipy_loaded_by(tmp_path, *argv) == set()
 
 
 def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
-    loaded = scipy_loaded_by(tmp_path, "bound", "--window", "gaussian", "--omega-t0", "1",
-                             "--numeric")
+    loaded = scipy_loaded_by(tmp_path, statement="""
+from sqzqi import Method, WindowKind, bound_value
+code = 0 if bound_value(WindowKind.GAUSSIAN, None, 1.0, method=Method.NESTED) < 0 else 1
+""")
     assert "scipy.integrate" in loaded

@@ -194,7 +194,7 @@ def test_forced_numeric_spectrum_path():
 @settings(max_examples=12, deadline=None)
 @given(arg=st.floats(1e-3, 50.0))
 def test_bracket_stays_in_unit_interval(arg):
-    for maker in (gaussian_window, lorentzian_sq_window):
+    for maker in (gaussian_window, lorentzian_sq_window, square_window):
         res = numeric_bound_detail(maker(1.0), SpectralFunction(omega0=arg))
         assert 0.0 < res.bracket <= 1.0
 
@@ -212,8 +212,7 @@ def test_floor_holds_for_every_method(kind):
         detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15), method=method)
         assert math.isfinite(r) and detail.r_db == r
         brackets.append(detail.bracket)
-    # the direct form 1 - 4pi*tail rounds in steps of eps/2 this close to 0
-    assert brackets[1] == pytest.approx(brackets[0], abs=2 * np.finfo(float).eps)
+    assert brackets[1] == pytest.approx(brackets[0], rel=4 * np.finfo(float).eps)
 
 
 def test_zero_omega_gives_sentinel():
@@ -257,8 +256,17 @@ def square_bracket_oracle(omega0_dt: float) -> float:
 
 @pytest.mark.parametrize("omega0_dt", [0.01, 0.5, 3.0, 30.0])
 def test_square_bracket_vs_si_oracle(omega0_dt):
-    res = numeric_bound_detail(square_window(1.0), SpectralFunction(omega0=omega0_dt))
+    # the nested cross-check; the sweep below covers the SPECTRUM bracket
+    res = numeric_bound_detail(square_window(1.0), SpectralFunction(omega0=omega0_dt),
+                               method=Method.NESTED)
     assert res.bracket == pytest.approx(square_bracket_oracle(omega0_dt), abs=1e-9)
+
+
+def test_square_spectrum_bracket_vs_si_oracle_sweep():
+    omega0 = np.logspace(-3.0, math.log10(50.0), 60)
+    bracket, _ = _bracket(square_window(1.0), omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+    for o, b in zip(omega0.tolist(), bracket.tolist()):
+        assert b == pytest.approx(square_bracket_oracle(o), rel=1e-13), o
 
 
 @pytest.mark.parametrize("n", [0.001, 0.2, 5.0])
@@ -321,16 +329,18 @@ def test_gauss_kronrod_rules_integrate_polynomials_exactly(weights, degree):
 
 def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
     # the same closed-form spectrum through QUADPACK's qags, on every n of
-    # fig 8 and both argument conventions of its F_T grid
+    # fig 8 and both argument conventions of its F_T grid, and on the other
+    # three families, whose SPECTRUM brackets run on the same engine
     fts = np.round(np.arange(0.02, 0.5001, 0.02), 10)
     omega0 = np.concatenate((math.pi * fts, fts))
-    for n in TRAPEZOID_FAMILY:
-        w = trapezoid_window(1.0, n)
+    windows = [trapezoid_window(1.0, n) for n in TRAPEZOID_FAMILY]
+    windows += [gaussian_window(1.0), lorentzian_sq_window(1.0), square_window(1.0)]
+    for w in windows:
         bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
         for o, b in zip(omega0.tolist(), bracket.tolist()):
             val, _ = integrate.quad(lambda u: _analytic_sqrt_ft_squared(w, u), 0.0, o,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)
-            assert b == pytest.approx(4.0 * math.pi * val, rel=0, abs=1e-13), (n, o)
+            assert b == pytest.approx(4.0 * math.pi * val, rel=0, abs=1e-13), (w, o)
         assert np.all(err < 1e-12)
 
 
@@ -440,6 +450,18 @@ def test_trapezoid_bracket_interval_budget():
     assert exc.value.achieved == pytest.approx(float(coarse_err))
 
 
+@pytest.mark.parametrize("budget, n, omega0", [(10, 1000.0, 2511.9), (12, 1000.0, 1258.9)])
+def test_small_budget_keeps_the_fine_start(budget, n, omega0):
+    # The starting breakpoints do not shrink with the budget: cut to half of
+    # it, one rule spanned [16pi/c, omega0] here and claimed an error
+    # thousands of times below its actual one.
+    w = trapezoid_window(1.0, n)
+    ref, ref_err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=20_000), Method.SPECTRUM)
+    bracket, err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=budget), Method.SPECTRUM)
+    assert ref_err < 1e-11
+    assert abs(bracket - ref) <= err
+
+
 def test_square_window_bracket_convergence_diagnostic():
     """Diagnostic, not an assertion of the unbounded-squeezing claim.
 
@@ -447,18 +469,21 @@ def test_square_window_bracket_convergence_diagnostic():
     of its width is not what the evaluated bracket shows: the bracket
     depends on omega0*dt and only tends to zero as that product shrinks.
     This records the convergence behavior (monotone decrease toward the
-    sentinel) with its quadrature error estimates.
+    sentinel, widths 1 down to 1e-8) with its quadrature error estimates.
     """
+    widths = [10.0**-k for k in range(9)]
     brackets = []
-    for dt in (1.0, 0.1, 0.01, 0.001):
+    for dt in widths:
         res = numeric_bound_detail(square_window(dt), SpectralFunction(omega0=1.0))
         assert res.bracket_error < 1e-8
         brackets.append(res.bracket)
     assert all(b > 0 for b in brackets)
     assert all(a > b for a, b in zip(brackets, brackets[1:]))
-    assert brackets[-1] < 1e-3
-    # small-width asymptote: bracket -> omega0*dt/pi
-    assert brackets[-1] == pytest.approx(0.001 / math.pi, rel=1e-3)
+    assert brackets[3] < 1e-3
+    # small-width asymptote: bracket -> omega0*dt/pi, whose first
+    # correction is of relative order (omega0*dt)^2
+    assert brackets[3] == pytest.approx(1e-3 / math.pi, rel=1e-3)
+    assert brackets[-1] == pytest.approx(1e-8 / math.pi, rel=1e-12)
 
 
 # --- curves -----------------------------------------------------------------
@@ -534,7 +559,7 @@ SUPPORTED_METHODS = {
     WindowKind.GAUSSIAN: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
     WindowKind.LORENTZIAN_SQ: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
     WindowKind.TRAPEZOID: {Method.SPECTRUM, Method.NESTED},
-    WindowKind.SQUARE: {Method.NESTED},
+    WindowKind.SQUARE: {Method.SPECTRUM, Method.NESTED},
 }
 
 
@@ -562,15 +587,23 @@ def test_method_table(kind, method):
 
 
 def test_method_defaults():
-    # curves take the fastest method; numeric_bound_detail the fastest numeric one
+    # curves take the fastest method; numeric_bound_detail takes SPECTRUM
     curve_default = {WindowKind.GAUSSIAN: Method.CLOSED_FORM,
                      WindowKind.LORENTZIAN_SQ: Method.CLOSED_FORM,
-                     WindowKind.TRAPEZOID: Method.SPECTRUM, WindowKind.SQUARE: Method.NESTED}
+                     WindowKind.TRAPEZOID: Method.SPECTRUM, WindowKind.SQUARE: Method.SPECTRUM}
     for kind, method in curve_default.items():
         n = 0.2 if kind is WindowKind.TRAPEZOID else None
         assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).method is method
         detail = numeric_bound_detail(SamplingWindow(kind, 1.0, n), SpectralFunction(omega0=1.0))
         assert detail.bracket_error > 0.0
+
+
+def test_numeric_bound_detail_takes_none_as_spectrum():
+    # None is the default, not the family's fastest (closed-form) method
+    w, mu = gaussian_window(1.0), SpectralFunction(omega0=1.0)
+    detail = numeric_bound_detail(w, mu, method=None)
+    assert detail == numeric_bound_detail(w, mu, method=Method.SPECTRUM)
+    assert detail.bracket_error > 0.0
 
 
 def test_curve_id_round_trip():
