@@ -12,9 +12,7 @@ exponential in omega0*t0).  ``Method.SPECTRUM``, the default of the square
 and trapezoid windows and ``--numeric`` for every family, integrates the
 family's closed-form spectrum in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-the omega0 of a call together, in blocks.  ``Method.NESTED`` nests a
-quadrature of the spectrum inside SciPy's ``quad``: a second quadrature
-engine, kept as an independent check of the first.
+the omega0 of a call together, in blocks.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -38,12 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.integrate is imported inside the functions that call quad, here
-# and in windows, so only Method.NESTED loads SciPy: the closed-form
-# bounds run on NumPy and math.erf, every closed-form spectrum on NumPy
-# (the trapezoid's through windows' Fresnel integrals) and its bracket on
-# the Gauss-Kronrod rule below, and meta's least-squares fit has its own
-# bounded minimizer.
+# sqzqi runs on NumPy alone: the closed-form bounds use math.erf, and every
+# SPECTRUM bracket the Gauss-Kronrod rule below.  SciPy is a test
+# dependency, for the reference quadratures the tests compare against.
 
 from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
 from .windows import (
@@ -53,9 +48,8 @@ from .windows import (
     QuadratureError,
     SamplingWindow,
     WindowKind,
-    _analytic_sqrt_ft_squared,
-    _sqrt_ft_numeric,
     resolve_method,
+    sqrt_ft_squared,
 )
 
 # Brackets at or below this are reported as the -inf sentinel.
@@ -201,29 +195,6 @@ def _floored_db(bracket):
     return to_db(np.where(bracket <= BRACKET_FLOOR, 0.0, bracket))
 
 
-def _bracket_nested(w: SamplingWindow, omega0: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    # Complement form: unit window normalization fixes the half-line
-    # spectrum integral at exactly 1/(4pi), so
-    #     1 - 4pi * integral_{omega0}^inf V = 4pi * integral_0^{omega0} V.
-    # This trades the slowly decaying oscillatory tail (the square
-    # window's spectrum falls only like 1/u^2) for a finite interval, and
-    # evaluates small brackets without cancellation.  The spectrum itself
-    # is an oscillatory quadrature at every outer node; its worst pointwise
-    # error is charged over the whole interval.
-    from scipy import integrate
-    inner_err = 0.0
-
-    def V(u: float) -> float:
-        nonlocal inner_err
-        amp, err = _sqrt_ft_numeric(w, u, cfg)
-        inner_err = max(inner_err, 2.0 * abs(amp) * err)
-        return amp * amp
-
-    val, err = integrate.quad(V, 0.0, omega0, epsabs=cfg.abs_tol, epsrel=1e-11,
-                              limit=cfg.max_subdivisions, full_output=1)[:2]
-    return 4.0 * math.pi * val, 4.0 * math.pi * (err + inner_err * omega0)
-
-
 # QUADPACK dqk21 on [-1, 1]: the non-negative Kronrod nodes, largest first
 # (every second one, from the second, is a node of the 10-point Gauss rule),
 # their Kronrod weights and those Gauss nodes' Gauss weights.  _K21_NODES
@@ -342,7 +313,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
     owner = np.repeat(np.arange(omega0.size), [len(e) - 1 for e in edges])
     lo = np.array([x for e in edges for x in e[:-1]])
     hi = np.array([x for e in edges for x in e[1:]])
-    V = lambda u: _analytic_sqrt_ft_squared(w, u)
+    V = lambda u: sqrt_ft_squared(w, u)
     res, est, floor = _kronrod21(V, lo, hi)
     while True:
         total = np.bincount(owner, res, omega0.size)
@@ -379,8 +350,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
 
     ``CLOSED_FORM`` is one NumPy expression with a zero error estimate,
     ``SPECTRUM`` one adaptive quadrature of the closed-form spectrum per
-    block of elements of ``omega0``, and ``NESTED`` one SciPy quadrature per
-    element, of a spectrum that is itself a quadrature at every node.
+    block of elements of ``omega0``.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
     if method is Method.CLOSED_FORM:
@@ -389,10 +359,7 @@ def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
         if w.kind is WindowKind.GAUSSIAN:
             return _erf(math.sqrt(2.0) * x), 0.0
         return -np.expm1(-2.0 * x), 0.0
-    if method is Method.SPECTRUM:
-        return _bracket_spectrum(w, omega0, cfg)
-    out = np.array([_bracket_nested(w, o, cfg) for o in omega0.ravel().tolist()]).reshape(*omega0.shape, 2)
-    return out[..., 0], out[..., 1]
+    return _bracket_spectrum(w, omega0, cfg)
 
 
 def numeric_bound_detail(

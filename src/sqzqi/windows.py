@@ -21,13 +21,11 @@ Four even families are provided:
 Every family's spectrum has a closed form, which takes a float or an
 array: a Gaussian, an exponential, a sinc^2 for the square window and,
 for the trapezoid, Fresnel integrals (Abramowitz & Stegun 7.3, by a NumPy
-port of Cephes' ``fresnl``), so no spectrum loads SciPy.
-``Method.NESTED`` instead evaluates the spectrum by SciPy's oscillatory
-quadrature over the window's support, as the independent cross-check of
-the closed forms.  The square window's spectrum decays only like
-1/omega^2, a property of its sharp corners rather than of the numerics,
-so building bound curves from it requires an explicit opt-in at the curve
-level.
+port of Cephes' ``fresnl``), so no spectrum loads SciPy.  The tests check
+each closed form against a quadrature of the window's own definition.  The
+square window's spectrum decays only like 1/omega^2, a property of its
+sharp corners rather than of the numerics, so building bound curves from
+it requires an explicit opt-in at the curve level.
 """
 
 from __future__ import annotations
@@ -53,15 +51,14 @@ class Method(enum.Enum):
 
     CLOSED_FORM = "closed_form"  # the bound itself in closed form
     SPECTRUM = "spectrum"        # one quadrature of the closed-form spectrum
-    NESTED = "nested"            # a quadrature of the spectrum's quadrature
 
 
 # The methods each family supports, fastest first; the first is its default.
 METHODS = {
-    WindowKind.GAUSSIAN: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
-    WindowKind.LORENTZIAN_SQ: (Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED),
-    WindowKind.TRAPEZOID: (Method.SPECTRUM, Method.NESTED),
-    WindowKind.SQUARE: (Method.SPECTRUM, Method.NESTED),
+    WindowKind.GAUSSIAN: (Method.CLOSED_FORM, Method.SPECTRUM),
+    WindowKind.LORENTZIAN_SQ: (Method.CLOSED_FORM, Method.SPECTRUM),
+    WindowKind.TRAPEZOID: (Method.SPECTRUM,),
+    WindowKind.SQUARE: (Method.SPECTRUM,),
 }
 
 
@@ -93,33 +90,24 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the numeric spectrum and bound integrals.
+    """Tolerances and budget of a ``Method.SPECTRUM`` bound bracket.
 
-    ``rel_tol``/``abs_tol`` gate the per-point spectrum evaluation;
-    ``bound_tol`` gates the accumulated error of a bound bracket.
+    ``abs_tol`` is the absolute error its quadrature aims for;
+    ``bound_tol`` gates the error estimate it reaches.
     """
 
-    rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    # Under Method.NESTED, the QUADPACK workspace of each
-    # scipy.integrate.quad call; under Method.SPECTRUM, the Gauss-Kronrod
-    # intervals allowed per bracket (per element of an omega0 array).
+    # the Gauss-Kronrod intervals allowed per bracket (per element of an
+    # omega0 array)
     max_subdivisions: int = 200
-    # Under Method.NESTED the bracket error accumulates the
-    # worst per-point spectrum estimate over the whole integration range,
-    # which overstates the true error by orders of magnitude; the gate
-    # leaves headroom for that while staying far below any stated
-    # tolerance.  Under Method.SPECTRUM the closed-form spectrum adds
-    # nothing to the single bracket quadrature's own estimate.
     bound_tol: float = 5e-8
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.bound_tol <= 0:
+        if self.abs_tol <= 0 or self.bound_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
-        # QUADPACK's workspace and the Gauss-Kronrod interval arrays both
-        # grow in proportion to the limit
+        # the Gauss-Kronrod interval arrays grow in proportion to the limit
         if self.max_subdivisions > 100_000:
             raise ValueError("max_subdivisions must be at most 100000")
 
@@ -158,15 +146,6 @@ class SamplingWindow:
         if self.kind is WindowKind.TRAPEZOID:
             return 0.5 * self.t0 + self.n * self.t0
         return math.inf
-
-    @property
-    def segment_edges(self) -> tuple[float, ...]:
-        """Breakpoints of f on t >= 0, used to split quadratures at kinks."""
-        if self.kind is WindowKind.SQUARE:
-            return (0.0, 0.5 * self.t0)
-        if self.kind is WindowKind.TRAPEZOID:
-            return (0.0, 0.5 * self.t0, self.half_support)
-        return (0.0,)
 
 
 def gaussian_window(t0: float) -> SamplingWindow:
@@ -207,11 +186,6 @@ def evaluate_window(w: SamplingWindow, t):
         slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
         out = h * np.where(at <= b, 1.0, slope)
     return float_or_array(out)
-
-
-def sqrt_window(w: SamplingWindow, t):
-    """sqrt(f(t)) with the piecewise pieces taken exactly (no sqrt of -0)."""
-    return np.sqrt(evaluate_window(w, t))
 
 
 # Cephes ``fresnl`` (S. L. Moshier), the routine behind scipy.special.fresnel:
@@ -315,8 +289,9 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u):
     return float_or_array(np.where(limit, math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi, amp))
 
 
-def _analytic_sqrt_ft_squared(w: SamplingWindow, omega):
-    """Closed-form |(f^{1/2})_FT|^2 at omega, a float or an array.
+def sqrt_ft_squared(w: SamplingWindow, omega):
+    """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds), in the
+    family's closed form; ``omega`` is a float or an array.
 
     The square window's amplitude is the trapezoid's flat-top term,
     sqrt(h)*sin(u b)/(pi u) with h = 1/t0 and b = t0/2.  Where t0*omega
@@ -335,66 +310,3 @@ def _analytic_sqrt_ft_squared(w: SamplingWindow, omega):
             amp = _trapezoid_sqrt_ft(w, u)
             out = amp * amp
     return float_or_array(out)
-
-
-def _sqrt_ft_numeric(w: SamplingWindow, omega: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Cosine transform of sqrt(f) over t >= 0, with an error estimate.
-
-    Windows are even, so (f^{1/2})_FT(omega) is real and equals
-    (1/pi) * integral_0^inf sqrt(f(t)) cos(omega t) dt.  Compact supports
-    are integrated segment by segment (exact truncation); the unbounded
-    families go through the semi-infinite oscillatory rule, so no tail is
-    ever dropped.
-    """
-    from scipy import integrate
-    u = abs(omega)
-    edges = w.segment_edges if math.isfinite(w.half_support) else (0.0, np.inf)
-    total = 0.0
-    total_err = 0.0
-    g = lambda t: float(sqrt_window(w, t))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if u < 1e-300:
-            val, err = integrate.quad(g, lo, hi,
-                                      epsabs=cfg.abs_tol, epsrel=1e-12,
-                                      limit=cfg.max_subdivisions)
-        else:
-            # limlst bounds the cycles of the semi-infinite rule only
-            val, err = integrate.quad(g, lo, hi, weight="cos", wvar=u,
-                                      epsabs=cfg.abs_tol, limlst=100,
-                                      limit=cfg.max_subdivisions, full_output=1)[:2]
-        total += val
-        total_err += err
-    return total / math.pi, total_err / math.pi
-
-
-def sqrt_ft_squared(
-    w: SamplingWindow,
-    omega: float,
-    cfg: QuadratureConfig | None = None,
-    method: Method | None = None,
-) -> float:
-    """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds).
-
-    ``NESTED`` evaluates it by numeric quadrature, every other method by
-    the family's closed form; ``NESTED`` is the standard cross-check of the
-    closed forms.
-
-    Raises :class:`QuadratureError` when the numeric path cannot certify
-    the requested tolerance; the achieved estimate rides on the exception.
-    """
-    cfg = cfg or DEFAULT_QUADRATURE
-    if resolve_method(w.kind, method) is not Method.NESTED:
-        return _analytic_sqrt_ft_squared(w, omega)
-    amp, amp_err = _sqrt_ft_numeric(w, omega, cfg)
-    value = amp * amp
-    value_err = 2.0 * abs(amp) * amp_err
-    # gate against the spectral scale (values run ~ t0/(2pi) at the peak
-    # and fall over many decades), not just the pointwise value
-    scale = w.t0 / (2.0 * math.pi)
-    if value_err > max(cfg.abs_tol, cfg.rel_tol * abs(value), cfg.rel_tol * scale):
-        raise QuadratureError(
-            f"spectrum quadrature did not converge for {w.kind.value} at omega={omega:g}",
-            achieved=value_err,
-        )
-    return value
-

@@ -498,9 +498,9 @@ def scipy_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# Only Method.NESTED, which no command selects, runs scipy.integrate.quad;
-# the closed forms and the Gauss-Kronrod bracket of every closed-form
-# spectrum (--numeric, the square and trapezoid windows) run on NumPy.
+# No command loads SciPy: the closed forms and the Gauss-Kronrod bracket of
+# every closed-form spectrum (--numeric, the square and trapezoid windows)
+# run on NumPy.
 @pytest.mark.parametrize("argv", [
     (),  # import sqzqi.cli alone
     ("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"),
@@ -525,8 +525,11 @@ def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv):
 
 
 def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
-    loaded = scipy_loaded_by(tmp_path, statement="""
-from sqzqi import Method, WindowKind, bound_value
-code = 0 if bound_value(WindowKind.GAUSSIAN, None, 1.0, method=Method.NESTED) < 0 else 1
+    # the tests' window-definition quadrature runs on scipy.integrate
+    loaded = scipy_loaded_by(tmp_path, statement=f"""
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from oracles import bracket
+from sqzqi import gaussian_window
+code = 0 if 0.0 < bracket(gaussian_window(1.0), 1.0)[0] < 1.0 else 1
 """)
     assert "scipy.integrate" in loaded

@@ -3,9 +3,9 @@
 The error function is checked against its own Maclaurin series evaluated
 in 40-digit arithmetic; the numeric bound brackets are checked against
 independently derived special-function forms (Si for the square window,
-Fresnel quadrature for the trapezoid), and the trapezoid's closed-form
-spectrum path against its nested-quadrature path and, for its own
-Gauss-Kronrod rule, against SciPy's ``quad`` on the same spectrum.
+Fresnel quadrature for the trapezoid) and against a quadrature of the
+window's own definition (``oracles``), and the Gauss-Kronrod rule of every
+family against SciPy's ``quad`` on the same spectrum.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import oracles
 from sqzqi.qi_bound import (
     BRACKET_FLOOR,
     ConsistencyError,
@@ -53,7 +54,6 @@ from sqzqi.windows import (
     QuadratureError,
     SamplingWindow,
     WindowKind,
-    _analytic_sqrt_ft_squared,
     gaussian_window,
     lorentzian_sq_window,
     sqrt_ft_squared,
@@ -184,11 +184,33 @@ def test_numeric_bound_saturates_for_long_observation():
 
 
 def test_forced_numeric_spectrum_path():
-    res = numeric_bound_detail(gaussian_window(1.0), SpectralFunction(omega0=1.0),
-                               method=Method.NESTED)
-    assert res.r_db == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, 1.0), abs=1e-7)
-    assert 0.0 < res.bracket < 1.0
-    assert res.bracket_error < 1e-7
+    # the Gaussian bound from the window's definition, by quadrature
+    bracket, err = oracles.bracket(gaussian_window(1.0), 1.0)
+    assert to_db(bracket) == pytest.approx(bound_value(WindowKind.GAUSSIAN, None, 1.0), abs=1e-7)
+    assert 0.0 < bracket < 1.0
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ],
+                         ids=lambda k: k.value)
+def test_oracle_bracket_matches_closed_form_or_raises(kind):
+    # The window-definition quadrature is right within its own error
+    # estimate, or raises, down to omega0*t0 = 1e-6, where the spectrum
+    # is sampled at frequencies whose first cosine cycle is far wider than
+    # the window.
+    w = SamplingWindow(kind, 1.0)
+    omega0 = np.logspace(-6.0, math.log10(50.0), 15)
+    closed, _ = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    certified = 0
+    for o, want in zip(omega0.tolist(), closed.tolist()):
+        try:
+            got, err = oracles.bracket(w, o)
+        except QuadratureError as exc:
+            assert exc.achieved > DEFAULT_QUADRATURE.bound_tol
+            continue
+        assert abs(got - want) <= err, o
+        certified += 1
+    assert certified > 0
 
 
 @settings(max_examples=12, deadline=None)
@@ -202,11 +224,9 @@ def test_bracket_stays_in_unit_interval(arg):
 @pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ],
                          ids=lambda k: k.value)
 def test_floor_holds_for_every_method(kind):
-    # Method.NESTED is left out: its semi-infinite spectrum quadrature reads
-    # 0, with a zero error estimate, at frequencies this small.
     w = SamplingWindow(kind, 1.0)
     brackets = []
-    for method in (Method.CLOSED_FORM, Method.SPECTRUM):
+    for method in Method:
         assert bound_value(kind, None, 1e-16, method) == -math.inf
         r = bound_value(kind, None, 1e-15, method)
         detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15), method=method)
@@ -256,10 +276,12 @@ def square_bracket_oracle(omega0_dt: float) -> float:
 
 @pytest.mark.parametrize("omega0_dt", [0.01, 0.5, 3.0, 30.0])
 def test_square_bracket_vs_si_oracle(omega0_dt):
-    # the nested cross-check; the sweep below covers the SPECTRUM bracket
-    res = numeric_bound_detail(square_window(1.0), SpectralFunction(omega0=omega0_dt),
-                               method=Method.NESTED)
-    assert res.bracket == pytest.approx(square_bracket_oracle(omega0_dt), abs=1e-9)
+    # the window-definition quadrature against the Si formula, and the
+    # SPECTRUM bracket against both; the sweep below covers SPECTRUM alone
+    quadrature, _ = oracles.bracket(square_window(1.0), omega0_dt)
+    assert quadrature == pytest.approx(square_bracket_oracle(omega0_dt), abs=1e-9)
+    res = numeric_bound_detail(square_window(1.0), SpectralFunction(omega0=omega0_dt))
+    assert res.bracket == pytest.approx(quadrature, abs=1e-9)
 
 
 def test_square_spectrum_bracket_vs_si_oracle_sweep():
@@ -307,9 +329,9 @@ def test_trapezoid_closed_form_bracket_matches_nested_quadrature(n):
     for omega0 in (0.01, 0.3, 1.0, math.pi / 2, math.pi):
         mu = SpectralFunction(omega0=omega0)
         fast = numeric_bound_detail(w, mu)
-        nested = numeric_bound_detail(w, mu, method=Method.NESTED)
-        assert fast.bracket == pytest.approx(nested.bracket, rel=0, abs=1e-12)
-        assert 0.0 < fast.bracket_error < nested.bracket_error
+        nested, nested_err = oracles.bracket(w, omega0)
+        assert fast.bracket == pytest.approx(nested, rel=0, abs=1e-12)
+        assert 0.0 < fast.bracket_error < nested_err
 
 
 # --- the trapezoid's Gauss-Kronrod bracket ------------------------------------
@@ -338,7 +360,7 @@ def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
     for w in windows:
         bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
         for o, b in zip(omega0.tolist(), bracket.tolist()):
-            val, _ = integrate.quad(lambda u: _analytic_sqrt_ft_squared(w, u), 0.0, o,
+            val, _ = integrate.quad(lambda u: sqrt_ft_squared(w, u), 0.0, o,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)
             assert b == pytest.approx(4.0 * math.pi * val, rel=0, abs=1e-13), (w, o)
         assert np.all(err < 1e-12)
@@ -556,10 +578,10 @@ def test_curve_validation():
 
 # Written out apart from windows.METHODS, which these tests check.
 SUPPORTED_METHODS = {
-    WindowKind.GAUSSIAN: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
-    WindowKind.LORENTZIAN_SQ: {Method.CLOSED_FORM, Method.SPECTRUM, Method.NESTED},
-    WindowKind.TRAPEZOID: {Method.SPECTRUM, Method.NESTED},
-    WindowKind.SQUARE: {Method.SPECTRUM, Method.NESTED},
+    WindowKind.GAUSSIAN: {Method.CLOSED_FORM, Method.SPECTRUM},
+    WindowKind.LORENTZIAN_SQ: {Method.CLOSED_FORM, Method.SPECTRUM},
+    WindowKind.TRAPEZOID: {Method.SPECTRUM},
+    WindowKind.SQUARE: {Method.SPECTRUM},
 }
 
 
@@ -571,7 +593,6 @@ def test_method_table(kind, method):
     mu = SpectralFunction(omega0=1.0)
     calls = (
         lambda: QiCurve(kind, Variant.WITH_PI, n=n, method=method, allow_unstable=True),
-        lambda: sqrt_ft_squared(w, 1.0, method=method),
         lambda: numeric_bound_detail(w, mu, method=method),
     )
     if method not in SUPPORTED_METHODS[kind]:
@@ -579,9 +600,8 @@ def test_method_table(kind, method):
             with pytest.raises(ValueError):
                 call()
         return
-    curve, value, detail = (call() for call in calls)
+    curve, detail = (call() for call in calls)
     assert curve.method is method
-    assert value == pytest.approx(sqrt_ft_squared(w, 1.0), rel=1e-8)
     assert detail.bracket == pytest.approx(numeric_bound_detail(w, mu).bracket, abs=1e-9)
     assert (detail.bracket_error == 0.0) == (method is Method.CLOSED_FORM)
 

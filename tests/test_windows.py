@@ -1,12 +1,11 @@
 """Window catalogue: normalization, spectra, and their cross-checks.
 
 Closed-form spectra for the smooth families are checked against symbolic
-Fourier transforms (sympy); the numeric-quadrature spectra of the sharp
-families are checked against independently derived special-function forms
-(a sinc^2 for the square window, Fresnel integrals for the trapezoid).
-The trapezoid's default spectrum is the oracle's own Fresnel formula, so
-the oracle test pins the quadrature path and a separate test checks the
-default against the oracle.
+Fourier transforms (sympy); every family's closed form is checked against
+the cosine transform of sqrt(f) by quadrature (``oracles``), and that
+quadrature, for the sharp families, against independently derived
+special-function forms (a sinc^2 for the square window, Fresnel integrals
+by SciPy for the trapezoid).
 """
 
 import math
@@ -18,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import oracles
+from sqzqi.qi_bound import bound_value
 from sqzqi.windows import (
     Method,
     QuadratureConfig,
@@ -30,7 +31,6 @@ from sqzqi.windows import (
     lorentzian_sq_window,
     resolve_method,
     sqrt_ft_squared,
-    sqrt_window,
     square_window,
     trapezoid_window,
 )
@@ -144,7 +144,7 @@ def integrated_area(w: SamplingWindow) -> float:
         val, _ = integrate.quad(lambda t: evaluate_window(w, t), -np.inf, np.inf,
                                 epsabs=1e-13, epsrel=1e-12)
     else:
-        edges = w.segment_edges
+        edges = oracles.segment_edges(w)
         val = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             part, _ = integrate.quad(lambda t: evaluate_window(w, t), lo, hi,
@@ -214,34 +214,37 @@ def test_lorentzian_sq_spectrum_closed_form_shape():
             assert sqrt_ft_squared(lorentzian_sq_window(t0), u) == pytest.approx(expected, rel=1e-14)
 
 
-# --- numeric path cross-checks -------------------------------------------
+# --- closed forms vs the window-definition quadrature -------------------------
 
 @pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ])
-@pytest.mark.parametrize("u_over_t0", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("u_over_t0", [0.0, 1e-9, 1e-6, 0.5, 1.0, 2.0])
 def test_numeric_matches_analytic_smooth_families(kind, u_over_t0):
     for t0 in (0.7, 1.0):
         w = make_window(kind, t0)
         u = u_over_t0 / t0
-        numeric = sqrt_ft_squared(w, u, method=Method.NESTED)
-        analytic = sqrt_ft_squared(w, u, method=Method.CLOSED_FORM)
-        assert numeric == pytest.approx(analytic, rel=1e-8)
+        assert oracles.sqrt_ft_squared(w, u) == pytest.approx(sqrt_ft_squared(w, u), rel=1e-8)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.7, 3.0, 17.3, 123.4])
 def test_square_spectrum_vs_sinc_oracle(u):
-    # pinned to quadrature: the default path is the oracle's own formula
+    # the closed form is the sinc oracle's own formula, so the quadrature
+    # of the window's definition is checked against both
     for dt in (0.5, 1.0, 2.0):
-        got = sqrt_ft_squared(square_window(dt), u, method=Method.NESTED)
-        assert got == pytest.approx(square_spectrum_oracle(u, dt), rel=1e-8, abs=1e-18)
+        w = square_window(dt)
+        quadrature = oracles.sqrt_ft_squared(w, u)
+        assert quadrature == pytest.approx(square_spectrum_oracle(u, dt), rel=1e-8, abs=1e-18)
+        assert sqrt_ft_squared(w, u) == pytest.approx(quadrature, rel=1e-8, abs=1e-18)
 
 
 @pytest.mark.parametrize("n", [0.1, 0.2, 1.0, 5.0])
 @pytest.mark.parametrize("u", [0.0, 0.7, 3.0, 17.3])
 def test_trapezoid_spectrum_vs_fresnel_oracle(n, u):
-    # pinned to quadrature: the default path is the oracle's own formula
-    got = sqrt_ft_squared(trapezoid_window(1.0, n), u,
-                          method=Method.NESTED)
-    assert got == pytest.approx(trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-8, abs=1e-18)
+    # the closed form is the Fresnel oracle's own formula, so the quadrature
+    # of the window's definition is checked against both
+    w = trapezoid_window(1.0, n)
+    quadrature = oracles.sqrt_ft_squared(w, u)
+    assert quadrature == pytest.approx(trapezoid_spectrum_oracle(u, 1.0, n), rel=1e-8, abs=1e-18)
+    assert sqrt_ft_squared(w, u) == pytest.approx(quadrature, rel=1e-8, abs=1e-18)
 
 
 @pytest.mark.parametrize("n", [1e-8, 0.001, 0.2, 1.0, 5.0])
@@ -311,11 +314,12 @@ def test_zero_frequency_is_squared_mean_of_root(kind):
     # At omega = 0 the transform is (1/2pi) * integral sqrt(f) dt.
     w = make_window(kind, 1.4, n=0.8)
     if math.isinf(w.half_support):
-        area, _ = integrate.quad(lambda t: sqrt_window(w, t), -np.inf, np.inf)
+        area, _ = integrate.quad(lambda t: oracles.sqrt_window(w, t), -np.inf, np.inf)
     else:
         area = 0.0
-        for lo, hi in zip(w.segment_edges[:-1], w.segment_edges[1:]):
-            part, _ = integrate.quad(lambda t: sqrt_window(w, t), lo, hi)
+        edges = oracles.segment_edges(w)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            part, _ = integrate.quad(lambda t: oracles.sqrt_window(w, t), lo, hi)
             area += part
         area *= 2.0
     expected = (area / (2.0 * math.pi)) ** 2
@@ -406,10 +410,10 @@ def test_spectrum_symmetry(kind):
 # --- error reporting ------------------------------------------------------
 
 def test_nonconvergence_reports_achieved_error():
-    cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-16)
+    # the square spectrum's oscillating tail at omega0*t0 = 2.5e3 needs more
+    # Gauss-Kronrod intervals than the default budget
     with pytest.raises(QuadratureError) as err:
-        sqrt_ft_squared(trapezoid_window(1.0, 0.001), 2.0, cfg=cfg,
-                        method=Method.NESTED)
+        bound_value(WindowKind.SQUARE, None, 2.5e3)
     assert err.value.achieved is not None
-    assert err.value.achieved > 0
+    assert err.value.achieved > QuadratureConfig().bound_tol
     assert "achieved error estimate" in str(err.value)
