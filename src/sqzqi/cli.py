@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -143,10 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("plot", help="emit an SVG figure")
-    p.add_argument("--fig", type=int, choices=[4, 5, 6, 7, 8], help="figure preset")
-    p.add_argument("--curve", action="append", default=[], help="curve id (repeatable)")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--fig", type=int, choices=[4, 5, 6, 7, 8], help="figure preset")
+    target.add_argument("--curve", action="append", help="curve id (repeatable)")
     p.add_argument("--report", help="JSON report supplying data points")
-    p.add_argument("--grid-step", type=float, help="F_T sampling step for curves")
+    p.add_argument("--grid-step", type=float, help="F_T sampling step (not with --fig 4)")
     p.add_argument("--db-floor", type=float, help="clip level in dB (default config/-25)")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_plot)
@@ -273,9 +274,9 @@ def cmd_analyze(args, config: Config) -> int:
     for skip in report.skipped:
         print(f"warning: skipped record {skip['id']}: {skip['reason']}", file=sys.stderr)
     print(f"records: {len(report.per_record)} classified, {len(report.skipped)} skipped")
-    for curve in curves:
-        count = sum(1 for r in report.per_record if r.violations[curve.curve_id])
-        print(f"violations[{curve.curve_id}]: {count}/{len(report.per_record)}")
+    for cid in (curve.curve_id for curve in curves):
+        count = sum(1 for r in report.per_record if r.violations[cid])
+        print(f"violations[{cid}]: {count}/{len(report.per_record)}")
     if not args.no_ideal:
         exceeded = sum(1 for r in report.per_record if r.ideal_opa_exceeded)
         print(f"ideal-opa exceeded: {exceeded}/{len(report.per_record)}")
@@ -292,10 +293,6 @@ def cmd_analyze(args, config: Config) -> int:
 
 def _points(xs: np.ndarray, ys: np.ndarray):
     return tuple(xs.tolist()), tuple(ys.tolist())
-
-
-def _curve_points(curve: QiCurve, grid: np.ndarray, quad: QuadratureConfig):
-    return _points(grid, qi_bound.sample_curve(curve, grid, quad))
 
 
 def _report_points(path: str) -> svgfig.PointSet:
@@ -317,84 +314,65 @@ def _report_points(path: str) -> svgfig.PointSet:
     )
 
 
-def _fig_spec(fig: int, grid_step: float | None, db_floor: float,
-              quad: QuadratureConfig) -> svgfig.PlotSpec:
-    if fig == 4:
+@dataclass(frozen=True)
+class _BoundFigure:
+    """An R-against-F_T figure: a (curve, stroke style, colour) per bound
+    trace, and the ideal-OPA trace's stroke style (None: not drawn)."""
+
+    title: str
+    grid_step: float  # default F_T sampling step
+    traces: tuple[tuple[QiCurve, str, str], ...]
+    ideal: str | None
+    legend: bool = True
+
+
+_G, _L, _T = WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ, WindowKind.TRAPEZOID
+_PAPER, _MARECKI = Variant.WITH_PI, Variant.NO_PI
+_FIGURES = {
+    5: _BoundFigure("Gaussian-window bound vs squeezed fraction", 0.005, (
+        (QiCurve(_G, _PAPER), "dotted", "#000000"),
+        (QiCurve(_G, _MARECKI), "dotted", "#666666")), ideal="solid"),
+    6: _BoundFigure("Squared-Lorentzian-window bound vs squeezed fraction", 0.005, (
+        (QiCurve(_L, _PAPER), "solid", "#000000"),
+        (QiCurve(_L, _MARECKI), "dashed", "#666666")), ideal="dashed"),
+    7: _BoundFigure("Best-fit argument scales", 0.005, (
+        (QiCurve(_L, _PAPER, scale=1.0 / (3.0 * math.pi)), "solid", "#000000"),
+        (QiCurve(_G, _PAPER, scale=1.0 / (4.0 * math.pi)), "dashed", "#000000")), ideal=None),
+    8: _BoundFigure("Trapezoid-window bounds vs squeezed fraction", 0.02, tuple(
+        trace for n in TRAPEZOID_FAMILY for trace in (
+            (QiCurve(_T, _PAPER, n=n), "dashed", "#000000"),
+            (QiCurve(_T, _MARECKI, n=n), "solid", "#888888"))), ideal="solid", legend=False),
+}
+
+
+def cmd_plot(args, config: Config) -> int:
+    db_floor = args.db_floor if args.db_floor is not None else config.db_floor
+    if args.fig == 4:  # S- against the pump ratio: no F_T grid
+        if args.grid_step is not None:
+            raise UsageError("--grid-step applies to F_T plots only; fig 4 has no F_T grid")
         xs = np.round(np.arange(0.005, 0.9951, 0.005), 10)
-        return svgfig.PlotSpec(
+        spec = svgfig.PlotSpec(
             title="Deepest squeezing vs pump ratio (lossless, on resonance)",
             x_label="x = P/P_th", y_label="S- (dB)",
             x_range=(0.0, 1.0), y_range=(db_floor, 0.0),
             curves=[svgfig.CurveTrace("S-(x, 0), beta = 1",
                                       *_points(xs, to_db(opa.s_minus(xs, 1.0, 0.0))))],
         )
-    grid = _plot_grid(grid_step, 0.02 if fig == 8 else 0.005)
-    spec = svgfig.PlotSpec(
-        title="", x_label="F_T", y_label="R (dB)",
-        x_range=(0.0, 0.5), y_range=(db_floor, 0.0),
-    )
-    ideal = svgfig.CurveTrace("ideal OPA", *_points(grid, opa.ideal_r_db(grid)), width=2.2)
-    if fig == 5:
-        spec.title = "Gaussian-window bound vs squeezed fraction"
-        g1 = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI)
-        g2 = QiCurve(WindowKind.GAUSSIAN, Variant.NO_PI)
-        spec.curves = [
-            svgfig.CurveTrace(g1.curve_id, *_curve_points(g1, grid, quad), style="dotted"),
-            svgfig.CurveTrace(g2.curve_id, *_curve_points(g2, grid, quad), style="dotted",
-                              color="#666666"),
-            ideal,
-        ]
-    elif fig == 6:
-        spec.title = "Squared-Lorentzian-window bound vs squeezed fraction"
-        l1 = QiCurve(WindowKind.LORENTZIAN_SQ, Variant.WITH_PI)
-        l2 = QiCurve(WindowKind.LORENTZIAN_SQ, Variant.NO_PI)
-        spec.curves = [
-            svgfig.CurveTrace(l1.curve_id, *_curve_points(l1, grid, quad), style="solid"),
-            svgfig.CurveTrace(l2.curve_id, *_curve_points(l2, grid, quad), style="dashed",
-                              color="#666666"),
-            replace(ideal, style="dashed"),
-        ]
-    elif fig == 7:
-        spec.title = "Best-fit argument scales"
-        lf = QiCurve(WindowKind.LORENTZIAN_SQ, Variant.WITH_PI, scale=1.0 / (3.0 * math.pi))
-        gf = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, scale=1.0 / (4.0 * math.pi))
-        spec.curves = [
-            svgfig.CurveTrace(lf.curve_id, *_curve_points(lf, grid, quad), style="solid"),
-            svgfig.CurveTrace(gf.curve_id, *_curve_points(gf, grid, quad), style="dashed"),
-        ]
-    elif fig == 8:
-        spec.title = "Trapezoid-window bounds vs squeezed fraction"
-        curves = []
-        for n in TRAPEZOID_FAMILY:
-            cp = QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=n)
-            cm = QiCurve(WindowKind.TRAPEZOID, Variant.NO_PI, n=n)
-            curves.append(svgfig.CurveTrace("", *_curve_points(cp, grid, quad), style="dashed"))
-            curves.append(svgfig.CurveTrace("", *_curve_points(cm, grid, quad), style="solid",
-                                            color="#888888"))
-        curves.append(ideal)
-        spec.curves = curves
-        spec.legend = False
     else:
-        raise UsageError(f"unknown figure preset {fig}")
-    return spec
-
-
-def cmd_plot(args, config: Config) -> int:
-    db_floor = args.db_floor if args.db_floor is not None else config.db_floor
-    if args.fig is not None:
-        spec = _fig_spec(args.fig, args.grid_step, db_floor, config.quad)
-    elif args.curve:
-        grid = _plot_grid(args.grid_step, 0.005)
+        fig = _FIGURES[args.fig] if args.fig is not None else _BoundFigure(
+            "Bound curves", 0.005,
+            tuple((parse_curve_id(cid), "solid", "#000000") for cid in args.curve), ideal=None)
+        grid = _plot_grid(args.grid_step, fig.grid_step)
         spec = svgfig.PlotSpec(
-            title="Bound curves", x_label="F_T", y_label="R (dB)",
-            x_range=(0.0, 0.5), y_range=(db_floor, 0.0),
+            title=fig.title, x_label="F_T", y_label="R (dB)",
+            x_range=(0.0, 0.5), y_range=(db_floor, 0.0), legend=fig.legend,
+            curves=[svgfig.CurveTrace(
+                curve.curve_id, *_points(grid, qi_bound.sample_curve(curve, grid, config.quad)),
+                style=style, color=color) for curve, style, color in fig.traces],
         )
-        for cid in args.curve:
-            curve = parse_curve_id(cid)
-            spec.curves.append(
-                svgfig.CurveTrace(curve.curve_id, *_curve_points(curve, grid, config.quad)))
-    else:
-        raise UsageError("pass --fig or at least one --curve")
+        if fig.ideal is not None:
+            spec.curves.append(svgfig.CurveTrace("ideal OPA", *_points(grid, opa.ideal_r_db(grid)),
+                                                 style=fig.ideal, width=2.2))
     if args.report:
         spec.points.append(_report_points(args.report))
     svgfig.save_svg(spec, args.out)

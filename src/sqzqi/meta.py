@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .opa import ideal_r_db
-from .qi_bound import CURVE_CSV_HEADER, QiCurve, QuadratureConfig, curve_csv, curve_value
+from .qi_bound import QiCurve, QuadratureConfig, curve_csv, curve_value, samples_csv
 from .units import round_sig
 
 # Applied when a source gives no uncertainty; always flagged in the report.
@@ -364,18 +364,18 @@ def classify(
     # each curve, and the lossless-OPA limit, is evaluated once per column
     r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
     for curve in curves:
+        cid = curve.curve_id
         below = r < curve_value(curve, ft, cfg)
         flags = _flags(r, s_err, ft, ft_err, curve, cfg)
         for row, violates, flag in zip(report.per_record, below, flags):
-            row.violations[curve.curve_id] = bool(violates)
-            row.flags[curve.curve_id] = flag
-        report.curve_samples[curve.curve_id] = curve_csv([curve], DEFAULT_FT_GRID, cfg)
+            row.violations[cid] = bool(violates)
+            row.flags[cid] = flag
+        report.curve_samples[cid] = curve_csv([curve], DEFAULT_FT_GRID, cfg)
     if include_ideal:
         for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
             row.ideal_opa_exceeded = bool(exceeded)
-        rows = [f"{f:.6g},{db:.4f},ideal-opa,ideal-opa,,1"
-                for f, db in zip(DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID))]
-        report.curve_samples["ideal-opa"] = "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
+        ideal = (ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
+        report.curve_samples["ideal-opa"] = samples_csv(DEFAULT_FT_GRID, [ideal])
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
     # the fit takes the same columns back in input order, the order in

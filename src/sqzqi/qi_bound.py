@@ -447,17 +447,21 @@ def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"
 
 
+def samples_csv(fts, samples) -> str:
+    """CSV of curves sampled on the grid ``fts``, one row per grid point;
+    ``samples`` yields (values, curve_id, window, variant, scale) per curve."""
+    lines = [CURVE_CSV_HEADER]
+    for values, curve_id, window, variant, scale in samples:
+        lines += (f"{float(ft):.6g},{format_db(r)},{curve_id},{window},{variant},{scale:.6g}"
+                  for ft, r in zip(fts, values))
+    return "\n".join(lines) + "\n"
+
+
 def curve_csv(curves, fts, cfg: QuadratureConfig | None = None) -> str:
     """CSV sampling of one or more curves, one row per grid point."""
-    lines = [CURVE_CSV_HEADER]
-    for curve in curves:
-        values = sample_curve(curve, fts, cfg)
-        for ft, r in zip(np.atleast_1d(fts), values):
-            lines.append(
-                f"{float(ft):.6g},{format_db(r)},{curve.curve_id},"
-                f"{curve.window.value},{curve.variant.value},{curve.scale:.6g}"
-            )
-    return "\n".join(lines) + "\n"
+    fts = np.atleast_1d(fts)
+    return samples_csv(fts, ((sample_curve(c, fts, cfg), c.curve_id, c.window.value,
+                              c.variant.value, c.scale) for c in curves))
 
 
 def ford_bound(t0: float) -> float:

@@ -6,9 +6,9 @@ are simple (linear axes, a handful of curves, points with rectangular
 error bars).  Everything is rendered with fixed-precision coordinates and
 no timestamps, ids, or environment-dependent metadata.
 
-Curves falling below the configured floor (dB axes diverge to -inf) are
-clipped at the floor crossing and the clipped end is marked with an open
-circle.
+Curves falling below the floor, the y axis's lower end (dB axes diverge
+to -inf), are clipped at the floor crossing and the clipped end is
+marked with an open circle.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class PlotSpec:
     y_range: tuple[float, float]
     curves: list[CurveTrace] = field(default_factory=list)
     points: list[PointSet] = field(default_factory=list)
-    y_floor: float | None = None  # clip level; defaults to y_range[0]
     legend: bool = True
 
     def __post_init__(self):
@@ -96,7 +95,6 @@ def _tick_label(v: float) -> str:
 
 class _Canvas:
     def __init__(self, spec: PlotSpec):
-        self.spec = spec
         self.parts: list[str] = []
         self.x0, self.x1 = spec.x_range
         self.y0, self.y1 = spec.y_range
@@ -185,10 +183,9 @@ def render_svg(spec: PlotSpec) -> str:
         c.line(left - 5, y, left, y)
         c.text(left - 8, y + 4, _tick_label(t), size=11, anchor="end")
 
-    floor = spec.y_floor if spec.y_floor is not None else c.y0
     for trace in spec.curves:
         d = _DASHES[trace.style]
-        segments, markers = _clip_segments(trace.x, trace.y, floor, c.x0, c.x1)
+        segments, markers = _clip_segments(trace.x, trace.y, c.y0, c.x0, c.x1)
         for seg in segments:
             pts = " ".join(f"{_fmt(c.px(x))},{_fmt(c.py(y))}" for x, y in seg)
             c.add(f'<polyline points="{pts}" fill="none" stroke="{trace.color}" '
@@ -201,11 +198,11 @@ def render_svg(spec: PlotSpec) -> str:
         xe = ps.x_err if ps.x_err else (0.0,) * len(ps.x)
         ye = ps.y_err if ps.y_err else (0.0,) * len(ps.y)
         for x, y, ex, ey in zip(ps.x, ps.y, xe, ye):
-            if not (c.x0 <= x <= c.x1) or not math.isfinite(y) or y < floor:
+            if not (c.x0 <= x <= c.x1) or not math.isfinite(y) or y < c.y0:
                 continue
             if ex > 0 or ey > 0:
                 rx0, rx1 = c.px(max(x - ex, c.x0)), c.px(min(x + ex, c.x1))
-                ry0, ry1 = c.py(min(y + ey, c.y1)), c.py(max(y - ey, floor))
+                ry0, ry1 = c.py(min(y + ey, c.y1)), c.py(max(y - ey, c.y0))
                 c.add(f'<rect x="{_fmt(rx0)}" y="{_fmt(ry0)}" width="{_fmt(rx1 - rx0)}" '
                       f'height="{_fmt(ry1 - ry0)}" fill="none" stroke="{ps.color}" '
                       f'stroke-width="0.8"/>')

@@ -173,18 +173,19 @@ def evaluate_window(w: SamplingWindow, t):
     """Evaluate f(t); accepts scalars or arrays, returns matching shape."""
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
-    if w.kind is WindowKind.GAUSSIAN:
-        out = np.exp(-(t * t) / (2.0 * w.t0 * w.t0)) / (w.t0 * math.sqrt(2.0 * math.pi))
-    elif w.kind is WindowKind.LORENTZIAN_SQ:
-        out = (2.0 / math.pi) * w.t0**3 / (t * t + w.t0 * w.t0) ** 2
-    elif w.kind is WindowKind.SQUARE:
-        out = np.where(at <= 0.5 * w.t0, 1.0 / w.t0, 0.0)
-    else:
-        b = 0.5 * w.t0
-        c = w.half_support
-        h = _trapezoid_height(w)
-        slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
-        out = h * np.where(at <= b, 1.0, slope)
+    with np.errstate(over="ignore"):  # t*t overflows to inf far in a tail, giving f = 0
+        if w.kind is WindowKind.GAUSSIAN:
+            out = np.exp(-(t * t) / (2.0 * w.t0 * w.t0)) / (w.t0 * math.sqrt(2.0 * math.pi))
+        elif w.kind is WindowKind.LORENTZIAN_SQ:
+            out = (2.0 / math.pi) * w.t0**3 / (t * t + w.t0 * w.t0) ** 2
+        elif w.kind is WindowKind.SQUARE:
+            out = np.where(at <= 0.5 * w.t0, 1.0 / w.t0, 0.0)
+        else:
+            b = 0.5 * w.t0
+            c = w.half_support
+            h = _trapezoid_height(w)
+            slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
+            out = h * np.where(at <= b, 1.0, slope)
     return float_or_array(out)
 
 

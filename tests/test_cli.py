@@ -373,6 +373,26 @@ def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_plot_fig_and_curve_are_exclusive(capsys, tmp_path):
+    # a preset draws its own curves; an added --curve would be dropped unseen
+    out = tmp_path / "x.svg"
+    code, _, err = run(capsys, "plot", "--fig", "5", "--curve", "trapezoid-paper-n0.2",
+                       "--out", str(out))
+    assert code == 2
+    assert "argument --curve: not allowed with argument --fig" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-9", "nan", "0.01"])
+def test_plot_fig4_rejects_grid_step(capsys, tmp_path, step):
+    # fig 4 is drawn against the pump ratio: there is no F_T grid to refine
+    out = tmp_path / "x.svg"
+    code, _, err = run(capsys, "plot", "--fig", "4", "--grid-step", step, "--out", str(out))
+    assert code == 2
+    assert err == "sqzqi: --grid-step applies to F_T plots only; fig 4 has no F_T grid\n"
+    assert not out.exists()
+
+
 def test_plot_db_floor_changes_output(capsys, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     run(capsys, "plot", "--fig", "5", "--out", str(a))

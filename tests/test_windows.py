@@ -113,6 +113,20 @@ def test_trapezoid_shape():
     assert evaluate_window(w, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("kind, t", [
+    (WindowKind.GAUSSIAN, 1e160),
+    (WindowKind.GAUSSIAN, 1e300),
+    (WindowKind.LORENTZIAN_SQ, 1e100),
+    (WindowKind.LORENTZIAN_SQ, 1e300),
+])
+def test_smooth_window_far_tail_is_zero_without_overflow_warning(kind, t):
+    # t*t overflows to inf here; the suite turns a RuntimeWarning into an error
+    w = make_window(kind, 1.0)
+    assert evaluate_window(w, t) == 0.0
+    assert evaluate_window(w, -t) == 0.0
+    np.testing.assert_array_equal(evaluate_window(w, np.array([-t, 0.0, t]))[[0, 2]], 0.0)
+
+
 def test_windows_are_nonnegative_and_even():
     ts = np.linspace(-7.0, 7.0, 401)
     for kind in ALL_KINDS:
