@@ -9,9 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
 convergence or a failed self-check), 4 dataset error.  A ``--config``
-file (``key=value`` lines) understands ``quad.max_nodes`` (the quadrature
-subdivision limit) and ``plot.db_floor``; a missing file, or a value that
-does not parse or is out of range, is a usage error.
+file (``key=value`` lines) understands one key, ``quad.max_nodes`` (the
+quadrature subdivision limit); a missing file, an unknown key, or a value
+that does not parse or is out of range, is a usage error.
 """
 
 from __future__ import annotations
@@ -39,15 +39,8 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class Config:
-    quad: QuadratureConfig
-    db_floor: float
-
-
-def _load_config(path: str | None) -> Config:
+def _load_config(path: str | None) -> QuadratureConfig:
     quad = QuadratureConfig()
-    db_floor = DEFAULT_DB_FLOOR
     if path:
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
@@ -61,18 +54,13 @@ def _load_config(path: str | None) -> Config:
                 raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in ("quad.max_nodes", "plot.db_floor"):
+            if key != "quad.max_nodes":
                 raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                if key == "quad.max_nodes":
-                    quad = QuadratureConfig(max_subdivisions=int(value))
-                else:
-                    db_floor = float(value)
-                    if not (math.isfinite(db_floor) and db_floor < 0.0):
-                        raise ValueError(f"must be finite and negative, got {value!r}")
+                quad = QuadratureConfig(max_subdivisions=int(value))
             except ValueError as exc:
                 raise UsageError(f"{path}:{line_no}: {key}: {exc}") from None
-    return Config(quad=quad, db_floor=db_floor)
+    return quad
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -146,9 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--fig", type=int, choices=[4, 5, 6, 7, 8], help="figure preset")
     target.add_argument("--curve", action="append", help="curve id (repeatable)")
-    p.add_argument("--report", help="JSON report supplying data points")
+    p.add_argument("--report", help="JSON report supplying data points (not with --fig 4)")
     p.add_argument("--grid-step", type=float, help="F_T sampling step (not with --fig 4)")
-    p.add_argument("--db-floor", type=float, help="clip level in dB (default config/-25)")
+    p.add_argument("--db-floor", type=float, default=DEFAULT_DB_FLOOR,
+                   help="clip level in dB (default -25)")
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_plot)
     return parser
@@ -161,8 +150,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        quad = _load_config(args.config)
+        return args.func(args, quad)
     except (QuadratureError, qi_bound.ConsistencyError) as exc:
         print(f"sqzqi: numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -191,16 +180,16 @@ def _curve_from_args(args) -> QiCurve:
     )
 
 
-def cmd_bound(args, config: Config) -> int:
+def cmd_bound(args, quad: QuadratureConfig) -> int:
     if (args.ft is None) == (args.omega_t0 is None):
         raise UsageError("pass exactly one of --ft or --omega-t0")
     curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.method, config.quad)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.method, quad)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
-    csv_text = qi_bound.curve_csv([curve], grid, config.quad)
+    csv_text = qi_bound.curve_csv(curve, grid, quad)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
@@ -208,7 +197,7 @@ def cmd_bound(args, config: Config) -> int:
     return 0
 
 
-def cmd_opa(args, config: Config) -> int:
+def cmd_opa(args, quad: QuadratureConfig) -> int:
     did_something = False
     if args.ideal_bound is not None:
         ft = args.ideal_bound
@@ -255,7 +244,7 @@ def _parse_curves(spec: str) -> list[QiCurve]:
     return curves
 
 
-def cmd_analyze(args, config: Config) -> int:
+def cmd_analyze(args, quad: QuadratureConfig) -> int:
     data = Path(args.data) if args.data else _shipped_dataset()
     try:
         records = meta.load_records(data)
@@ -267,7 +256,7 @@ def cmd_analyze(args, config: Config) -> int:
         records, curves,
         include_ideal=not args.no_ideal,
         fit_curves=fit_curves,
-        cfg=config.quad,
+        cfg=quad,
     )
     if not records:
         print("warning: dataset is empty", file=sys.stderr)
@@ -345,16 +334,17 @@ _FIGURES = {
 }
 
 
-def cmd_plot(args, config: Config) -> int:
-    db_floor = args.db_floor if args.db_floor is not None else config.db_floor
+def cmd_plot(args, quad: QuadratureConfig) -> int:
     if args.fig == 4:  # S- against the pump ratio: no F_T grid
         if args.grid_step is not None:
             raise UsageError("--grid-step applies to F_T plots only; fig 4 has no F_T grid")
+        if args.report is not None:
+            raise UsageError("--report draws (F_T, R) points; fig 4 has no F_T axis")
         xs = np.round(np.arange(0.005, 0.9951, 0.005), 10)
         spec = svgfig.PlotSpec(
             title="Deepest squeezing vs pump ratio (lossless, on resonance)",
             x_label="x = P/P_th", y_label="S- (dB)",
-            x_range=(0.0, 1.0), y_range=(db_floor, 0.0),
+            x_range=(0.0, 1.0), y_range=(args.db_floor, 0.0),
             curves=[svgfig.CurveTrace("S-(x, 0), beta = 1",
                                       *_points(xs, to_db(opa.s_minus(xs, 1.0, 0.0))))],
         )
@@ -365,9 +355,9 @@ def cmd_plot(args, config: Config) -> int:
         grid = _plot_grid(args.grid_step, fig.grid_step)
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
-            x_range=(0.0, 0.5), y_range=(db_floor, 0.0), legend=fig.legend,
+            x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
             curves=[svgfig.CurveTrace(
-                curve.curve_id, *_points(grid, qi_bound.sample_curve(curve, grid, config.quad)),
+                curve.curve_id, *_points(grid, qi_bound.sample_curve(curve, grid, quad)),
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:

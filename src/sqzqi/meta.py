@@ -370,12 +370,12 @@ def classify(
         for row, violates, flag in zip(report.per_record, below, flags):
             row.violations[cid] = bool(violates)
             row.flags[cid] = flag
-        report.curve_samples[cid] = curve_csv([curve], DEFAULT_FT_GRID, cfg)
+        report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID, cfg)
     if include_ideal:
         for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
             row.ideal_opa_exceeded = bool(exceeded)
-        ideal = (ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
-        report.curve_samples["ideal-opa"] = samples_csv(DEFAULT_FT_GRID, [ideal])
+        report.curve_samples["ideal-opa"] = samples_csv(
+            DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
     # the fit takes the same columns back in input order, the order in

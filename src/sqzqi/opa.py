@@ -80,20 +80,18 @@ class SqueezingPoint:
 def variance(p: OpaParams) -> float:
     """Relative variance S(theta, x, w) at one operating point; < 1 means squeezing.
 
-    The antisqueezing and squeezing terms are accumulated separately so
-    the extremal phases reproduce :func:`s_plus` / :func:`s_minus` bit
-    for bit.
+    Written as cos^2(theta)*S+ + sin^2(theta)*S-, so the extremal phases
+    reproduce :func:`s_plus` / :func:`s_minus` bit for bit.
     """
     a, b = _widths(p.x, p.w)
-    anti = 4.0 * p.beta * p.x * math.cos(p.theta) ** 2 / b
-    sq = 4.0 * p.beta * p.x * math.sin(p.theta) ** 2 / a
-    return 1.0 + anti - sq
+    return (math.cos(p.theta) ** 2 * float(_s_plus(p.x, p.beta, b))
+            + math.sin(p.theta) ** 2 * float(_s_minus(p.x, p.beta, a, b)))
 
 
 def s_minus(x, beta, w=0.0):
     """Deepest squeezing, attained at theta = pi/2."""
     x, beta, w = _validate(x, beta, w)
-    return float_or_array(_s_minus(x, beta, _widths(x, w)[0]))
+    return float_or_array(_s_minus(x, beta, *_widths(x, w)))
 
 
 def s_plus(x, beta, w=0.0):
@@ -128,7 +126,7 @@ def squeezed_fraction(x, beta=1.0, w=0.0):
     """
     x, beta, w = _validate(x, beta, w)
     a, b = _widths(x, w)
-    return float_or_array(_fraction(_s_minus(x, beta, a), _s_plus(x, beta, b), a, b))
+    return float_or_array(_fraction(_s_minus(x, beta, a, b), _s_plus(x, beta, b), a, b))
 
 
 def _fraction(sm, sp, a, b):
@@ -157,7 +155,7 @@ def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
     """Extremal variances and squeezed fraction at one operating point."""
     x, beta, w = _validate(x, beta, w)
     a, b = _widths(x, w)
-    sm, sp = _s_minus(x, beta, a), _s_plus(x, beta, b)
+    sm, sp = _s_minus(x, beta, a, b), _s_plus(x, beta, b)
     return SqueezingPoint(s_minus=float_or_array(sm), s_plus=float_or_array(sp),
                           ft=float_or_array(_fraction(sm, sp, a, b)))
 
@@ -188,30 +186,19 @@ def ideal_ft(s_min):
     return float_or_array(_ft_from_ratio(1.0 / s_min))
 
 
-def effective_ft(
-    x: float,
-    beta: float,
-    w_max: float,
-    kernel: str = "depth",
-    nodes: int = 2001,
-) -> float:
+def effective_ft(x: float, beta: float, w_max: float) -> float:
     """Frequency-weighted effective squeezed fraction over w in [0, w_max].
 
     The squeezing spectrum is Lorentzian, so measurements off the optimal
     sideband see a larger squeezed fraction; this averages F_T(x, w) over
-    the band.  ``kernel="depth"`` weights by the squeezing depth
-    1 - S-(x, beta, w) (the default); ``kernel="uniform"`` is provided for
-    sensitivity checks.  Trapezoidal quadrature on ``nodes`` points.
+    the band, weighted by the squeezing depth 1 - S-(x, beta, w), by the
+    trapezoidal rule on 2001 points.
     """
     if not (math.isfinite(w_max) and w_max > 0):
         raise ValueError(f"w_max must be positive, got {w_max}")
-    if kernel not in ("depth", "uniform"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    ws = np.linspace(0.0, w_max, nodes)
+    ws = np.linspace(0.0, w_max, 2001)
     ft = squeezed_fraction(x, beta, ws)
-    weight = _depth_weight(x, beta, ws) if kernel == "depth" else np.ones_like(ws)
+    weight = _depth_weight(x, beta, ws)
     total = np.trapezoid(weight, ws)
     if total <= 0.0:
         raise NoSqueezingError(f"no squeezing anywhere in [0, {w_max}]")
@@ -219,7 +206,7 @@ def effective_ft(
 
 
 def _depth_weight(x, beta, w):
-    """Squeezing depth 1 - S-(x, beta, w), the default averaging kernel."""
+    """Squeezing depth 1 - S-(x, beta, w), the averaging weight of :func:`effective_ft`."""
     return 1.0 - s_minus(x, beta, w)
 
 
@@ -236,9 +223,15 @@ def _widths(x, w):
         return (1.0 + x) * (1.0 + x) + w * w, (1.0 - x) * (1.0 - x) + w * w
 
 
-def _s_minus(x, beta, a):
-    """S- of validated arrays, given a = (1+x)^2 + w^2."""
-    return 1.0 - 4.0 * beta * x / a
+def _s_minus(x, beta, a, b):
+    """S- of validated arrays, given the widths a and b of :func:`_widths`.
+
+    1 - 4*beta*x/a cancels as x -> 1, where squeezing is deepest; with
+    a = b + 4*x it is (b + 4*x*(1 - beta))/a, which does not.  Where w^2
+    overflows, a = b = inf and S- takes its far-off-resonance limit 1.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(a), 1.0, (b + 4.0 * x * (1.0 - beta)) / a)
 
 
 def _s_plus(x, beta, b):

@@ -54,6 +54,10 @@ from .windows import (
 
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
+# The absolute error a SPECTRUM bracket's quadrature aims for, and the
+# largest error estimate a bracket may carry (QuadratureError above it).
+ABS_TOL = 1e-12
+BOUND_TOL = 5e-8
 
 
 def _erf(z: np.ndarray) -> np.ndarray:
@@ -138,7 +142,7 @@ class QiCurve:
         return "-".join(parts)
 
 
-def parse_curve_id(curve_id: str, allow_unstable: bool = False) -> QiCurve:
+def parse_curve_id(curve_id: str) -> QiCurve:
     """Inverse of :attr:`QiCurve.curve_id` (e.g. ``gaussian-paper``,
     ``trapezoid-marecki-n0.2``, ``lorentzian2-paper-k0.106103``)."""
     parts = curve_id.split("-")
@@ -158,8 +162,7 @@ def parse_curve_id(curve_id: str, allow_unstable: bool = False) -> QiCurve:
             scale = float(tok[1:])
         else:
             raise ValueError(f"malformed curve id token {tok!r} in {curve_id!r}")
-    return QiCurve(window=window, variant=variant, scale=scale, n=n,
-                   allow_unstable=allow_unstable)
+    return QiCurve(window=window, variant=variant, scale=scale, n=n)
 
 
 @dataclass(frozen=True)
@@ -177,16 +180,16 @@ class BoundResult:
     bracket_error: float
 
 
-def _check_bracket(bracket, err, cfg: QuadratureConfig) -> None:
+def _check_bracket(bracket, err) -> None:
     """ConsistencyError if a bracket exceeds 1, QuadratureError if an error
-    estimate exceeds ``cfg.bound_tol`` or is NaN, or a bracket is not finite
+    estimate exceeds :data:`BOUND_TOL` or is NaN, or a bracket is not finite
     (its error then counts as infinite); floats or arrays."""
     bracket, err = np.asarray(bracket), np.asarray(err)
     if (bracket > 1.0 + 1e-9 + err).any():
         raise ConsistencyError(f"bound bracket {float(bracket.max())!r} exceeds 1; the window "
                                "spectrum is inconsistent with unit normalization")
     err = np.where(np.isfinite(bracket), err, np.inf)
-    if not (err <= cfg.bound_tol).all():
+    if not (err <= BOUND_TOL).all():
         raise QuadratureError("bound quadrature did not converge", achieved=float(err.max()))
 
 
@@ -291,14 +294,14 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
     trapezoid spectra obey V(u) <= f_max / (pi*u)^2, a tail of at most
     4 / (pi^2 * 2^53); the smooth families decay exponentially).  Each pass
     evaluates the spectrum once, on every new interval, and bisects, in
-    each element whose summed error exceeds max(abs_tol, 1e-11 *
+    each element whose summed error exceeds max(ABS_TOL, 1e-11 *
     |integral|), the intervals whose error exceeds their share of that
     tolerance (by length) and is not the rounding floor.  An element that
     would outgrow ``cfg.max_subdivisions`` intervals bisects only as many
     of those as its budget has room for, largest error first.  It stops
     with the error it has when only floors are left or its budget is spent;
     the caller's ``_check_bracket`` then raises QuadratureError, with that
-    error, if it exceeds ``cfg.bound_tol``.
+    error, if it exceeds :data:`BOUND_TOL`.
     """
     c = w.half_support if math.isfinite(w.half_support) else w.t0
     step = math.pi / c
@@ -318,7 +321,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
     while True:
         total = np.bincount(owner, res, omega0.size)
         error = np.bincount(owner, np.maximum(est, floor), omega0.size)
-        tol = np.maximum(cfg.abs_tol, 1e-11 * np.abs(total))
+        tol = np.maximum(ABS_TOL, 1e-11 * np.abs(total))
         active = (error > tol)[owner]
         split = active & (est > floor) & (est * omega0[owner] > tol[owner] * (hi - lo))
         # within its remaining budget, an element bisects its largest errors
@@ -366,10 +369,9 @@ def numeric_bound_detail(
     w: SamplingWindow,
     mu: SpectralFunction,
     cfg: QuadratureConfig | None = None,
-    method: Method | None = None,
 ) -> BoundResult:
-    """Bound evaluation with bracket diagnostics; ``method`` (None) defaults
-    to ``SPECTRUM``, the one quadrature every family supports.
+    """Bound evaluation with bracket diagnostics, by ``Method.SPECTRUM``,
+    the one quadrature every family supports.
 
     In the delta limit the spectral weight collapses onto omega0: the
     weight appears with identical omega_p^3-weighted integrals in the
@@ -382,18 +384,17 @@ def numeric_bound_detail(
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     cfg = cfg or DEFAULT_QUADRATURE
-    method = resolve_method(w.kind, Method.SPECTRUM if method is None else method)
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        bracket, err = _bracket(w, mu.omega0, cfg, method)
+        bracket, err = _bracket(w, mu.omega0, cfg, Method.SPECTRUM)
     else:
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket(w, omega_p, cfg, method)
+        brackets, errs = _bracket(w, omega_p, cfg, Method.SPECTRUM)
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
-    _check_bracket(bracket, err, cfg)
+    _check_bracket(bracket, err)
     return BoundResult(r_db=_floored_db(bracket), bracket=float(bracket),
                        bracket_error=float(err))
 
@@ -413,7 +414,7 @@ def bound_value(
     # evaluate a unit-width window at omega0 = omega_t0.
     bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, cfg,
                             resolve_method(kind, method))
-    _check_bracket(bracket, err, cfg)
+    _check_bracket(bracket, err)
     return _floored_db(bracket)
 
 
@@ -447,21 +448,18 @@ def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"
 
 
-def samples_csv(fts, samples) -> str:
-    """CSV of curves sampled on the grid ``fts``, one row per grid point;
-    ``samples`` yields (values, curve_id, window, variant, scale) per curve."""
-    lines = [CURVE_CSV_HEADER]
-    for values, curve_id, window, variant, scale in samples:
-        lines += (f"{float(ft):.6g},{format_db(r)},{curve_id},{window},{variant},{scale:.6g}"
-                  for ft, r in zip(fts, values))
-    return "\n".join(lines) + "\n"
+def samples_csv(fts, values, curve_id: str, window: str, variant: str, scale: float) -> str:
+    """CSV of one curve's ``values`` on the grid ``fts``, one row per grid point."""
+    rows = (f"{float(ft):.6g},{format_db(r)},{curve_id},{window},{variant},{scale:.6g}"
+            for ft, r in zip(fts, values))
+    return "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
 
 
-def curve_csv(curves, fts, cfg: QuadratureConfig | None = None) -> str:
-    """CSV sampling of one or more curves, one row per grid point."""
+def curve_csv(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> str:
+    """CSV sampling of a curve, one row per grid point."""
     fts = np.atleast_1d(fts)
-    return samples_csv(fts, ((sample_curve(c, fts, cfg), c.curve_id, c.window.value,
-                              c.variant.value, c.scale) for c in curves))
+    return samples_csv(fts, sample_curve(curve, fts, cfg), curve.curve_id, curve.window.value,
+                       curve.variant.value, curve.scale)
 
 
 def ford_bound(t0: float) -> float:

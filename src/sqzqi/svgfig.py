@@ -19,6 +19,7 @@ from pathlib import Path
 
 _WIDTH, _HEIGHT = 640.0, 440.0
 _ML, _MR, _MT, _MB = 64.0, 18.0, 30.0, 48.0
+_TICKS = 6  # at most this many tick intervals per axis
 
 # stroke-dasharray attribute of each stroke style
 _DASHES = {
@@ -45,7 +46,6 @@ class PointSet:
     y: tuple[float, ...]
     x_err: tuple[float, ...] = ()
     y_err: tuple[float, ...] = ()
-    color: str = "#000000"
 
 
 @dataclass
@@ -72,13 +72,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / max(target, 2)
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= _TICKS:
             break
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
@@ -204,10 +204,10 @@ def render_svg(spec: PlotSpec) -> str:
                 rx0, rx1 = c.px(max(x - ex, c.x0)), c.px(min(x + ex, c.x1))
                 ry0, ry1 = c.py(min(y + ey, c.y1)), c.py(max(y - ey, c.y0))
                 c.add(f'<rect x="{_fmt(rx0)}" y="{_fmt(ry0)}" width="{_fmt(rx1 - rx0)}" '
-                      f'height="{_fmt(ry1 - ry0)}" fill="none" stroke="{ps.color}" '
+                      f'height="{_fmt(ry1 - ry0)}" fill="none" stroke="#000000" '
                       f'stroke-width="0.8"/>')
             c.add(f'<circle cx="{_fmt(c.px(x))}" cy="{_fmt(c.py(y))}" r="3.2" '
-                  f'fill="{ps.color}" stroke="none"/>')
+                  f'fill="#000000" stroke="none"/>')
 
     # frame above grid/curve overshoot
     c.add(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
@@ -229,7 +229,7 @@ def render_svg(spec: PlotSpec) -> str:
                       f'stroke-width="{item.width:g}"{d}/>')
             else:
                 c.add(f'<circle cx="{_fmt(lx + 12)}" cy="{_fmt(y - 4)}" r="3.2" '
-                      f'fill="{item.color}"/>')
+                      'fill="#000000"/>')
             c.text(lx + 30, y, item.label, size=11, anchor="start")
 
     c.add("</svg>")

@@ -90,21 +90,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget of a ``Method.SPECTRUM`` bound bracket.
+    """Budget of a ``Method.SPECTRUM`` bound bracket: the Gauss-Kronrod
+    intervals allowed per bracket (per element of an omega0 array).  Its
+    tolerances are :data:`sqzqi.qi_bound.ABS_TOL` and ``BOUND_TOL``."""
 
-    ``abs_tol`` is the absolute error its quadrature aims for;
-    ``bound_tol`` gates the error estimate it reaches.
-    """
-
-    abs_tol: float = 1e-12
-    # the Gauss-Kronrod intervals allowed per bracket (per element of an
-    # omega0 array)
     max_subdivisions: int = 200
-    bound_tol: float = 5e-8
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.bound_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
         # the Gauss-Kronrod interval arrays grow in proportion to the limit

@@ -15,8 +15,8 @@ import math
 import numpy as np
 from scipy import integrate
 
+from sqzqi.qi_bound import BOUND_TOL
 from sqzqi.windows import (
-    DEFAULT_QUADRATURE,
     QuadratureError,
     SamplingWindow,
     WindowKind,
@@ -114,7 +114,7 @@ def bracket(w: SamplingWindow, omega0: float) -> tuple[float, float]:
     val, err = integrate.quad(V, 0.0, omega0, epsabs=ABS_TOL, epsrel=1e-11,
                               limit=LIMIT, full_output=1)[:2]
     value, error = 4.0 * math.pi * val, 4.0 * math.pi * (err + inner_err * omega0)
-    if not error <= DEFAULT_QUADRATURE.bound_tol:
+    if not error <= BOUND_TOL:
         raise QuadratureError(f"oracle bracket did not converge for {w.kind.value} "
                               f"at omega0={omega0:g}", achieved=error)
     return value, error

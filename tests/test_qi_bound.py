@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import oracles
+from sqzqi import qi_bound
 from sqzqi.qi_bound import (
+    BOUND_TOL,
     BRACKET_FLOOR,
     ConsistencyError,
     QiCurve,
@@ -206,7 +208,7 @@ def test_oracle_bracket_matches_closed_form_or_raises(kind):
         try:
             got, err = oracles.bracket(w, o)
         except QuadratureError as exc:
-            assert exc.achieved > DEFAULT_QUADRATURE.bound_tol
+            assert exc.achieved > BOUND_TOL
             continue
         assert abs(got - want) <= err, o
         certified += 1
@@ -229,9 +231,9 @@ def test_floor_holds_for_every_method(kind):
     for method in Method:
         assert bound_value(kind, None, 1e-16, method) == -math.inf
         r = bound_value(kind, None, 1e-15, method)
-        detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15), method=method)
-        assert math.isfinite(r) and detail.r_db == r
-        brackets.append(detail.bracket)
+        bracket, _ = _bracket(w, 1e-15, DEFAULT_QUADRATURE, method)
+        assert math.isfinite(r) and to_db(bracket) == r
+        brackets.append(bracket)
     assert brackets[1] == pytest.approx(brackets[0], rel=4 * np.finfo(float).eps)
 
 
@@ -392,7 +394,7 @@ def test_trapezoid_bracket_is_right_or_raises_when_the_peak_is_narrow(log_omega0
     try:
         res = numeric_bound_detail(trapezoid_window(1.0, n), SpectralFunction(omega0=omega0))
     except QuadratureError as exc:
-        assert exc.achieved > QuadratureConfig().bound_tol
+        assert exc.achieved > BOUND_TOL
         return
     assert 0.0 <= res.bracket <= 1.0
     ref, ref_err = split_quad_bracket(n, omega0)
@@ -405,7 +407,7 @@ def test_trapezoid_bracket_with_a_narrow_peak_raises(n, omega0):
     # small error estimates; the true brackets are within 1e-5 of 1
     with pytest.raises(QuadratureError, match="bound quadrature did not converge") as exc:
         bound_value(WindowKind.TRAPEZOID, n, omega0)
-    assert exc.value.achieved > QuadratureConfig().bound_tol
+    assert exc.value.achieved > BOUND_TOL
 
 
 def test_trapezoid_bracket_spends_its_whole_budget():
@@ -415,7 +417,7 @@ def test_trapezoid_bracket_spends_its_whole_budget():
     # error of 2.4e-7, above the bound gate
     res = numeric_bound_detail(trapezoid_window(1.0, 1.0), SpectralFunction(omega0=1186.0))
     ref, ref_err = split_quad_bracket(1.0, 1186.0)
-    assert res.bracket_error <= QuadratureConfig().bound_tol
+    assert res.bracket_error <= BOUND_TOL
     assert abs(res.bracket - ref) <= res.bracket_error + ref_err
 
 
@@ -453,9 +455,9 @@ def test_non_finite_bracket_raises():
     # a NaN bracket, or a NaN error estimate, fails the gate instead of
     # printing "R = nan dB"
     with pytest.raises(QuadratureError, match="achieved error estimate inf"):
-        _check_bracket(np.array([0.5, np.nan]), np.zeros(2), DEFAULT_QUADRATURE)
+        _check_bracket(np.array([0.5, np.nan]), np.zeros(2))
     with pytest.raises(QuadratureError, match="achieved error estimate nan"):
-        _check_bracket(0.5, np.nan, DEFAULT_QUADRATURE)
+        _check_bracket(0.5, np.nan)
 
 
 def test_trapezoid_bracket_interval_budget():
@@ -465,7 +467,7 @@ def test_trapezoid_bracket_interval_budget():
     bracket, err = _bracket(w, 50.0, DEFAULT_QUADRATURE, Method.SPECTRUM)
     small = QuadratureConfig(max_subdivisions=10)
     coarse, coarse_err = _bracket(w, 50.0, small, Method.SPECTRUM)
-    assert err < 1e-12 and small.bound_tol < coarse_err
+    assert err < 1e-12 and BOUND_TOL < coarse_err
     assert abs(coarse - bracket) <= coarse_err
     with pytest.raises(QuadratureError) as exc:
         bound_value(WindowKind.TRAPEZOID, 5.0, 50.0, cfg=small)
@@ -593,17 +595,19 @@ def test_method_table(kind, method):
     mu = SpectralFunction(omega0=1.0)
     calls = (
         lambda: QiCurve(kind, Variant.WITH_PI, n=n, method=method, allow_unstable=True),
-        lambda: numeric_bound_detail(w, mu, method=method),
+        lambda: bound_value(kind, n, 1.0, method),
     )
     if method not in SUPPORTED_METHODS[kind]:
         for call in calls:
             with pytest.raises(ValueError):
                 call()
         return
-    curve, detail = (call() for call in calls)
+    curve, r = (call() for call in calls)
     assert curve.method is method
-    assert detail.bracket == pytest.approx(numeric_bound_detail(w, mu).bracket, abs=1e-9)
-    assert (detail.bracket_error == 0.0) == (method is Method.CLOSED_FORM)
+    bracket, err = _bracket(w, 1.0, DEFAULT_QUADRATURE, method)
+    assert r == to_db(bracket)
+    assert bracket == pytest.approx(numeric_bound_detail(w, mu).bracket, abs=1e-9)
+    assert (err == 0.0) == (method is Method.CLOSED_FORM)
 
 
 def test_method_defaults():
@@ -616,14 +620,6 @@ def test_method_defaults():
         assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).method is method
         detail = numeric_bound_detail(SamplingWindow(kind, 1.0, n), SpectralFunction(omega0=1.0))
         assert detail.bracket_error > 0.0
-
-
-def test_numeric_bound_detail_takes_none_as_spectrum():
-    # None is the default, not the family's fastest (closed-form) method
-    w, mu = gaussian_window(1.0), SpectralFunction(omega0=1.0)
-    detail = numeric_bound_detail(w, mu, method=None)
-    assert detail == numeric_bound_detail(w, mu, method=Method.SPECTRUM)
-    assert detail.bracket_error > 0.0
 
 
 def test_curve_id_round_trip():
@@ -649,7 +645,7 @@ def test_curve_id_round_trip():
 
 def test_curve_csv_format_and_sentinel():
     curve = QiCurve(WindowKind.SQUARE, Variant.WITH_PI, allow_unstable=True)
-    text = curve_csv([curve], [1e-16, 0.1])
+    text = curve_csv(curve, [1e-16, 0.1])
     lines = text.strip().split("\n")
     assert lines[0] == "ft,r_db,curve_id,window,variant,scale"
     assert lines[1].startswith("1e-16,-inf,square-paper,square,paper,1")
@@ -687,10 +683,10 @@ def test_bound_value_array_matches_scalar_calls(kind, n, args):
     np.testing.assert_array_equal(r, scalars)
     np.testing.assert_array_equal(bound_value(kind, n, args.reshape(-1, 1)), r.reshape(-1, 1))
     assert np.all(r <= 0.0)
-    # every bracket is certified to within bound_tol, so two neighbours
+    # every bracket is certified to within BOUND_TOL, so two neighbours
     # may invert by at most twice that
     bracket = 10.0 ** (r / 10.0)
-    assert np.all(np.diff(bracket) >= -2.0 * QuadratureConfig().bound_tol)
+    assert np.all(np.diff(bracket) >= -2.0 * BOUND_TOL)
 
 
 @pytest.mark.parametrize("kind, n", FAMILIES, ids=FAMILY_IDS)
@@ -728,19 +724,18 @@ def test_trapezoid_more_negative_for_smaller_n():
 
 # --- error handling ----------------------------------------------------------
 
-def test_bound_nonconvergence_reports_achieved():
-    cfg = QuadratureConfig(bound_tol=1e-18)
+def test_bound_nonconvergence_reports_achieved(monkeypatch):
+    monkeypatch.setattr(qi_bound, "BOUND_TOL", 1e-18)
     with pytest.raises(QuadratureError) as err:
-        numeric_bound_detail(trapezoid_window(1.0, 0.001), SpectralFunction(omega0=1.0), cfg).r_db
+        numeric_bound_detail(trapezoid_window(1.0, 0.001), SpectralFunction(omega0=1.0)).r_db
     assert err.value.achieved is not None
     assert err.value.achieved > 1e-18
 
 
 def test_bracket_consistency_guard():
-    cfg = QuadratureConfig()
     with pytest.raises(ConsistencyError):
-        _check_bracket(1.5, 0.0, cfg)
-    _check_bracket(0.999999999, 0.0, cfg)  # fine
+        _check_bracket(1.5, 0.0)
+    _check_bracket(0.999999999, 0.0)  # fine
 
 
 # --- context quantities -------------------------------------------------------

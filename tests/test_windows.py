@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import oracles
-from sqzqi.qi_bound import bound_value
+from sqzqi.qi_bound import BOUND_TOL, bound_value
 from sqzqi.windows import (
     Method,
-    QuadratureConfig,
     QuadratureError,
     SamplingWindow,
     WindowKind,
@@ -429,5 +428,5 @@ def test_nonconvergence_reports_achieved_error():
     with pytest.raises(QuadratureError) as err:
         bound_value(WindowKind.SQUARE, None, 2.5e3)
     assert err.value.achieved is not None
-    assert err.value.achieved > QuadratureConfig().bound_tol
+    assert err.value.achieved > BOUND_TOL
     assert "achieved error estimate" in str(err.value)
