@@ -2,15 +2,11 @@
 meta-analysis pipeline for published squeezing records."""
 
 from .windows import (
-    Method,
-    QuadratureConfig,
-    QuadratureError,
     SamplingWindow,
     WindowKind,
     evaluate_window,
     gaussian_window,
     lorentzian_sq_window,
-    resolve_method,
     sqrt_ft_squared,
     square_window,
     trapezoid_window,
@@ -19,6 +15,8 @@ from .qi_bound import (
     BoundResult,
     ConsistencyError,
     QiCurve,
+    QuadratureConfig,
+    QuadratureError,
     SpectralFunction,
     SpectralShape,
     Variant,

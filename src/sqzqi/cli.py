@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import meta, opa, qi_bound, svgfig
-from .qi_bound import QiCurve, Variant, parse_curve_id
+from .qi_bound import QiCurve, QuadratureConfig, QuadratureError, Variant, parse_curve_id
 from .units import format_db, to_db
-from .windows import Method, QuadratureConfig, QuadratureError, WindowKind
+from .windows import WindowKind
 
 DEFAULT_DB_FLOOR = -25.0
 DEFAULT_CURVES = "gaussian-paper,gaussian-marecki,lorentzian2-paper,lorentzian2-marecki"
@@ -175,7 +175,7 @@ def _curve_from_args(args) -> QiCurve:
         variant=Variant(args.variant),
         scale=args.scale,
         n=n,
-        method=Method.SPECTRUM if args.numeric else None,
+        numeric=args.numeric,
         allow_unstable=args.allow_square,
     )
 
@@ -185,7 +185,7 @@ def cmd_bound(args, quad: QuadratureConfig) -> int:
         raise UsageError("pass exactly one of --ft or --omega-t0")
     curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.method, quad)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric, quad)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
@@ -233,15 +233,24 @@ def cmd_opa(args, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _parse_curves(spec: str) -> list[QiCurve]:
-    curves = []
-    for token in spec.split(","):
+def _parse_curves(ids) -> list[QiCurve]:
+    """The curves of ``analyze --curves`` and ``plot --curve``, blank ids
+    skipped; a square id, or two ids of one curve, is a usage error."""
+    curves = {}
+    for token in ids:
         token = token.strip()
-        if token:
-            curves.append(parse_curve_id(token))
+        if not token:
+            continue
+        if token.split("-")[0] == WindowKind.SQUARE.value:
+            raise UsageError("the square window is mathematically unstable; square curves are "
+                             "available only through `bound --window square --allow-square`")
+        curve = parse_curve_id(token)
+        if curve.curve_id in curves:
+            raise UsageError(f"curve {curve.curve_id} is named more than once")
+        curves[curve.curve_id] = curve
     if not curves:
         raise UsageError("empty curve list")
-    return curves
+    return list(curves.values())
 
 
 def cmd_analyze(args, quad: QuadratureConfig) -> int:
@@ -250,7 +259,7 @@ def cmd_analyze(args, quad: QuadratureConfig) -> int:
         records = meta.load_records(data)
     except OSError as exc:
         raise meta.DatasetError(f"cannot read {data}: {exc.strerror}") from None
-    curves = _parse_curves(args.curves)
+    curves = _parse_curves(args.curves.split(","))
     fit_curves = curves if args.fit else None
     report = meta.classify(
         records, curves,
@@ -335,6 +344,8 @@ _FIGURES = {
 
 
 def cmd_plot(args, quad: QuadratureConfig) -> int:
+    if not (math.isfinite(args.db_floor) and args.db_floor < 0.0):
+        raise UsageError(f"--db-floor must be a finite negative dB value, got {args.db_floor:g}")
     if args.fig == 4:  # S- against the pump ratio: no F_T grid
         if args.grid_step is not None:
             raise UsageError("--grid-step applies to F_T plots only; fig 4 has no F_T grid")
@@ -351,7 +362,7 @@ def cmd_plot(args, quad: QuadratureConfig) -> int:
     else:
         fig = _FIGURES[args.fig] if args.fig is not None else _BoundFigure(
             "Bound curves", 0.005,
-            tuple((parse_curve_id(cid), "solid", "#000000") for cid in args.curve), ideal=None)
+            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve)), ideal=None)
         grid = _plot_grid(args.grid_step, fig.grid_step)
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",

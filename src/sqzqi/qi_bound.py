@@ -6,11 +6,11 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
     R = 10*log10[ 1 - 4pi * integral_0^inf |(f^{1/2})_FT(omega + omega0)|^2 d omega ]
 
 so a measured value of -X dB is inconsistent with the bound whenever
-X > |R|.  By default (:data:`sqzqi.windows.METHODS`) the Gaussian and
-squared-Lorentzian bounds are closed forms (an error function and an
-exponential in omega0*t0).  ``Method.SPECTRUM``, the default of the square
-and trapezoid windows and ``--numeric`` for every family, integrates the
-family's closed-form spectrum in the complement form 4pi * integral_0^{omega0}
+X > |R|.  The Gaussian and squared-Lorentzian bounds are closed forms
+(an error function and an exponential in omega0*t0, :data:`_CLOSED_FORMS`).
+The square and trapezoid bounds, and every family's with ``numeric=True``
+(``--numeric``), are a quadrature: the family's closed-form spectrum
+integrated in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
 the omega0 of a call together, in blocks.
 
@@ -21,7 +21,7 @@ the pi (and, for the Gaussian family only, doubles the argument).  Both
 are first-class; no attempt is made to adjudicate between them.
 
 A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
-squeezing"), serialized as the literal string "-inf", whatever the method.
+squeezing"), serialized as the literal string "-inf", closed form or not.
 
 :func:`bound_value`, :func:`phase_argument`, :func:`curve_value` (and
 :func:`sqzqi.units.to_db`) take a float or an array: a float in gives a
@@ -32,32 +32,57 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 # sqzqi runs on NumPy alone: the closed-form bounds use math.erf, and every
-# SPECTRUM bracket the Gauss-Kronrod rule below.  SciPy is a test
+# quadrature bracket the Gauss-Kronrod rule below.  SciPy is a test
 # dependency, for the reference quadratures the tests compare against.
 
 from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
-from .windows import (
-    DEFAULT_QUADRATURE,
-    Method,
-    QuadratureConfig,
-    QuadratureError,
-    SamplingWindow,
-    WindowKind,
-    resolve_method,
-    sqrt_ft_squared,
-)
+from .windows import SamplingWindow, WindowKind, sqrt_ft_squared
 
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
-# The absolute error a SPECTRUM bracket's quadrature aims for, and the
-# largest error estimate a bracket may carry (QuadratureError above it).
+# The absolute error a bracket's quadrature aims for, and the largest
+# error estimate a bracket may carry (QuadratureError above it).
 ABS_TOL = 1e-12
 BOUND_TOL = 5e-8
+
+
+class QuadratureError(RuntimeError):
+    """A quadrature did not reach the requested tolerance.
+
+    The achieved error estimate is always attached; results are never
+    silently truncated.
+    """
+
+    def __init__(self, message: str, achieved: float | None = None):
+        if achieved is not None:
+            message = f"{message} (achieved error estimate {achieved:.3e})"
+        super().__init__(message)
+        self.achieved = achieved
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Budget of a quadrature bound bracket: the Gauss-Kronrod intervals
+    allowed per bracket (per element of an omega0 array).  Its tolerances
+    are :data:`ABS_TOL` and :data:`BOUND_TOL`."""
+
+    max_subdivisions: int = 200
+
+    def __post_init__(self):
+        if self.max_subdivisions < 10:
+            raise ValueError("max_subdivisions must be at least 10")
+        # the Gauss-Kronrod interval arrays grow in proportion to the limit
+        if self.max_subdivisions > 100_000:
+            raise ValueError("max_subdivisions must be at most 100000")
+
+
+DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def _erf(z: np.ndarray) -> np.ndarray:
@@ -111,14 +136,15 @@ class QiCurve:
     theoretical curve; fitted envelopes use smaller values).  Trapezoid
     curves need ``n``; square curves must opt in explicitly: the sharp
     window is mathematically unstable in the bound integrals (its spectrum
-    decays only like 1/omega^2).  ``method`` is resolved once, here.
+    decays only like 1/omega^2).  ``numeric`` evaluates even a closed-form
+    family's bound by quadrature.
     """
 
     window: WindowKind
     variant: Variant
     scale: float = 1.0
     n: float | None = None
-    method: Method | None = None
+    numeric: bool = False
     allow_unstable: bool = False
 
     def __post_init__(self):
@@ -130,7 +156,6 @@ class QiCurve:
                 "the square window is mathematically unstable in the bound "
                 "integrals; pass allow_unstable=True to use it anyway"
             )
-        object.__setattr__(self, "method", resolve_method(self.window, self.method))
 
     @property
     def curve_id(self) -> str:
@@ -144,8 +169,11 @@ class QiCurve:
 
 def parse_curve_id(curve_id: str) -> QiCurve:
     """Inverse of :attr:`QiCurve.curve_id` (e.g. ``gaussian-paper``,
-    ``trapezoid-marecki-n0.2``, ``lorentzian2-paper-k0.106103``)."""
-    parts = curve_id.split("-")
+    ``trapezoid-marecki-n0.2``, ``lorentzian2-paper-k0.106103``,
+    ``gaussian-paper-k5e-05``); ``n`` and ``k`` may come in either order,
+    each at most once."""
+    # a hyphen before a digit is an exponent's sign, not a separator
+    parts = re.split(r"-(?![0-9])", curve_id)
     if len(parts) < 2:
         raise ValueError(f"malformed curve id {curve_id!r}")
     try:
@@ -153,16 +181,15 @@ def parse_curve_id(curve_id: str) -> QiCurve:
         variant = Variant(parts[1])
     except ValueError as exc:
         raise ValueError(f"malformed curve id {curve_id!r}: {exc}") from None
-    n = None
-    scale = 1.0
+    values = {}
     for tok in parts[2:]:
-        if tok.startswith("n"):
-            n = float(tok[1:])
-        elif tok.startswith("k"):
-            scale = float(tok[1:])
-        else:
+        key = tok[:1]
+        if key not in ("n", "k"):
             raise ValueError(f"malformed curve id token {tok!r} in {curve_id!r}")
-    return QiCurve(window=window, variant=variant, scale=scale, n=n)
+        if key in values:
+            raise ValueError(f"repeated curve id token {tok!r} in {curve_id!r}")
+        values[key] = float(tok[1:])
+    return QiCurve(window=window, variant=variant, scale=values.get("k", 1.0), n=values.get("n"))
 
 
 @dataclass(frozen=True)
@@ -347,21 +374,26 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
     return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
-def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, method: Method):
-    """(bracket, error estimate) at omega0, a float or an array, each of the
-    same shape; ``method`` is resolved (supported by the family, never None).
+# The families whose bracket is a closed form in x = omega0*t0:
+# erf(sqrt(2)*x) for the Gaussian, 1 - exp(-2x) for the Lorentzian^2.
+_CLOSED_FORMS = {
+    WindowKind.GAUSSIAN: lambda x: _erf(math.sqrt(2.0) * x),
+    WindowKind.LORENTZIAN_SQ: lambda x: -np.expm1(-2.0 * x),
+}
 
-    ``CLOSED_FORM`` is one NumPy expression with a zero error estimate,
-    ``SPECTRUM`` one adaptive quadrature of the closed-form spectrum per
-    block of elements of ``omega0``.
+
+def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, numeric: bool):
+    """(bracket, error estimate) at omega0, a float or an array, each of the
+    same shape.
+
+    A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
+    error estimate, unless ``numeric``; every other call one adaptive
+    quadrature of the closed-form spectrum per block of elements of
+    ``omega0``.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
-    if method is Method.CLOSED_FORM:
-        # erf(sqrt(2)*omega0*t0) for the Gaussian, 1 - exp(-2*omega0*t0) for the Lorentzian^2
-        x = omega0 * w.t0
-        if w.kind is WindowKind.GAUSSIAN:
-            return _erf(math.sqrt(2.0) * x), 0.0
-        return -np.expm1(-2.0 * x), 0.0
+    if not numeric and w.kind in _CLOSED_FORMS:
+        return _CLOSED_FORMS[w.kind](omega0 * w.t0), 0.0
     return _bracket_spectrum(w, omega0, cfg)
 
 
@@ -370,8 +402,8 @@ def numeric_bound_detail(
     mu: SpectralFunction,
     cfg: QuadratureConfig | None = None,
 ) -> BoundResult:
-    """Bound evaluation with bracket diagnostics, by ``Method.SPECTRUM``,
-    the one quadrature every family supports.
+    """Bound evaluation with bracket diagnostics, by quadrature, which
+    every family supports.
 
     In the delta limit the spectral weight collapses onto omega0: the
     weight appears with identical omega_p^3-weighted integrals in the
@@ -385,13 +417,13 @@ def numeric_bound_detail(
     """
     cfg = cfg or DEFAULT_QUADRATURE
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        bracket, err = _bracket(w, mu.omega0, cfg, Method.SPECTRUM)
+        bracket, err = _bracket(w, mu.omega0, cfg, True)
     else:
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket(w, omega_p, cfg, Method.SPECTRUM)
+        brackets, errs = _bracket(w, omega_p, cfg, True)
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
     _check_bracket(bracket, err)
@@ -403,17 +435,16 @@ def bound_value(
     kind: WindowKind,
     n: float | None,
     omega_t0,
-    method: Method | None = None,
+    numeric: bool = False,
     cfg: QuadratureConfig | None = None,
 ):
-    """R (dB) of a window family at the phase argument omega0*t0, by the
-    family's fastest method unless ``method`` is given; a bracket at or
-    below the floor gives the -inf sentinel, whatever the method."""
+    """R (dB) of a window family at the phase argument omega0*t0, in closed
+    form where the family has one, else (or if ``numeric``) by quadrature;
+    a bracket at or below the floor gives the -inf sentinel either way."""
     cfg = cfg or DEFAULT_QUADRATURE
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
-    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, cfg,
-                            resolve_method(kind, method))
+    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, cfg, numeric)
     _check_bracket(bracket, err)
     return _floored_db(bracket)
 
@@ -437,7 +468,7 @@ def curve_value(curve: QiCurve, ft, cfg: QuadratureConfig | None = None):
     """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
     ft = checked(ft, lambda f: (f > 0.0) & (f <= 1.0), "ft must lie in (0, 1]")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
-    return bound_value(curve.window, curve.n, arg, curve.method, cfg)
+    return bound_value(curve.window, curve.n, arg, curve.numeric, cfg)
 
 
 def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np.ndarray:

@@ -46,67 +46,6 @@ class WindowKind(enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
-class Method(enum.Enum):
-    """How a bound is evaluated."""
-
-    CLOSED_FORM = "closed_form"  # the bound itself in closed form
-    SPECTRUM = "spectrum"        # one quadrature of the closed-form spectrum
-
-
-# The methods each family supports, fastest first; the first is its default.
-METHODS = {
-    WindowKind.GAUSSIAN: (Method.CLOSED_FORM, Method.SPECTRUM),
-    WindowKind.LORENTZIAN_SQ: (Method.CLOSED_FORM, Method.SPECTRUM),
-    WindowKind.TRAPEZOID: (Method.SPECTRUM,),
-    WindowKind.SQUARE: (Method.SPECTRUM,),
-}
-
-
-def resolve_method(kind: WindowKind, method: Method | None = None) -> Method:
-    """``method`` if ``kind`` supports it, else ValueError; when ``method``
-    is None, the family's fastest method."""
-    supported = METHODS[kind]
-    if method is None:
-        return supported[0]
-    if method not in supported:
-        names = ", ".join(m.value for m in supported)
-        raise ValueError(f"{kind.value} window supports {names}, not {method.value}")
-    return method
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature did not reach the requested tolerance.
-
-    The achieved error estimate is always attached; results are never
-    silently truncated.
-    """
-
-    def __init__(self, message: str, achieved: float | None = None):
-        if achieved is not None:
-            message = f"{message} (achieved error estimate {achieved:.3e})"
-        super().__init__(message)
-        self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Budget of a ``Method.SPECTRUM`` bound bracket: the Gauss-Kronrod
-    intervals allowed per bracket (per element of an omega0 array).  Its
-    tolerances are :data:`sqzqi.qi_bound.ABS_TOL` and ``BOUND_TOL``."""
-
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-        # the Gauss-Kronrod interval arrays grow in proportion to the limit
-        if self.max_subdivisions > 100_000:
-            raise ValueError("max_subdivisions must be at most 100000")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 @dataclass(frozen=True)
 class SamplingWindow:
     """A normalized time-sampling function f(t).

@@ -15,9 +15,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from sqzqi.qi_bound import BOUND_TOL
+from sqzqi.qi_bound import BOUND_TOL, QuadratureError
 from sqzqi.windows import (
-    QuadratureError,
     SamplingWindow,
     WindowKind,
     evaluate_window,

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqzqi
-from sqzqi import opa
+from sqzqi import opa, qi_bound
 from sqzqi.cli import main
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
 
@@ -47,6 +47,29 @@ def test_bound_single_argument_numeric(capsys):
                        "--numeric")
     assert code == 0
     assert "R = -0.2022 dB" in out
+
+
+@pytest.mark.parametrize("window", ["gaussian", "lorentzian2"])
+def test_bound_numeric_flag_takes_the_quadrature(capsys, monkeypatch, window):
+    calls = []
+    spectrum = qi_bound._bracket_spectrum
+
+    def spy(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr(qi_bound, "_bracket_spectrum", spy)
+    runs = [("--variant", v, "--ft", "0.01:1:0.01") for v in ("paper", "marecki")]
+    for argv in runs + [("--omega-t0", "1")]:
+        outputs = []
+        for flag in ((), ("--numeric",)):
+            before = len(calls)
+            code, out, _ = run(capsys, "bound", "--window", window, *argv, *flag)
+            assert code == 0
+            assert (len(calls) > before) == bool(flag)
+            outputs.append(out)
+        # the closed form and the quadrature print the same bytes
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("window", ["gaussian", "lorentzian2"])
@@ -288,6 +311,34 @@ def test_analyze_rejects_square_curve_without_opt_in(capsys):
     assert "unstable" in err
 
 
+@pytest.mark.parametrize("argv", [("analyze", "--curves", "gaussian-paper,square-marecki"),
+                                  ("plot", "--curve", "square-paper", "--out", "x.svg")],
+                         ids=["analyze", "plot"])
+def test_square_curve_id_names_the_command_that_opts_in(capsys, tmp_path, monkeypatch, argv):
+    # a shell user is pointed at the CLI opt-in, not at a library keyword
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("sqzqi: the square window is mathematically unstable; square curves are "
+                   "available only through `bound --window square --allow-square`\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--curves", "trapezoid-paper-n0.2,gaussian-paper,trapezoid-paper-n0.20"),
+    ("plot", "--curve", "gaussian-paper-k0.5", "--curve", "gaussian-paper-k0.50",
+     "--out", "x.svg"),
+    ("plot", "--curve", "gaussian-paper", "--curve", "gaussian-paper-k1", "--out", "x.svg"),
+], ids=["analyze", "plot", "plot-unit-scale"])
+def test_curve_named_twice_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # two ids of one curve would print its violations twice, or draw it twice
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"sqzqi: curve \S+ is named more than once\n", err)
+    assert not (tmp_path / "x.svg").exists()
+
+
 # --- plot ------------------------------------------------------------------------
 
 def test_plot_fig5_deterministic(capsys, tmp_path):
@@ -335,6 +386,19 @@ def test_plot_inline_curves(capsys, tmp_path):
                      "--curve", "lorentzian2-marecki", "--out", str(out))
     assert code == 0
     assert out.read_text().count("<polyline") == 2
+
+
+def test_bound_curve_id_with_an_exponent_round_trips_through_plot(capsys, tmp_path):
+    # the curve_id column of a small --scale carries an exponent, "k5e-05"
+    code, out, _ = run(capsys, "bound", "--window", "gaussian", "--scale", "0.00005",
+                       "--ft", "0.5:0.5:0.1")
+    assert code == 0
+    cid = out.splitlines()[1].split(",")[2]
+    assert cid == "gaussian-paper-k5e-05"
+    svg = tmp_path / "k.svg"
+    assert run(capsys, "plot", "--curve", cid, "--out", str(svg))[0] == 0
+    # the whole curve lies below the -25 dB floor; its legend entry remains
+    assert f">{cid}</text>" in svg.read_text()
 
 
 def test_plot_missing_report_file_exit_4(capsys, tmp_path):
@@ -415,7 +479,7 @@ def test_plot_db_floor_must_be_finite_and_negative(capsys, tmp_path, floor):
     out = tmp_path / "x.svg"
     code, _, err = run(capsys, "plot", "--fig", "5", f"--db-floor={floor}", "--out", str(out))
     assert code == 2
-    assert err == "sqzqi: axis ranges must be finite and increasing\n"
+    assert err == f"sqzqi: --db-floor must be a finite negative dB value, got {floor}\n"
     assert not out.exists()
 
 

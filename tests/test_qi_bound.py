@@ -25,8 +25,11 @@ from sqzqi import qi_bound
 from sqzqi.qi_bound import (
     BOUND_TOL,
     BRACKET_FLOOR,
+    DEFAULT_QUADRATURE,
     ConsistencyError,
     QiCurve,
+    QuadratureConfig,
+    QuadratureError,
     SpectralFunction,
     SpectralShape,
     Variant,
@@ -50,10 +53,6 @@ from sqzqi.qi_bound import (
 from sqzqi.cli import TRAPEZOID_FAMILY
 from sqzqi.units import C_LIGHT, HBAR, format_db, to_db
 from sqzqi.windows import (
-    DEFAULT_QUADRATURE,
-    Method,
-    QuadratureConfig,
-    QuadratureError,
     SamplingWindow,
     WindowKind,
     gaussian_window,
@@ -99,7 +98,7 @@ ARGS = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0]
 def test_closed_form_gaussian_vs_series(arg):
     # the library's closed-form bracket, erf(sqrt(2)*arg), to 1e-14 absolute
     z = math.sqrt(2.0) * arg
-    bracket, err = _bracket(gaussian_window(1.0), arg, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    bracket, err = _bracket(gaussian_window(1.0), arg, DEFAULT_QUADRATURE, False)
     assert float(bracket) == pytest.approx(erf_series(z), abs=1e-14) and err == 0.0
     expected = db(erf_series(z))
     assert bound_value(WindowKind.GAUSSIAN, None, arg) == pytest.approx(expected, abs=1e-10)
@@ -108,7 +107,7 @@ def test_closed_form_gaussian_vs_series(arg):
 @pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)])
 def test_closed_form_gaussian_keeps_the_shape(shape):
     omega0 = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
-    bracket, _ = _bracket(gaussian_window(1.0), omega0, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    bracket, _ = _bracket(gaussian_window(1.0), omega0, DEFAULT_QUADRATURE, False)
     assert bracket.shape == shape
     want = [math.erf(math.sqrt(2.0) * o) for o in omega0.ravel().tolist()]
     assert bracket.ravel().tolist() == want
@@ -202,7 +201,7 @@ def test_oracle_bracket_matches_closed_form_or_raises(kind):
     # the window.
     w = SamplingWindow(kind, 1.0)
     omega0 = np.logspace(-6.0, math.log10(50.0), 15)
-    closed, _ = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.CLOSED_FORM)
+    closed, _ = _bracket(w, omega0, DEFAULT_QUADRATURE, False)
     certified = 0
     for o, want in zip(omega0.tolist(), closed.tolist()):
         try:
@@ -228,10 +227,10 @@ def test_bracket_stays_in_unit_interval(arg):
 def test_floor_holds_for_every_method(kind):
     w = SamplingWindow(kind, 1.0)
     brackets = []
-    for method in Method:
-        assert bound_value(kind, None, 1e-16, method) == -math.inf
-        r = bound_value(kind, None, 1e-15, method)
-        bracket, _ = _bracket(w, 1e-15, DEFAULT_QUADRATURE, method)
+    for numeric in (False, True):
+        assert bound_value(kind, None, 1e-16, numeric) == -math.inf
+        r = bound_value(kind, None, 1e-15, numeric)
+        bracket, _ = _bracket(w, 1e-15, DEFAULT_QUADRATURE, numeric)
         assert math.isfinite(r) and to_db(bracket) == r
         brackets.append(bracket)
     assert brackets[1] == pytest.approx(brackets[0], rel=4 * np.finfo(float).eps)
@@ -288,7 +287,7 @@ def test_square_bracket_vs_si_oracle(omega0_dt):
 
 def test_square_spectrum_bracket_vs_si_oracle_sweep():
     omega0 = np.logspace(-3.0, math.log10(50.0), 60)
-    bracket, _ = _bracket(square_window(1.0), omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+    bracket, _ = _bracket(square_window(1.0), omega0, DEFAULT_QUADRATURE, True)
     for o, b in zip(omega0.tolist(), bracket.tolist()):
         assert b == pytest.approx(square_bracket_oracle(o), rel=1e-13), o
 
@@ -360,7 +359,7 @@ def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
     windows = [trapezoid_window(1.0, n) for n in TRAPEZOID_FAMILY]
     windows += [gaussian_window(1.0), lorentzian_sq_window(1.0), square_window(1.0)]
     for w in windows:
-        bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+        bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, True)
         for o, b in zip(omega0.tolist(), bracket.tolist()):
             val, _ = integrate.quad(lambda u: sqrt_ft_squared(w, u), 0.0, o,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)
@@ -464,9 +463,9 @@ def test_trapezoid_bracket_interval_budget():
     # too few intervals leave an honest, large error estimate, which the
     # bound gate turns into QuadratureError
     w = trapezoid_window(1.0, 5.0)
-    bracket, err = _bracket(w, 50.0, DEFAULT_QUADRATURE, Method.SPECTRUM)
+    bracket, err = _bracket(w, 50.0, DEFAULT_QUADRATURE, True)
     small = QuadratureConfig(max_subdivisions=10)
-    coarse, coarse_err = _bracket(w, 50.0, small, Method.SPECTRUM)
+    coarse, coarse_err = _bracket(w, 50.0, small, True)
     assert err < 1e-12 and BOUND_TOL < coarse_err
     assert abs(coarse - bracket) <= coarse_err
     with pytest.raises(QuadratureError) as exc:
@@ -480,8 +479,8 @@ def test_small_budget_keeps_the_fine_start(budget, n, omega0):
     # it, one rule spanned [16pi/c, omega0] here and claimed an error
     # thousands of times below its actual one.
     w = trapezoid_window(1.0, n)
-    ref, ref_err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=20_000), Method.SPECTRUM)
-    bracket, err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=budget), Method.SPECTRUM)
+    ref, ref_err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=20_000), True)
+    bracket, err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=budget), True)
     assert ref_err < 1e-11
     assert abs(bracket - ref) <= err
 
@@ -573,51 +572,40 @@ def test_curve_validation():
     with pytest.raises(ValueError):
         QiCurve(WindowKind.SQUARE, Variant.WITH_PI)  # no unstable opt-in
     QiCurve(WindowKind.SQUARE, Variant.WITH_PI, allow_unstable=True)
-    with pytest.raises(ValueError):
-        QiCurve(WindowKind.SQUARE, Variant.WITH_PI, allow_unstable=True,
-                method=Method.CLOSED_FORM)
 
 
-# Written out apart from windows.METHODS, which these tests check.
-SUPPORTED_METHODS = {
-    WindowKind.GAUSSIAN: {Method.CLOSED_FORM, Method.SPECTRUM},
-    WindowKind.LORENTZIAN_SQ: {Method.CLOSED_FORM, Method.SPECTRUM},
-    WindowKind.TRAPEZOID: {Method.SPECTRUM},
-    WindowKind.SQUARE: {Method.SPECTRUM},
-}
+# The families with a closed-form bracket, written out apart from
+# qi_bound._CLOSED_FORMS, which these tests check.
+CLOSED_FORM_FAMILIES = {WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ}
 
 
-@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+# "closed_form" asks for the closed form (numeric=False, the default),
+# which only the families above have; "spectrum" forces the quadrature
+@pytest.mark.parametrize("numeric", [False, True], ids=["closed_form", "spectrum"])
 @pytest.mark.parametrize("kind", list(WindowKind), ids=lambda k: k.value)
-def test_method_table(kind, method):
+def test_method_table(kind, numeric):
     n = 0.2 if kind is WindowKind.TRAPEZOID else None
     w = SamplingWindow(kind, 1.0, n)
-    mu = SpectralFunction(omega0=1.0)
-    calls = (
-        lambda: QiCurve(kind, Variant.WITH_PI, n=n, method=method, allow_unstable=True),
-        lambda: bound_value(kind, n, 1.0, method),
-    )
-    if method not in SUPPORTED_METHODS[kind]:
-        for call in calls:
-            with pytest.raises(ValueError):
-                call()
-        return
-    curve, r = (call() for call in calls)
-    assert curve.method is method
-    bracket, err = _bracket(w, 1.0, DEFAULT_QUADRATURE, method)
-    assert r == to_db(bracket)
-    assert bracket == pytest.approx(numeric_bound_detail(w, mu).bracket, abs=1e-9)
-    assert (err == 0.0) == (method is Method.CLOSED_FORM)
+    curve = QiCurve(kind, Variant.WITH_PI, n=n, numeric=numeric, allow_unstable=True)
+    bracket, err = _bracket(w, 1.0, DEFAULT_QUADRATURE, numeric)
+    assert bound_value(kind, n, 1.0, numeric) == to_db(bracket)
+    assert curve_value(curve, 1.0 / math.pi) == to_db(bracket)
+    detail = numeric_bound_detail(w, SpectralFunction(omega0=1.0))
+    assert bracket == pytest.approx(detail.bracket, abs=1e-9)
+    closed_form = not numeric and kind in CLOSED_FORM_FAMILIES
+    assert (err == 0.0) == closed_form
+    if not closed_form:
+        assert err > 0.0 and bracket == detail.bracket
 
 
 def test_method_defaults():
-    # curves take the fastest method; numeric_bound_detail takes SPECTRUM
-    curve_default = {WindowKind.GAUSSIAN: Method.CLOSED_FORM,
-                     WindowKind.LORENTZIAN_SQ: Method.CLOSED_FORM,
-                     WindowKind.TRAPEZOID: Method.SPECTRUM, WindowKind.SQUARE: Method.SPECTRUM}
-    for kind, method in curve_default.items():
+    # curves and bound_value take the closed form where there is one;
+    # numeric_bound_detail always takes the quadrature
+    for kind in WindowKind:
         n = 0.2 if kind is WindowKind.TRAPEZOID else None
-        assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).method is method
+        assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).numeric is False
+        quadrature_only = kind not in CLOSED_FORM_FAMILIES
+        assert bound_value(kind, n, 1.0) == bound_value(kind, n, 1.0, quadrature_only)
         detail = numeric_bound_detail(SamplingWindow(kind, 1.0, n), SpectralFunction(omega0=1.0))
         assert detail.bracket_error > 0.0
 
@@ -628,6 +616,11 @@ def test_curve_id_round_trip():
         QiCurve(WindowKind.LORENTZIAN_SQ, Variant.NO_PI, scale=1.0 / (3.0 * math.pi)),
         QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=0.2),
         QiCurve(WindowKind.TRAPEZOID, Variant.NO_PI, n=0.001, scale=0.25),
+        # exponents: "k5e-05" and "n1e-05" carry a hyphen of their own
+        QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, scale=0.00005),
+        QiCurve(WindowKind.TRAPEZOID, Variant.NO_PI, n=0.00001),
+        QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=2e-7, scale=3e-6),
+        QiCurve(WindowKind.LORENTZIAN_SQ, Variant.NO_PI, scale=1.5e7),
     ]
     for curve in cases:
         parsed = parse_curve_id(curve.curve_id)
@@ -637,8 +630,16 @@ def test_curve_id_round_trip():
         # ids carry the scale at 6 significant digits
         assert parsed.scale == pytest.approx(curve.scale, rel=1e-5)
     assert parse_curve_id("gaussian-paper").curve_id == "gaussian-paper"
+    assert parse_curve_id("gaussian-paper-k5e-05").curve_id == "gaussian-paper-k5e-05"
+    # n and k in either order give the same curve
+    for cid in ("trapezoid-marecki-k0.25-n0.2", "trapezoid-marecki-n0.2-k0.25"):
+        assert parse_curve_id(cid) == QiCurve(WindowKind.TRAPEZOID, Variant.NO_PI,
+                                              n=0.2, scale=0.25)
     for bad in ("gaussian", "gaussian-paperx", "box-paper", "gaussian-paper-z3",
-                "trapezoid-paper-nnan", "trapezoid-paper-ninf"):
+                "trapezoid-paper-nnan", "trapezoid-paper-ninf", "gaussian-paper-k5e",
+                "gaussian-paper-k5e-", "gaussian-paper-k-5", "gaussian-paper-",
+                # a repeated token is refused rather than the last one winning
+                "trapezoid-paper-n0.2-n0.3", "gaussian-paper-k0.5-k0.5"):
         with pytest.raises(ValueError):
             parse_curve_id(bad)
 
