@@ -10,8 +10,11 @@ Subcommands::
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
 convergence or a failed self-check), 4 dataset error.  A ``--config``
 file (``key=value`` lines) understands one key, ``quad.max_nodes`` (the
-quadrature subdivision limit); a missing file, an unknown key, or a value
-that does not parse or is out of range, is a usage error.
+quadrature subdivision limit); a missing or non-UTF-8 file, an unknown
+key, or a value that does not parse or is out of range, is a usage error,
+and so is an output file that cannot be written.  A ``--data`` or
+``plot --report`` file that cannot be read, is not UTF-8 or is malformed
+is a dataset error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +43,31 @@ class UsageError(ValueError):
     pass
 
 
+def _read_text(path: str | Path, name: str, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``, a leading byte-order mark skipped; a file
+    that cannot be read, or is not UTF-8, raises ``error`` naming it ``name``."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    raise error(f"cannot read {name}: {reason}") from None
+
+
+@contextmanager
+def _writing(path: str):
+    """A failed write of ``path`` becomes a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_config(path: str | None) -> QuadratureConfig:
     quad = QuadratureConfig()
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+        text = _read_text(path, f"config {path}", UsageError)
         for line_no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -163,7 +185,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _curve_from_args(args) -> QiCurve:
+def _curve_from_args(args, quad: QuadratureConfig) -> QiCurve:
     kind = WindowKind(args.window)
     n = args.n if kind is WindowKind.TRAPEZOID else None
     if kind is not WindowKind.TRAPEZOID and args.n is not None:
@@ -176,6 +198,7 @@ def _curve_from_args(args) -> QiCurve:
         scale=args.scale,
         n=n,
         numeric=args.numeric,
+        cfg=quad,
         allow_unstable=args.allow_square,
     )
 
@@ -183,15 +206,16 @@ def _curve_from_args(args) -> QiCurve:
 def cmd_bound(args, quad: QuadratureConfig) -> int:
     if (args.ft is None) == (args.omega_t0 is None):
         raise UsageError("pass exactly one of --ft or --omega-t0")
-    curve = _curve_from_args(args)
+    curve = _curve_from_args(args, quad)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric, quad)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric, curve.cfg)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
-    csv_text = qi_bound.curve_csv(curve, grid, quad)
+    csv_text = qi_bound.curve_csv(curve, grid)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(csv_text, encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -233,9 +257,10 @@ def cmd_opa(args, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _parse_curves(ids) -> list[QiCurve]:
-    """The curves of ``analyze --curves`` and ``plot --curve``, blank ids
-    skipped; a square id, or two ids of one curve, is a usage error."""
+def _parse_curves(ids, quad: QuadratureConfig) -> list[QiCurve]:
+    """The curves of ``analyze --curves`` and ``plot --curve``, with the
+    quadrature budget ``quad``, blank ids skipped; a square id, or two ids
+    of one curve, is a usage error."""
     curves = {}
     for token in ids:
         token = token.strip()
@@ -244,7 +269,7 @@ def _parse_curves(ids) -> list[QiCurve]:
         if token.split("-")[0] == WindowKind.SQUARE.value:
             raise UsageError("the square window is mathematically unstable; square curves are "
                              "available only through `bound --window square --allow-square`")
-        curve = parse_curve_id(token)
+        curve = replace(parse_curve_id(token), cfg=quad)
         if curve.curve_id in curves:
             raise UsageError(f"curve {curve.curve_id} is named more than once")
         curves[curve.curve_id] = curve
@@ -255,18 +280,10 @@ def _parse_curves(ids) -> list[QiCurve]:
 
 def cmd_analyze(args, quad: QuadratureConfig) -> int:
     data = Path(args.data) if args.data else _shipped_dataset()
-    try:
-        records = meta.load_records(data)
-    except OSError as exc:
-        raise meta.DatasetError(f"cannot read {data}: {exc.strerror}") from None
-    curves = _parse_curves(args.curves.split(","))
+    records = meta.load_records(_read_text(data, str(data), meta.DatasetError))
+    curves = _parse_curves(args.curves.split(","), quad)
     fit_curves = curves if args.fit else None
-    report = meta.classify(
-        records, curves,
-        include_ideal=not args.no_ideal,
-        fit_curves=fit_curves,
-        cfg=quad,
-    )
+    report = meta.classify(records, curves, include_ideal=not args.no_ideal, fit_curves=fit_curves)
     if not records:
         print("warning: dataset is empty", file=sys.stderr)
     for skip in report.skipped:
@@ -284,7 +301,8 @@ def cmd_analyze(args, quad: QuadratureConfig) -> int:
         print(f"fit[{cid}]: envelope k = {fit.envelope_k:.6g}, "
               f"least-squares k = {fit.least_squares_k:.6g}")
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        with _writing(args.report):
+            Path(args.report).write_text(report.to_json(), encoding="utf-8")
         print(f"report written to {args.report}")
     return 0
 
@@ -293,15 +311,22 @@ def _points(xs: np.ndarray, ys: np.ndarray):
     return tuple(xs.tolist()), tuple(ys.tolist())
 
 
+_POINT_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
+
+
 def _report_points(path: str) -> svgfig.PointSet:
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise meta.DatasetError(f"cannot read report {path}: {exc.strerror}") from None
+    text = _read_text(path, f"report {path}", meta.DatasetError)
     try:
         report = meta.AnalysisReport.from_json(text)
-        rows = [r for r in report.per_record if math.isfinite(r.r_db_used)]
-    except (KeyError, TypeError, ValueError) as exc:
+        # a record at the -inf squeezing sentinel has no point to draw
+        rows = [r for r in report.per_record if r.r_db_used != -math.inf]
+        for r in rows:
+            for name in _POINT_FIELDS:
+                value = getattr(r, name)
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"record {r.record_id!r}: {name} is not a finite number: "
+                                     f"{value!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise meta.DatasetError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
     return svgfig.PointSet(
         label="experimental points",
@@ -362,13 +387,15 @@ def cmd_plot(args, quad: QuadratureConfig) -> int:
     else:
         fig = _FIGURES[args.fig] if args.fig is not None else _BoundFigure(
             "Bound curves", 0.005,
-            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve)), ideal=None)
+            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve, quad)),
+            ideal=None)
         grid = _plot_grid(args.grid_step, fig.grid_step)
+        # the presets are built at import, before the budget is known
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
             x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
-            curves=[svgfig.CurveTrace(
-                curve.curve_id, *_points(grid, qi_bound.sample_curve(curve, grid, quad)),
+            curves=[svgfig.CurveTrace(curve.curve_id, *_points(
+                grid, qi_bound.sample_curve(replace(curve, cfg=quad), grid)),
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:
@@ -376,7 +403,8 @@ def cmd_plot(args, quad: QuadratureConfig) -> int:
                                                  style=fig.ideal, width=2.2))
     if args.report:
         spec.points.append(_report_points(args.report))
-    svgfig.save_svg(spec, args.out)
+    with _writing(args.out):
+        svgfig.save_svg(spec, args.out)
     return 0
 
 

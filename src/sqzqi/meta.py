@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .opa import ideal_r_db
-from .qi_bound import QiCurve, QuadratureConfig, curve_csv, curve_value, samples_csv
+from .qi_bound import QiCurve, curve_csv, curve_value, samples_csv
 from .units import round_sig
 
 # Applied when a source gives no uncertainty; always flagged in the report.
@@ -291,7 +291,7 @@ def _q(x: float | None) -> float | None:
 
 
 def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
-           curve: QiCurve, cfg: QuadratureConfig | None) -> list[str]:
+           curve: QiCurve) -> list[str]:
     # Bound curves increase with ft, so the error rectangle sits entirely
     # below the curve iff its top-left corner does (and the bound diverges
     # to -inf as ft -> 0, so a rectangle reaching ft <= 0 can never be
@@ -300,8 +300,8 @@ def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
     hi_ft = np.minimum(ft + ft_err, 1.0)
     r_at_lo = np.full_like(ft, -np.inf)
     reach = lo_ft > 0
-    r_at_lo[reach] = curve_value(curve, lo_ft[reach], cfg)
-    r_at_hi = curve_value(curve, hi_ft, cfg)
+    r_at_lo[reach] = curve_value(curve, lo_ft[reach])
+    r_at_hi = curve_value(curve, hi_ft)
     # indices in RecordFlag's order, so that every row shares its value strings
     codes = np.select([r + s_err < r_at_lo, r - s_err >= r_at_hi], [0, 1], 2)
     values = [flag.value for flag in RecordFlag]
@@ -317,7 +317,6 @@ def classify(
     curves: list[QiCurve],
     include_ideal: bool = True,
     fit_curves: list[QiCurve] | None = None,
-    cfg: QuadratureConfig | None = None,
 ) -> AnalysisReport:
     """Classify every record against every curve; assemble the report.
 
@@ -365,12 +364,12 @@ def classify(
     r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
     for curve in curves:
         cid = curve.curve_id
-        below = r < curve_value(curve, ft, cfg)
-        flags = _flags(r, s_err, ft, ft_err, curve, cfg)
+        below = r < curve_value(curve, ft)
+        flags = _flags(r, s_err, ft, ft_err, curve)
         for row, violates, flag in zip(report.per_record, below, flags):
             row.violations[cid] = bool(violates)
             row.flags[cid] = flag
-        report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID, cfg)
+        report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
     if include_ideal:
         for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
             row.ideal_opa_exceeded = bool(exceeded)
@@ -382,7 +381,7 @@ def classify(
     # which fit_scale(records, ...) would reconcile them itself
     by_input = np.argsort(order)
     for curve in (fit_curves or []):
-        fit = _fit_columns(ft[by_input], r[by_input], curve, cfg)
+        fit = _fit_columns(ft[by_input], r[by_input], curve)
         report.fitted_scales[curve.curve_id] = ScaleFit(
             curve_id=fit.curve_id,
             envelope_k=_q(fit.envelope_k),
@@ -391,11 +390,7 @@ def classify(
     return report
 
 
-def fit_scale(
-    records: list[SqueezingRecord],
-    curve: QiCurve,
-    cfg: QuadratureConfig | None = None,
-) -> ScaleFit:
+def fit_scale(records: list[SqueezingRecord], curve: QiCurve) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
     The primary result is the envelope scale: the largest k in (0, 1]
@@ -408,18 +403,17 @@ def fit_scale(
     ft, r = np.array([(rec.ft, record.s_minus_db) for record in records
                       if (rec := reconcile_ft(record)) is not None
                       and record.s_minus_db is not None], dtype=float).reshape(-1, 2).T
-    return _fit_columns(ft, r, curve, cfg)
+    return _fit_columns(ft, r, curve)
 
 
-def _fit_columns(ft: np.ndarray, r: np.ndarray, curve: QiCurve,
-                 cfg: QuadratureConfig | None) -> ScaleFit:
+def _fit_columns(ft: np.ndarray, r: np.ndarray, curve: QiCurve) -> ScaleFit:
     """:func:`fit_scale` on the (F_T, depth) columns of the classifiable
     records, in input order."""
     if ft.size == 0:
         raise FitError("no classifiable records to fit")
 
     def violations(k: float) -> int:
-        return int(np.count_nonzero(r < curve_value(replace(curve, scale=k), ft, cfg)))
+        return int(np.count_nonzero(r < curve_value(replace(curve, scale=k), ft)))
 
     if violations(1.0) == 0:
         envelope = 1.0
@@ -436,7 +430,7 @@ def _fit_columns(ft: np.ndarray, r: np.ndarray, curve: QiCurve,
         envelope = lo
 
     def cost(k: float) -> float:
-        bound = np.maximum(curve_value(replace(curve, scale=k), ft, cfg), -60.0)
+        bound = np.maximum(curve_value(replace(curve, scale=k), ft), -60.0)
         return float(np.sum((r - bound) ** 2))
 
     return ScaleFit(curve_id=curve.curve_id, envelope_k=envelope,

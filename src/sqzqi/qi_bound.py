@@ -137,7 +137,8 @@ class QiCurve:
     curves need ``n``; square curves must opt in explicitly: the sharp
     window is mathematically unstable in the bound integrals (its spectrum
     decays only like 1/omega^2).  ``numeric`` evaluates even a closed-form
-    family's bound by quadrature.
+    family's bound by quadrature; ``cfg`` is the budget of every quadrature
+    the curve's evaluation takes.
     """
 
     window: WindowKind
@@ -145,6 +146,7 @@ class QiCurve:
     scale: float = 1.0
     n: float | None = None
     numeric: bool = False
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE
     allow_unstable: bool = False
 
     def __post_init__(self):
@@ -188,7 +190,10 @@ def parse_curve_id(curve_id: str) -> QiCurve:
             raise ValueError(f"malformed curve id token {tok!r} in {curve_id!r}")
         if key in values:
             raise ValueError(f"repeated curve id token {tok!r} in {curve_id!r}")
-        values[key] = float(tok[1:])
+        try:
+            values[key] = float(tok[1:])
+        except ValueError:
+            raise ValueError(f"malformed curve id token {tok!r} in {curve_id!r}") from None
     return QiCurve(window=window, variant=variant, scale=values.get("k", 1.0), n=values.get("n"))
 
 
@@ -464,16 +469,16 @@ def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0)
     return float_or_array(base)
 
 
-def curve_value(curve: QiCurve, ft, cfg: QuadratureConfig | None = None):
+def curve_value(curve: QiCurve, ft):
     """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
     ft = checked(ft, lambda f: (f > 0.0) & (f <= 1.0), "ft must lie in (0, 1]")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
-    return bound_value(curve.window, curve.n, arg, curve.numeric, cfg)
+    return bound_value(curve.window, curve.n, arg, curve.numeric, curve.cfg)
 
 
-def sample_curve(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> np.ndarray:
+def sample_curve(curve: QiCurve, fts) -> np.ndarray:
     """Evaluate a curve on a grid of F_T values, in input order."""
-    return curve_value(curve, np.atleast_1d(fts), cfg)
+    return curve_value(curve, np.atleast_1d(fts))
 
 
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"
@@ -486,10 +491,10 @@ def samples_csv(fts, values, curve_id: str, window: str, variant: str, scale: fl
     return "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
 
 
-def curve_csv(curve: QiCurve, fts, cfg: QuadratureConfig | None = None) -> str:
+def curve_csv(curve: QiCurve, fts) -> str:
     """CSV sampling of a curve, one row per grid point."""
     fts = np.atleast_1d(fts)
-    return samples_csv(fts, sample_curve(curve, fts, cfg), curve.curve_id, curve.window.value,
+    return samples_csv(fts, sample_curve(curve, fts), curve.curve_id, curve.window.value,
                        curve.variant.value, curve.scale)
 
 

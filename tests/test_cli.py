@@ -408,7 +408,18 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
     assert err.startswith("sqzqi: dataset error: ")
     assert "absent.json" in err
     assert not (tmp_path / "x.svg").exists()
-    for name, text in (("empty.json", "{}"), ("text.json", "not json")):
+    assert run(capsys, "analyze", "--report", str(tmp_path / "r.json"))[0] == 0
+    good = json.loads((tmp_path / "r.json").read_text())
+    listed = dict(good, fitted_scales=[])
+    malformed = [("empty.json", "{}"), ("text.json", "not json"),
+                 ("listed.json", json.dumps(listed))]
+    # a drawn field that is not a finite number (JSON as Python writes it)
+    for field, value in (("ft_used", "0.3"), ("r_db_used", None), ("ft_used", math.nan),
+                         ("ft_err_used", math.inf), ("s_err_db_used", True)):
+        bad = json.loads(json.dumps(good))
+        bad["per_record"][0][field] = value
+        malformed.append((f"{field}-{value}.json", json.dumps(bad)))
+    for name, text in malformed:
         (tmp_path / name).write_text(text)
         code, _, err = run(capsys, "plot", "--fig", "5", "--report", str(tmp_path / name),
                            "--out", str(tmp_path / "x.svg"))
@@ -534,6 +545,34 @@ def test_config_max_nodes_upper_limit_accepted(capsys, tmp_path):
     assert "R = -0.2022 dB" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound", "--window", "trapezoid", "--n", "0.2", "--ft", "0.1:0.3:0.1"),
+    ("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"),
+    # classify, its flags, the fit and the report's curve samples
+    ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2"),
+    ("plot", "--curve", "trapezoid-paper-n0.2", "--out", "{svg}"),
+    # the presets are built before any config file is read
+    ("plot", "--fig", "8", "--grid-step", "0.1", "--out", "{svg}"),
+], ids=["bound-ft", "bound-omega-t0", "analyze", "plot-curve", "plot-fig8"])
+@pytest.mark.parametrize("max_nodes", [None, 300])
+def test_config_budget_reaches_every_quadrature(capsys, tmp_path, monkeypatch, argv, max_nodes):
+    # at these F_T every budget converges: only a spy can see which one a bracket got
+    budgets = []
+    spectrum = qi_bound._bracket_spectrum
+
+    def spy(w, omega0, cfg):
+        budgets.append(cfg.max_subdivisions)
+        return spectrum(w, omega0, cfg)
+
+    monkeypatch.setattr(qi_bound, "_bracket_spectrum", spy)
+    config = tmp_path / "sqzqi.cfg"
+    config.write_text(f"quad.max_nodes = {max_nodes}\n")
+    options = ("--config", str(config)) if max_nodes else ()
+    code, _, err = run(capsys, *options, *(a.format(svg=tmp_path / "x.svg") for a in argv))
+    assert (code, "Traceback" in err) == (0, False)
+    assert budgets and set(budgets) == {max_nodes or 200}
+
+
 def test_config_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
                        "opa", "--ideal-bound", "0.2")
@@ -563,6 +602,39 @@ def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
                        "--report", str(report), "--out", str(marked))
     assert (code, err) == (0, "")
     assert marked.read_bytes() == plain.read_bytes()
+
+
+# --- files ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--window", "gaussian", "--ft", "0.1:0.2:0.1", "--out"),
+    ("plot", "--fig", "5", "--out"),
+    ("analyze", "--report"),
+], ids=["bound", "plot", "analyze"])
+@pytest.mark.parametrize("target", ["absent/x.out", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_output_exit_2(capsys, tmp_path, argv, target):
+    # a missing directory, and a directory in place of a file
+    path = str(tmp_path / target)
+    code, _, err = run(capsys, *argv, path)
+    assert code == 2
+    assert err.splitlines()[-1].startswith(f"sqzqi: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("analyze", "--data", "{bad}"), 4, "dataset error: cannot read {bad}"),
+    (("plot", "--fig", "5", "--report", "{bad}", "--out", "{svg}"), 4,
+     "dataset error: cannot read report {bad}"),
+    (("--config", "{bad}", "opa", "--ideal-bound", "0.2"), 2, "cannot read config {bad}"),
+])
+def test_non_utf8_input_names_the_file(capsys, tmp_path, argv, code, message):
+    bad, svg = tmp_path / "latin1.txt", tmp_path / "x.svg"
+    bad.write_bytes(HEADER.encode() + b"\nid,caf\xe9,,,,-3.0,3.0,,,,\n")
+    got, out, err = run(capsys, *(a.format(bad=bad, svg=svg) for a in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(f"sqzqi: {message.format(bad=bad)}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
+    assert not svg.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -637,11 +637,17 @@ def test_curve_id_round_trip():
                                               n=0.2, scale=0.25)
     for bad in ("gaussian", "gaussian-paperx", "box-paper", "gaussian-paper-z3",
                 "trapezoid-paper-nnan", "trapezoid-paper-ninf", "gaussian-paper-k5e",
-                "gaussian-paper-k5e-", "gaussian-paper-k-5", "gaussian-paper-",
+                "trapezoid-paper-nx", "gaussian-paper-k5e-", "gaussian-paper-k-5",
+                "gaussian-paper-",
                 # a repeated token is refused rather than the last one winning
                 "trapezoid-paper-n0.2-n0.3", "gaussian-paper-k0.5-k0.5"):
         with pytest.raises(ValueError):
             parse_curve_id(bad)
+    # a number that does not parse is named with its token and id
+    for bad, token in (("gaussian-paper-k5e", "k5e"), ("trapezoid-paper-nx", "nx")):
+        with pytest.raises(ValueError) as exc:
+            parse_curve_id(bad)
+        assert str(exc.value) == f"malformed curve id token {token!r} in {bad!r}"
 
 
 def test_curve_csv_format_and_sentinel():
