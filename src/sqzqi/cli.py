@@ -28,8 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import meta, opa, qi_bound, svgfig
-from .qi_bound import QiCurve, QuadratureConfig, QuadratureError, Variant, parse_curve_id
+# Only what every command needs loads here; each command imports ``meta``,
+# ``opa`` and ``svgfig`` when it runs them, which keeps start-up short.
+from . import qi_bound
+from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureConfig,
+                       QuadratureError, Variant, parse_curve_id)
 from .units import format_db, to_db
 from .windows import WindowKind
 
@@ -62,6 +65,14 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse, before any work, an output path that names a directory or
+    lies in a missing directory, with the error its write would give."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        with _writing(path):
+            open(path, "r+").close()  # raises; "r+" never creates or truncates
 
 
 def _load_config(path: str | None) -> QuadratureConfig:
@@ -165,8 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -1e-3`` as ``--opt=-1e-3``: argparse takes a negative number
+    in exponent form, or ``-inf``, for an option name.  No option of this
+    CLI looks like a number, so such a token can only be a value."""
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if (option.startswith("--") and option != "--" and "=" not in option
+                and token.startswith("-")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
@@ -174,10 +206,10 @@ def main(argv=None) -> int:
     try:
         quad = _load_config(args.config)
         return args.func(args, quad)
-    except (QuadratureError, qi_bound.ConsistencyError) as exc:
+    except (QuadratureError, ConsistencyError) as exc:
         print(f"sqzqi: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (meta.DatasetError, meta.FitError) as exc:
+    except (DatasetError, FitError) as exc:
         print(f"sqzqi: dataset error: {exc}", file=sys.stderr)
         return 4
     except (UsageError, ValueError) as exc:
@@ -212,6 +244,7 @@ def cmd_bound(args, quad: QuadratureConfig) -> int:
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
+    _check_output(args.out)
     csv_text = qi_bound.curve_csv(curve, grid)
     if args.out:
         with _writing(args.out):
@@ -222,6 +255,8 @@ def cmd_bound(args, quad: QuadratureConfig) -> int:
 
 
 def cmd_opa(args, quad: QuadratureConfig) -> int:
+    from . import opa
+
     did_something = False
     if args.ideal_bound is not None:
         ft = args.ideal_bound
@@ -279,8 +314,11 @@ def _parse_curves(ids, quad: QuadratureConfig) -> list[QiCurve]:
 
 
 def cmd_analyze(args, quad: QuadratureConfig) -> int:
+    from . import meta
+
+    _check_output(args.report)
     data = Path(args.data) if args.data else _shipped_dataset()
-    records = meta.load_records(_read_text(data, str(data), meta.DatasetError))
+    records = meta.load_records(_read_text(data, str(data), DatasetError))
     curves = _parse_curves(args.curves.split(","), quad)
     fit_curves = curves if args.fit else None
     report = meta.classify(records, curves, include_ideal=not args.no_ideal, fit_curves=fit_curves)
@@ -315,7 +353,9 @@ _POINT_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
 
 
 def _report_points(path: str) -> svgfig.PointSet:
-    text = _read_text(path, f"report {path}", meta.DatasetError)
+    from . import meta, svgfig
+
+    text = _read_text(path, f"report {path}", DatasetError)
     try:
         report = meta.AnalysisReport.from_json(text)
         # a record at the -inf squeezing sentinel has no point to draw
@@ -327,7 +367,7 @@ def _report_points(path: str) -> svgfig.PointSet:
                     raise ValueError(f"record {r.record_id!r}: {name} is not a finite number: "
                                      f"{value!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise meta.DatasetError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
+        raise DatasetError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
     return svgfig.PointSet(
         label="experimental points",
         x=tuple(r.ft_used for r in rows),
@@ -369,8 +409,11 @@ _FIGURES = {
 
 
 def cmd_plot(args, quad: QuadratureConfig) -> int:
+    from . import opa, svgfig
+
     if not (math.isfinite(args.db_floor) and args.db_floor < 0.0):
         raise UsageError(f"--db-floor must be a finite negative dB value, got {args.db_floor:g}")
+    _check_output(args.out)
     if args.fig == 4:  # S- against the pump ratio: no F_T grid
         if args.grid_step is not None:
             raise UsageError("--grid-step applies to F_T plots only; fig 4 has no F_T grid")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .opa import ideal_r_db
-from .qi_bound import QiCurve, curve_csv, curve_value, samples_csv
+from .qi_bound import DatasetError, FitError, QiCurve, curve_csv, curve_value, samples_csv
 from .units import round_sig
 
 # Applied when a source gives no uncertainty; always flagged in the report.
@@ -47,20 +47,6 @@ _CAVEATS = (
     "phase-noise corrections applied in some source fits are not modeled",
     "absent uncertainties default to 0.5 dB / 0.02 in F_T and are flagged per record",
 )
-
-
-class DatasetError(ValueError):
-    """Malformed dataset row; carries the 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class FitError(RuntimeError):
-    """No feasible envelope scale exists (malformed data)."""
 
 
 class FtMethod(enum.Enum):

@@ -94,6 +94,22 @@ class ConsistencyError(RuntimeError):
     """The bound bracket left its mathematically admissible range."""
 
 
+# Raised by the meta-analysis; defined here so that the CLI maps them to
+# exit 4 without importing ``meta``.
+class DatasetError(ValueError):
+    """Malformed dataset row; carries the 1-based line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class FitError(RuntimeError):
+    """No feasible envelope scale exists (malformed data)."""
+
+
 class Variant(enum.Enum):
     """Argument convention of the F_T -> omega0*t0 mapping."""
 

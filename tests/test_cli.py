@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sqzqi
-from sqzqi import opa, qi_bound
+from sqzqi import meta, opa, qi_bound
 from sqzqi.cli import main
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
 
@@ -494,6 +494,28 @@ def test_plot_db_floor_must_be_finite_and_negative(capsys, tmp_path, floor):
     assert not out.exists()
 
 
+# argparse alone reads a negative value in exponent form, or -inf, as an
+# option name; written with a space it must reach the option all the same
+@pytest.mark.parametrize("argv, code, expected", [
+    (("opa", "--x", "0.5", "--beta", "0.9", "--theta", "-1e-3"), 0,
+     ("opa", "--x", "0.5", "--beta", "0.9", "--theta=-1e-3")),
+    (("plot", "--fig", "5", "--db-floor", "-inf", "--out", "{svg}"), 2,
+     "sqzqi: --db-floor must be a finite negative dB value, got -inf\n"),
+    (("bound", "--window", "gaussian", "--scale", "-1e-3", "--ft", "0.1:0.2:0.1"), 2,
+     "sqzqi: scale must be a positive real, got -0.001\n"),
+], ids=["theta", "db-floor", "scale"])
+def test_negative_value_after_a_space(capsys, tmp_path, argv, code, expected):
+    svg = tmp_path / "x.svg"
+    got, out, err = run(capsys, *(a.format(svg=svg) for a in argv))
+    assert got == code
+    if code == 0:
+        assert (out, err) == run(capsys, *expected)[1:]
+        assert out.startswith("S(theta=-0.001) = ")
+    else:
+        assert (out, err) == ("", expected)
+        assert not svg.exists()
+
+
 # --- config ------------------------------------------------------------------------
 
 def test_config_plot_floor_applies(capsys, tmp_path):
@@ -612,11 +634,17 @@ def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
     ("analyze", "--report"),
 ], ids=["bound", "plot", "analyze"])
 @pytest.mark.parametrize("target", ["absent/x.out", "."], ids=["no-dir", "a-dir"])
-def test_unwritable_output_exit_2(capsys, tmp_path, argv, target):
-    # a missing directory, and a directory in place of a file
+def test_unwritable_output_exit_2(capsys, monkeypatch, tmp_path, argv, target):
+    # a missing directory, and a directory in place of a file, are refused
+    # before any work: nothing is classified, sampled or printed
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the output was checked")
+
+    monkeypatch.setattr(meta, "classify", never)
+    monkeypatch.setattr(qi_bound, "sample_curve", never)
     path = str(tmp_path / target)
-    code, _, err = run(capsys, *argv, path)
-    assert code == 2
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith(f"sqzqi: cannot write {path}: ")
     assert "Traceback" not in err
 
@@ -645,12 +673,13 @@ def test_help_exits_zero(capsys):
 # --- start-up ----------------------------------------------------------------------
 
 # Runs a statement that sets ``code`` (by default one command of the CLI) in
-# a fresh interpreter, then prints the SciPy modules it loaded as the last
-# line of stdout.
-SCIPY_PROBE = """
+# a fresh interpreter, then prints the SciPy modules it loaded and, on the
+# last line of stdout, the sqzqi modules it loaded.
+MODULE_PROBE = """
 import sys
 {statement}
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(" ".join(sorted(m.removeprefix("sqzqi.") for m in sys.modules if m.startswith("sqzqi."))))
 sys.exit(code)
 """
 CLI_COMMAND = """
@@ -659,49 +688,72 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 """
 
 
-def scipy_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> set[str]:
+def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str], set[str]]:
+    """(SciPy modules, sqzqi submodules without the package prefix) loaded."""
     src = str(Path(sqzqi.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = SCIPY_PROBE.format(statement=statement)
+    probe = MODULE_PROBE.format(statement=statement)
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    scipy, own = proc.stdout.splitlines()[-2:]
+    return set(scipy.split()), set(own.split())
+
+
+CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every command
 
 
 # No command loads SciPy: the closed forms and the Gauss-Kronrod bracket of
 # every closed-form spectrum (--numeric, the square and trapezoid windows)
-# run on NumPy.
-@pytest.mark.parametrize("argv", [
-    (),  # import sqzqi.cli alone
-    ("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"),
-    ("plot", "--fig", "4", "--out", "fig.svg"),
-    ("plot", "--fig", "6", "--out", "fig.svg"),
-    ("opa", "--x", "0.8", "--beta", "0.975", "--extremes"),
-    ("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"),
-    ("plot", "--fig", "5", "--out", "fig.svg"),
-    ("plot", "--fig", "7", "--out", "fig.svg"),
-    ("analyze", "--report", "report.json"),
-    ("analyze", "--fit", "--report", "report.json"),
-    ("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"),
-    ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
-    ("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"),
-    ("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"),
-    ("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"),
+# run on NumPy.  The same probe checks that each command loads only the
+# sqzqi modules it runs: `bound` needs neither the meta-analysis nor the
+# SVG writer.
+@pytest.mark.parametrize("argv, extra", [
+    ((), set()),  # import sqzqi.cli alone
+    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set()),
+    (("plot", "--fig", "4", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("plot", "--fig", "6", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), {"opa"}),
+    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), set()),
+    (("plot", "--fig", "5", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("plot", "--fig", "5", "--report", "report.json", "--out", "fig.svg"),
+     {"opa", "svgfig", "meta"}),
+    (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("analyze", "--report", "report.json"), {"opa", "meta"}),
+    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}),
+    (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
+     {"opa", "meta"}),
+    (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set()),
+    (("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"), set()),
+    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set()),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
-        "plot-5", "plot-7", "analyze", "analyze-fit", "plot-8", "analyze-fit-trapezoid",
-        "bound-trapezoid", "bound-numeric", "bound-square"])
-def test_startup_loads_only_the_scipy_its_path_needs(tmp_path, argv):
-    assert scipy_loaded_by(tmp_path, *argv) == set()
+        "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
+        "analyze-fit-trapezoid", "bound-trapezoid", "bound-numeric", "bound-square"])
+def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
+    if "--report" in argv and argv[0] == "plot":
+        assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
+    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra)
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    assert modules_loaded_by(tmp_path, statement="import sqzqi\ncode = 0") == (set(), set())
+
+
+def test_dataset_errors_are_defined_once():
+    # the CLI maps them to exit 4 through qi_bound, without loading meta
+    assert meta.DatasetError is qi_bound.DatasetError
+    assert meta.FitError is qi_bound.FitError
 
 
 def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
     # the tests' window-definition quadrature runs on scipy.integrate
-    loaded = scipy_loaded_by(tmp_path, statement=f"""
+    scipy, _ = modules_loaded_by(tmp_path, statement=f"""
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from oracles import bracket
-from sqzqi import gaussian_window
+from sqzqi.windows import gaussian_window
 code = 0 if 0.0 < bracket(gaussian_window(1.0), 1.0)[0] < 1.0 else 1
 """)
-    assert "scipy.integrate" in loaded
+    assert "scipy.integrate" in scipy
