@@ -12,9 +12,9 @@ convergence or a failed self-check), 4 dataset error.  A ``--config``
 file (``key=value`` lines) understands one key, ``quad.max_nodes`` (the
 quadrature subdivision limit); a missing or non-UTF-8 file, an unknown
 key, or a value that does not parse or is out of range, is a usage error,
-and so is an output file that cannot be written.  A ``--data`` or
-``plot --report`` file that cannot be read, is not UTF-8 or is malformed
-is a dataset error.
+and so is an output file that cannot be written or an option that the
+command would ignore.  A ``--data`` or ``plot --report`` file that cannot
+be read, is not UTF-8 or is malformed is a dataset error.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opa", help="evaluate the OPA variance model")
     p.add_argument("--x", type=float, help="pump ratio P/P_th in (0,1)")
     p.add_argument("--beta", type=float, help="optical efficiency in (0,1]")
-    p.add_argument("--w", type=float, default=0.0, help="sideband frequency omega/gamma")
+    p.add_argument("--w", type=float, help="sideband frequency omega/gamma (default 0)")
     p.add_argument("--theta", type=float, help="quadrature phase (rad)")
     p.add_argument("--extremes", action="store_true",
                    help="print extremal variances, their product, and F_T")
@@ -238,6 +238,8 @@ def _curve_from_args(args, quad: QuadratureConfig) -> QiCurve:
 def cmd_bound(args, quad: QuadratureConfig) -> int:
     if (args.ft is None) == (args.omega_t0 is None):
         raise UsageError("pass exactly one of --ft or --omega-t0")
+    if args.omega_t0 is not None and args.out is not None:
+        raise UsageError("--out applies to --ft only; --omega-t0 prints one value")
     curve = _curve_from_args(args, quad)
     if args.omega_t0 is not None:
         r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric, curve.cfg)
@@ -257,6 +259,13 @@ def cmd_bound(args, quad: QuadratureConfig) -> int:
 def cmd_opa(args, quad: QuadratureConfig) -> int:
     from . import opa
 
+    if args.extremes or args.ft or args.theta is not None:
+        if args.x is None or args.beta is None:
+            raise UsageError("--x and --beta are required for model evaluation")
+    elif (args.x, args.beta, args.w) != (None, None, None):
+        raise UsageError("--x, --beta and --w apply only with --theta, --extremes or --ft")
+    w = 0.0 if args.w is None else args.w
+
     did_something = False
     if args.ideal_bound is not None:
         ft = args.ideal_bound
@@ -267,24 +276,21 @@ def cmd_opa(args, quad: QuadratureConfig) -> int:
         s = 1.0 if ft == 0.5 else opa.ideal_bound(ft)
         print(f"ideal OPA bound at F_T={ft:g}: S- = {s:.6g} ({format_db(to_db(s))} dB)")
         did_something = True
-    if args.extremes or args.ft or args.theta is not None:
-        if args.x is None or args.beta is None:
-            raise UsageError("--x and --beta are required for model evaluation")
     if args.theta is not None:
-        p = opa.OpaParams(x=args.x, beta=args.beta, w=args.w, theta=args.theta)
+        p = opa.OpaParams(x=args.x, beta=args.beta, w=w, theta=args.theta)
         s = opa.variance(p)
         print(f"S(theta={args.theta:g}) = {s:.6g} ({format_db(to_db(s))} dB)")
         did_something = True
     if args.extremes:
-        point = opa.extremes(args.x, args.beta, args.w)
-        product = opa.extremal_product(args.x, args.beta, args.w)
+        point = opa.extremes(args.x, args.beta, w)
+        product = opa.extremal_product(args.x, args.beta, w)
         print(f"S- = {point.s_minus:.6g} ({format_db(to_db(point.s_minus))} dB)")
         print(f"S+ = {point.s_plus:.6g} ({format_db(to_db(point.s_plus))} dB)")
         print(f"S-*S+ = {product:.6g}")
         print(f"F_T = {point.ft:.6g}")
         did_something = True
     elif args.ft:
-        ft = opa.squeezed_fraction(args.x, args.beta, args.w)
+        ft = opa.squeezed_fraction(args.x, args.beta, w)
         print(f"F_T = {ft:.6g}")
         did_something = True
     if not did_something:

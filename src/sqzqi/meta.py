@@ -13,8 +13,10 @@ Dataset format: CSV with header
 
 UTF-8 (a leading BOM is skipped), ``#`` comment lines permitted, absent values are empty fields.
 Reports serialize to JSON with all numbers quantized to 6 significant
-digits at assembly time, so serialization round-trips losslessly; the
--inf squeezing sentinel is carried as the string "-inf".
+digits at assembly time, so serialization round-trips losslessly.  A
+numeric field at the -inf squeezing sentinel is carried as the string
+"-inf", and only a numeric field reads that string back as -inf: a
+record id or a reason "-inf" stays a string.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,43 +234,74 @@ class AnalysisReport:
     caveats: list[str] = field(default_factory=lambda: list(_CAVEATS))
 
     def to_json(self) -> str:
-        return json.dumps(_encode(self), indent=2, sort_keys=True) + "\n"
+        """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+        it, plus a newline; a -inf numeric field as the sentinel "-inf"."""
+        fits = {cid: {k: _sentinel(v) for k, v in vars(fit).items()}
+                for cid, fit in self.fitted_scales.items()}
+        text = json.dumps(dict(vars(self), per_record=[], fitted_scales=fits,
+                               method_agreement_rms=_sentinel(self.method_agreement_rms)),
+                          indent=2, sort_keys=True) + "\n"
+        if not self.per_record:
+            return text
+        # Each row fills the template of its layout (its curve ids in order
+        # and its count of assumed fields): json.dumps of such a row with
+        # every value 0, each 0 that ends a line made a %s slot (no key ends
+        # a line, and no encoded text holds a newline).
+        head, tail = text.split('\n  "per_record": []')
+        templates = {}
+        rows = []
+        for r in self.per_record:
+            layout = (tuple(r.flags), tuple(r.violations), len(r.assumed_error_fields))
+            if layout not in templates:
+                skeleton = json.dumps(dict(
+                    dict.fromkeys(vars(r), 0), flags=dict.fromkeys(r.flags, 0),
+                    violations=dict.fromkeys(r.violations, 0),
+                    assumed_error_fields=[0] * layout[2]), indent=2, sort_keys=True)
+                templates[layout] = sorted(r.flags), sorted(r.violations), "    " + (
+                    skeleton.replace("%", "%%").replace("0,\n", "%s,\n")
+                    .replace("0\n", "%s\n").replace("\n", "\n    "))
+            flags, violations, template = templates[layout]
+            rows.append(template % tuple(_value_lines([
+                *r.assumed_error_fields, *map(r.flags.get, flags),
+                *map(_sentinel, (r.ft_discrepancy, r.ft_err_used, r.ft_method, r.ft_used,
+                                 r.ideal_opa_exceeded, r.r_db_used, r.record_id,
+                                 r.s_err_db_used)),
+                *map(r.violations.get, violations)])[1:-1].split("\n")))
+        rows[0] = head + '\n  "per_record": [\n' + rows[0]
+        rows[-1] += "\n  ]" + tail
+        return ",\n".join(rows)
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        raw = _decode(json.loads(text))
+        raw = _numbers(json.loads(text))
         report = cls(
             skipped=raw["skipped"],
             method_agreement_rms=raw["method_agreement_rms"],
             curve_samples=raw["curve_samples"],
             caveats=raw["caveats"],
         )
-        report.per_record = [RecordResult(**r) for r in raw["per_record"]]
-        report.fitted_scales = {k: ScaleFit(**v) for k, v in raw["fitted_scales"].items()}
+        report.per_record = [RecordResult(**_numbers(r)) for r in raw["per_record"]]
+        report.fitted_scales = {k: ScaleFit(**_numbers(v)) for k, v in raw["fitted_scales"].items()}
         return report
 
 
-def _encode(obj):
-    """A report as JSON-ready dicts and lists (what ``asdict`` would give,
-    without its deep copy), the -inf sentinel as the string "-inf"."""
-    if isinstance(obj, float):
-        return "-inf" if obj == -math.inf else obj
-    if isinstance(obj, dict):
-        return {k: _encode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_encode(v) for v in obj]
-    if is_dataclass(obj):
-        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+# The numeric fields, the only ones that carry the -inf sentinel.
+_NUMBERS = ("ft_discrepancy", "ft_err_used", "ft_used", "r_db_used", "s_err_db_used",
+            "method_agreement_rms", "envelope_k", "least_squares_k")
+
+# Values one a line: the C encoder, since no encoded value holds a newline.
+_value_lines = json.JSONEncoder(separators=("\n", ":")).encode
 
 
-def _decode(obj):
-    if isinstance(obj, dict):
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
-    if obj == "-inf":
-        return -math.inf
+def _sentinel(value):
+    return "-inf" if value == -math.inf else value
+
+
+def _numbers(obj: dict) -> dict:
+    """A decoded object, its numeric fields read back from the sentinel."""
+    for name in _NUMBERS:
+        if obj.get(name) == "-inf":
+            obj[name] = -math.inf
     return obj
 
 

@@ -109,6 +109,20 @@ def no_arange(*args, **kwargs):
     raise AssertionError("the grid was built before its size was checked")
 
 
+def test_bound_omega_t0_refuses_out(capsys, monkeypatch, tmp_path):
+    # --omega-t0 prints one value; an --out it ignored would write nothing
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the options were checked")
+
+    monkeypatch.setattr(qi_bound, "bound_value", never)
+    path = tmp_path / "o.csv"
+    code, out, err = run(capsys, "bound", "--window", "gaussian", "--omega-t0", "1",
+                         "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "sqzqi: --out applies to --ft only; --omega-t0 prints one value\n"
+    assert not path.exists()
+
+
 def test_bound_usage_errors(capsys, monkeypatch):
     assert run(capsys, "bound", "--window", "gaussian")[0] == 2  # no grid/arg
     assert run(capsys, "bound", "--window", "gaussian",
@@ -203,6 +217,30 @@ def test_opa_usage_errors(capsys):
     assert run(capsys, "opa", "--extremes")[0] == 2  # missing x/beta
     assert run(capsys, "opa", "--x", "1.5", "--beta", "1", "--extremes")[0] == 2
     assert run(capsys, "opa", "--ideal-bound", "0.7")[0] == 2
+
+
+@pytest.mark.parametrize("options", [
+    ("--x", "0.5", "--beta", "0.9"), ("--x", "0.5"), ("--beta", "0.9"), ("--w", "0"),
+    ("--x", "0.5", "--beta", "0.9", "--w", "0.3")])
+@pytest.mark.parametrize("ideal", [("--ideal-bound", "0.2"), ()], ids=["ideal-bound", "alone"])
+def test_opa_refuses_model_options_with_no_model_evaluation(capsys, options, ideal):
+    # --x, --beta and --w feed --theta, --extremes and --ft only
+    code, out, err = run(capsys, "opa", *ideal, *options)
+    assert (code, out) == (2, "")
+    assert err == "sqzqi: --x, --beta and --w apply only with --theta, --extremes or --ft\n"
+
+
+@pytest.mark.parametrize("evaluation", [("--theta", "0.3"), ("--extremes",), ("--ft",)])
+def test_opa_ideal_bound_with_a_model_evaluation(capsys, evaluation):
+    ideal = "ideal OPA bound at F_T=0.2: S- = 0.105573 (-9.7645 dB)\n"
+    model = ("--x", "0.5", "--beta", "0.9")
+    code, out, _ = run(capsys, "opa", "--ideal-bound", "0.2", *model, "--w", "0.3", *evaluation)
+    assert code == 0
+    assert out.startswith(ideal)
+    # --w applies, and an absent --w is 0
+    assert out != run(capsys, "opa", "--ideal-bound", "0.2", *model, *evaluation)[1]
+    assert run(capsys, "opa", "--ideal-bound", "0.2", *model, *evaluation)[1] == run(
+        capsys, "opa", "--ideal-bound", "0.2", *model, "--w", "0", *evaluation)[1]
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -415,7 +453,8 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
                  ("listed.json", json.dumps(listed))]
     # a drawn field that is not a finite number (JSON as Python writes it)
     for field, value in (("ft_used", "0.3"), ("r_db_used", None), ("ft_used", math.nan),
-                         ("ft_err_used", math.inf), ("s_err_db_used", True)):
+                         ("ft_err_used", math.inf), ("s_err_db_used", True),
+                         ("ft_used", "-inf"), ("s_err_db_used", "-inf")):
         bad = json.loads(json.dumps(good))
         bad["per_record"][0][field] = value
         malformed.append((f"{field}-{value}.json", json.dumps(bad)))

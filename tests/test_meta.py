@@ -1,8 +1,11 @@
 """Dataset ingestion, F_T reconciliation, classification, envelope fits."""
 
+import hashlib
 import json
 import math
 import random
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from sqzqi import meta
+from sqzqi.cli import DEFAULT_CURVES
 from sqzqi.meta import (
     DATASET_COLUMNS,
     DEFAULT_FT_ERR,
@@ -23,6 +27,7 @@ from sqzqi.meta import (
     FtMethod,
     RecordFlag,
     RecordResult,
+    ScaleFit,
     SqueezingRecord,
     classify,
     fit_scale,
@@ -331,6 +336,121 @@ def test_report_serializes_sentinel_as_string():
     assert '"-inf"' in text
     parsed = AnalysisReport.from_json(text)
     assert parsed.per_record[0].r_db_used == -math.inf
+
+
+def test_report_sentinel_is_read_only_in_numeric_fields():
+    report = classify([SqueezingRecord(id="-inf", s_minus_db=-3.0, s_plus_db=3.0)], [GAUSS_PAPER])
+    report.skipped.append({"id": "-inf", "reason": "-inf"})
+    report.caveats.append("-inf")
+    parsed = AnalysisReport.from_json(report.to_json())
+    assert parsed == report
+    assert parsed.per_record[0].record_id == "-inf"
+    assert parsed.skipped[-1] == {"id": "-inf", "reason": "-inf"}
+
+
+def json_module_report(report: AnalysisReport) -> str:
+    """The report as the json module writes it, the reference for ``to_json``:
+    its dataclasses as dicts, each -inf float as the sentinel "-inf"."""
+    def sentinel(obj):
+        if isinstance(obj, dict):
+            return {k: sentinel(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [sentinel(v) for v in obj]
+        return "-inf" if isinstance(obj, float) and obj == -math.inf else obj
+
+    return json.dumps(sentinel(asdict(report)), indent=2, sort_keys=True) + "\n"
+
+
+# ids, reasons and caveats: the sentinel's own text, quotes, backslashes,
+# control and non-ASCII characters, and "%", "0", ":" and "," (the row
+# templates are %-formats made from a row of zeros)
+texts = st.just("-inf") | st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f%0:,-é€\U0001f600') | st.characters(), max_size=8)
+# -inf is the sentinel; NaN would defeat the round trip's equality
+numbers = st.none() | st.just(-math.inf) | st.integers(-10**20, 10**20) | st.floats(allow_nan=False)
+
+
+@st.composite
+def reports(draw) -> AnalysisReport:
+    # curve ids in drawn order, unsorted; each row keys its flags and
+    # violations by some of them, in an order of its own
+    curve_ids = draw(st.lists(texts, unique=True, max_size=4))
+    some_ids = st.lists(st.sampled_from(curve_ids), unique=True) if curve_ids else st.just([])
+    rows = draw(st.lists(st.builds(
+        RecordResult,
+        record_id=texts, ft_used=numbers, ft_method=texts, r_db_used=numbers,
+        s_err_db_used=numbers, ft_err_used=numbers,
+        violations=some_ids.flatmap(lambda ids: st.fixed_dictionaries(
+            {cid: st.booleans() for cid in ids})),
+        flags=some_ids.flatmap(lambda ids: st.fixed_dictionaries({cid: texts for cid in ids})),
+        ideal_opa_exceeded=st.none() | st.booleans(), ft_discrepancy=numbers,
+        assumed_error_fields=st.lists(texts, max_size=2)), max_size=4))
+    return AnalysisReport(
+        per_record=rows,
+        skipped=draw(st.lists(st.fixed_dictionaries({"id": texts, "reason": texts}), max_size=2)),
+        method_agreement_rms=draw(numbers),
+        fitted_scales=draw(st.dictionaries(texts, st.builds(
+            ScaleFit, curve_id=texts, envelope_k=numbers, least_squares_k=numbers), max_size=2)),
+        curve_samples=draw(st.dictionaries(texts, texts, max_size=2)),
+        caveats=draw(st.lists(texts, max_size=2)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_report_writer_matches_the_json_module(report):
+    text = report.to_json()
+    assert text == json_module_report(report)
+    assert AnalysisReport.from_json(text) == report
+
+
+@pytest.mark.parametrize("value, written", [
+    (math.nan, "NaN"), (math.inf, "Infinity"), (np.float64(0.1), "0.1"), (True, "true")])
+def test_report_writer_scalars_match_the_json_module(value, written):
+    report = AnalysisReport(per_record=[RecordResult(
+        record_id="a", ft_used=value, ft_method="formula", r_db_used=-3.0, s_err_db_used=0.5,
+        ft_err_used=0.02, violations={}, flags={}, ideal_opa_exceeded=None,
+        ft_discrepancy=None, assumed_error_fields=[])])
+    text = report.to_json()
+    assert f'"ft_used": {written},' in text
+    assert text == json_module_report(report)
+
+
+def test_report_writer_refuses_what_json_cannot_write():
+    report = classify(vah_like_records(), [GAUSS_PAPER])
+    report.per_record[0].violations["gaussian-paper"] = np.bool_(True)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report.to_json()
+
+
+def test_shipped_dataset_fit_report_bytes_are_pinned():
+    # the bytes of `analyze --fit --report`; the benchmark's report digest
+    # re-reads the JSON, so it cannot see a change of whitespace or escaping
+    curves = [parse_curve_id(cid) for cid in DEFAULT_CURVES.split(",")]
+    report = classify(load_records(DATASET), curves, fit_curves=curves)
+    text = report.to_json()
+    assert text == json_module_report(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "9a9d56d27d32c12c799f01df00f5b13ea53669e40e5edd42448f6c42b652b7b7")
+
+
+def test_report_writer_peak_memory_is_a_small_multiple_of_its_text():
+    rng = random.Random(7)
+    curve_ids = DEFAULT_CURVES.split(",")
+    report = AnalysisReport(per_record=[RecordResult(
+        record_id=f"r{i:05d}", ft_used=round(rng.uniform(0.01, 0.5), 6), ft_method="formula",
+        r_db_used=round(rng.uniform(-12.0, -0.1), 6), s_err_db_used=0.5, ft_err_used=0.02,
+        violations={cid: rng.random() < 0.5 for cid in curve_ids},
+        flags={cid: rng.choice(list(RecordFlag)).value for cid in curve_ids},
+        ideal_opa_exceeded=False, ft_discrepancy=None,
+        assumed_error_fields=["s_err_db", "ft_err"][:i % 3]) for i in range(5000)])
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_report_numbers_have_six_significant_digits():
