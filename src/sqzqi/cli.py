@@ -8,11 +8,10 @@ Subcommands::
     sqzqi plot     emit a deterministic SVG figure (presets 4-8)
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
-convergence or a failed self-check), 4 dataset error.  A ``--config``
-file (``key=value`` lines) understands one key, ``quad.max_nodes`` (the
-quadrature subdivision limit); a missing or non-UTF-8 file, an unknown
-key, or a value that does not parse or is out of range, is a usage error,
-and so is an output file that cannot be written or an option that the
+convergence or a failed self-check), 4 dataset error.  ``--max-intervals
+N`` sets the Gauss-Kronrod intervals (21 nodes each) a quadrature bound
+may use per phase argument; an N outside 10..100000 is a usage error, and
+so is an output file that cannot be written or an option that the
 command would ignore.  A ``--data`` or ``plot --report`` file that cannot
 be read, is not UTF-8 or is malformed is a dataset error.
 """
@@ -31,8 +30,8 @@ import numpy as np
 # Only what every command needs loads here; each command imports ``meta``,
 # ``opa`` and ``svgfig`` when it runs them, which keeps start-up short.
 from . import qi_bound
-from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureConfig,
-                       QuadratureError, Variant, parse_curve_id)
+from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureError,
+                       Variant, parse_curve_id)
 from .units import format_db, to_db
 from .windows import WindowKind
 
@@ -46,16 +45,16 @@ class UsageError(ValueError):
     pass
 
 
-def _read_text(path: str | Path, name: str, error: type[Exception]) -> str:
+def _read_text(path: str | Path, name: str) -> str:
     """The UTF-8 text of ``path``, a leading byte-order mark skipped; a file
-    that cannot be read, or is not UTF-8, raises ``error`` naming it ``name``."""
+    that cannot be read, or is not UTF-8, is a dataset error naming it ``name``."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         reason = exc.strerror
     except UnicodeDecodeError as exc:
         reason = str(exc)
-    raise error(f"cannot read {name}: {reason}") from None
+    raise DatasetError(f"cannot read {name}: {reason}") from None
 
 
 @contextmanager
@@ -73,27 +72,6 @@ def _check_output(path: str | None) -> None:
     if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
         with _writing(path):
             open(path, "r+").close()  # raises; "r+" never creates or truncates
-
-
-def _load_config(path: str | None) -> QuadratureConfig:
-    quad = QuadratureConfig()
-    if path:
-        text = _read_text(path, f"config {path}", UsageError)
-        for line_no, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key != "quad.max_nodes":
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            try:
-                quad = QuadratureConfig(max_subdivisions=int(value))
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: {key}: {exc}") from None
-    return quad
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -127,7 +105,8 @@ def _shipped_dataset() -> Path:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sqzqi", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--max-intervals", type=int, default=qi_bound.MAX_INTERVALS, metavar="N",
+                        help="quadrature intervals per bound (10..100000, default 200)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="sample a bound curve or evaluate one argument")
@@ -158,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a squeezing dataset")
     p.add_argument("--data", help="dataset CSV (default: shipped records)")
     p.add_argument("--curves", default=DEFAULT_CURVES, help="comma-separated curve ids")
-    p.add_argument("--no-ideal", action="store_true", help="skip the lossless-OPA comparison")
     p.add_argument("--fit", action="store_true", help="fit envelope scales for each curve")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=cmd_analyze)
@@ -204,10 +182,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        quad = _load_config(args.config)
-        return args.func(args, quad)
+        qi_bound.check_max_intervals(args.max_intervals)
+        return args.func(args)
     except (QuadratureError, ConsistencyError) as exc:
-        print(f"sqzqi: numeric failure: {exc}", file=sys.stderr)
+        # a finite error estimate may shrink with more intervals; a
+        # non-finite bracket does not
+        achieved = getattr(exc, "achieved", None)  # set on QuadratureError
+        hint = ("; a larger --max-intervals may help"
+                if achieved is not None and math.isfinite(achieved) else "")
+        print(f"sqzqi: numeric failure: {exc}{hint}", file=sys.stderr)
         return 3
     except (DatasetError, FitError) as exc:
         print(f"sqzqi: dataset error: {exc}", file=sys.stderr)
@@ -217,9 +200,8 @@ def main(argv=None) -> int:
         return 2
 
 
-def _curve_from_args(args, quad: QuadratureConfig) -> QiCurve:
+def _curve_from_args(args) -> QiCurve:
     kind = WindowKind(args.window)
-    n = args.n if kind is WindowKind.TRAPEZOID else None
     if kind is not WindowKind.TRAPEZOID and args.n is not None:
         raise UsageError("--n only applies to the trapezoid window")
     if kind is WindowKind.SQUARE and not args.allow_square:
@@ -228,21 +210,22 @@ def _curve_from_args(args, quad: QuadratureConfig) -> QiCurve:
         window=kind,
         variant=Variant(args.variant),
         scale=args.scale,
-        n=n,
+        n=args.n,
         numeric=args.numeric,
-        cfg=quad,
+        max_intervals=args.max_intervals,
         allow_unstable=args.allow_square,
     )
 
 
-def cmd_bound(args, quad: QuadratureConfig) -> int:
+def cmd_bound(args) -> int:
     if (args.ft is None) == (args.omega_t0 is None):
         raise UsageError("pass exactly one of --ft or --omega-t0")
     if args.omega_t0 is not None and args.out is not None:
         raise UsageError("--out applies to --ft only; --omega-t0 prints one value")
-    curve = _curve_from_args(args, quad)
+    curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric, curve.cfg)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric,
+                                 curve.max_intervals)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
@@ -256,7 +239,7 @@ def cmd_bound(args, quad: QuadratureConfig) -> int:
     return 0
 
 
-def cmd_opa(args, quad: QuadratureConfig) -> int:
+def cmd_opa(args) -> int:
     from . import opa
 
     if args.extremes or args.ft or args.theta is not None:
@@ -298,10 +281,10 @@ def cmd_opa(args, quad: QuadratureConfig) -> int:
     return 0
 
 
-def _parse_curves(ids, quad: QuadratureConfig) -> list[QiCurve]:
+def _parse_curves(ids, max_intervals: int) -> list[QiCurve]:
     """The curves of ``analyze --curves`` and ``plot --curve``, with the
-    quadrature budget ``quad``, blank ids skipped; a square id, or two ids
-    of one curve, is a usage error."""
+    quadrature budget ``max_intervals``, blank ids skipped; a square id, or
+    two ids of one curve, is a usage error."""
     curves = {}
     for token in ids:
         token = token.strip()
@@ -310,7 +293,7 @@ def _parse_curves(ids, quad: QuadratureConfig) -> list[QiCurve]:
         if token.split("-")[0] == WindowKind.SQUARE.value:
             raise UsageError("the square window is mathematically unstable; square curves are "
                              "available only through `bound --window square --allow-square`")
-        curve = replace(parse_curve_id(token), cfg=quad)
+        curve = replace(parse_curve_id(token), max_intervals=max_intervals)
         if curve.curve_id in curves:
             raise UsageError(f"curve {curve.curve_id} is named more than once")
         curves[curve.curve_id] = curve
@@ -319,15 +302,14 @@ def _parse_curves(ids, quad: QuadratureConfig) -> list[QiCurve]:
     return list(curves.values())
 
 
-def cmd_analyze(args, quad: QuadratureConfig) -> int:
+def cmd_analyze(args) -> int:
     from . import meta
 
     _check_output(args.report)
     data = Path(args.data) if args.data else _shipped_dataset()
-    records = meta.load_records(_read_text(data, str(data), DatasetError))
-    curves = _parse_curves(args.curves.split(","), quad)
-    fit_curves = curves if args.fit else None
-    report = meta.classify(records, curves, include_ideal=not args.no_ideal, fit_curves=fit_curves)
+    records = meta.load_records(_read_text(data, str(data)))
+    curves = _parse_curves(args.curves.split(","), args.max_intervals)
+    report = meta.classify(records, curves, fit_curves=curves if args.fit else None)
     if not records:
         print("warning: dataset is empty", file=sys.stderr)
     for skip in report.skipped:
@@ -336,9 +318,8 @@ def cmd_analyze(args, quad: QuadratureConfig) -> int:
     for cid in (curve.curve_id for curve in curves):
         count = sum(1 for r in report.per_record if r.violations[cid])
         print(f"violations[{cid}]: {count}/{len(report.per_record)}")
-    if not args.no_ideal:
-        exceeded = sum(1 for r in report.per_record if r.ideal_opa_exceeded)
-        print(f"ideal-opa exceeded: {exceeded}/{len(report.per_record)}")
+    exceeded = sum(1 for r in report.per_record if r.ideal_opa_exceeded)
+    print(f"ideal-opa exceeded: {exceeded}/{len(report.per_record)}")
     if report.method_agreement_rms is not None:
         print(f"F_T method agreement (rms): {100 * report.method_agreement_rms:.1f}%")
     for cid, fit in report.fitted_scales.items():
@@ -361,7 +342,7 @@ _POINT_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
 def _report_points(path: str) -> svgfig.PointSet:
     from . import meta, svgfig
 
-    text = _read_text(path, f"report {path}", DatasetError)
+    text = _read_text(path, f"report {path}")
     try:
         report = meta.AnalysisReport.from_json(text)
         # a record at the -inf squeezing sentinel has no point to draw
@@ -414,7 +395,7 @@ _FIGURES = {
 }
 
 
-def cmd_plot(args, quad: QuadratureConfig) -> int:
+def cmd_plot(args) -> int:
     from . import opa, svgfig
 
     if not (math.isfinite(args.db_floor) and args.db_floor < 0.0):
@@ -434,9 +415,10 @@ def cmd_plot(args, quad: QuadratureConfig) -> int:
                                       *_points(xs, to_db(opa.s_minus(xs, 1.0, 0.0))))],
         )
     else:
+        budget = args.max_intervals
         fig = _FIGURES[args.fig] if args.fig is not None else _BoundFigure(
             "Bound curves", 0.005,
-            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve, quad)),
+            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve, budget)),
             ideal=None)
         grid = _plot_grid(args.grid_step, fig.grid_step)
         # the presets are built at import, before the budget is known
@@ -444,7 +426,7 @@ def cmd_plot(args, quad: QuadratureConfig) -> int:
             title=fig.title, x_label="F_T", y_label="R (dB)",
             x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
             curves=[svgfig.CurveTrace(curve.curve_id, *_points(
-                grid, qi_bound.sample_curve(replace(curve, cfg=quad), grid)),
+                grid, qi_bound.sample_curve(replace(curve, max_intervals=budget), grid)),
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:

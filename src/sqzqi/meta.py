@@ -334,7 +334,6 @@ FIT_TOL = 1e-6
 def classify(
     records: list[SqueezingRecord],
     curves: list[QiCurve],
-    include_ideal: bool = True,
     fit_curves: list[QiCurve] | None = None,
 ) -> AnalysisReport:
     """Classify every record against every curve; assemble the report.
@@ -389,11 +388,10 @@ def classify(
             row.violations[cid] = bool(violates)
             row.flags[cid] = flag
         report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
-    if include_ideal:
-        for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
-            row.ideal_opa_exceeded = bool(exceeded)
-        report.curve_samples["ideal-opa"] = samples_csv(
-            DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
+    for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
+        row.ideal_opa_exceeded = bool(exceeded)
+    report.curve_samples["ideal-opa"] = samples_csv(
+        DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
     # the fit takes the same columns back in input order, the order in

@@ -12,7 +12,8 @@ The square and trapezoid bounds, and every family's with ``numeric=True``
 (``--numeric``), are a quadrature: the family's closed-form spectrum
 integrated in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-the omega0 of a call together, in blocks.
+the omega0 of a call together, in blocks, each omega0 within a budget of
+``max_intervals`` intervals (default :data:`MAX_INTERVALS`).
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -66,23 +67,16 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Budget of a quadrature bound bracket: the Gauss-Kronrod intervals
-    allowed per bracket (per element of an omega0 array).  Its tolerances
-    are :data:`ABS_TOL` and :data:`BOUND_TOL`."""
-
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-        # the Gauss-Kronrod interval arrays grow in proportion to the limit
-        if self.max_subdivisions > 100_000:
-            raise ValueError("max_subdivisions must be at most 100000")
+# The default budget of a quadrature bracket: the Gauss-Kronrod intervals,
+# of 21 nodes each, it may use per element of an omega0 array.
+MAX_INTERVALS = 200
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
+def check_max_intervals(max_intervals) -> None:
+    """ValueError unless ``max_intervals`` is an integer in 10..100,000 (the
+    interval arrays grow in proportion to the budget)."""
+    if not (isinstance(max_intervals, (int, np.integer)) and 10 <= max_intervals <= 100_000):
+        raise ValueError(f"max_intervals must be an integer in 10..100000, got {max_intervals!r}")
 
 
 def _erf(z: np.ndarray) -> np.ndarray:
@@ -153,8 +147,8 @@ class QiCurve:
     curves need ``n``; square curves must opt in explicitly: the sharp
     window is mathematically unstable in the bound integrals (its spectrum
     decays only like 1/omega^2).  ``numeric`` evaluates even a closed-form
-    family's bound by quadrature; ``cfg`` is the budget of every quadrature
-    the curve's evaluation takes.
+    family's bound by quadrature; ``max_intervals`` is the budget of every
+    quadrature the curve's evaluation takes.
     """
 
     window: WindowKind
@@ -162,13 +156,14 @@ class QiCurve:
     scale: float = 1.0
     n: float | None = None
     numeric: bool = False
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    max_intervals: int = MAX_INTERVALS
     allow_unstable: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale}")
         SamplingWindow(self.window, 1.0, self.n)  # checks n
+        check_max_intervals(self.max_intervals)
         if self.window is WindowKind.SQUARE and not self.allow_unstable:
             raise ValueError(
                 "the square window is mathematically unstable in the bound "
@@ -311,7 +306,7 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
     return resk * half, est, floor
 
 
-def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
+def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
     """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
     every element of ``omega0``: (bracket, error), each of its shape.
 
@@ -320,17 +315,17 @@ def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConf
     ``_BLOCK_INTERVALS``: memory stays bounded whatever the grid size.
     """
     flat = omega0.ravel()
-    size = max(1, _BLOCK_INTERVALS // cfg.max_subdivisions)
+    size = max(1, _BLOCK_INTERVALS // max_intervals)
     blocks = np.array_split(flat, max(1, -(-flat.size // size)))
     # omega0 or the trapezoid's u*L past the float range makes a bracket
     # inf or NaN, which _check_bracket turns into QuadratureError
     with np.errstate(over="ignore", invalid="ignore"):
-        bracket, error = (np.concatenate(column)
-                          for column in zip(*[_gauss_kronrod(w, b, cfg) for b in blocks]))
+        bracket, error = (np.concatenate(column) for column in
+                          zip(*[_gauss_kronrod(w, b, max_intervals) for b in blocks]))
     return bracket.reshape(omega0.shape), error.reshape(omega0.shape)
 
 
-def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig):
+def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
     """(bracket, error) of :func:`_bracket_spectrum` for a 1-d block.
 
     Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
@@ -345,7 +340,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
     each element whose summed error exceeds max(ABS_TOL, 1e-11 *
     |integral|), the intervals whose error exceeds their share of that
     tolerance (by length) and is not the rounding floor.  An element that
-    would outgrow ``cfg.max_subdivisions`` intervals bisects only as many
+    would outgrow ``max_intervals`` intervals bisects only as many
     of those as its budget has room for, largest error first.  It stops
     with the error it has when only floors are left or its budget is spent;
     the caller's ``_check_bracket`` then raises QuadratureError, with that
@@ -374,7 +369,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, cfg: QuadratureConfig)
         split = active & (est > floor) & (est * omega0[owner] > tol[owner] * (hi - lo))
         # within its remaining budget, an element bisects its largest errors
         # first; owner is sorted, so each element's candidates are contiguous
-        room = cfg.max_subdivisions - np.bincount(owner, minlength=omega0.size)
+        room = max_intervals - np.bincount(owner, minlength=omega0.size)
         candidates = np.flatnonzero(split)
         candidates = candidates[np.lexsort((-est[candidates], owner[candidates]))]
         by = owner[candidates]
@@ -403,26 +398,22 @@ _CLOSED_FORMS = {
 }
 
 
-def _bracket(w: SamplingWindow, omega0, cfg: QuadratureConfig, numeric: bool):
+def _bracket(w: SamplingWindow, omega0, numeric: bool, max_intervals: int = MAX_INTERVALS):
     """(bracket, error estimate) at omega0, a float or an array, each of the
     same shape.
 
     A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
     error estimate, unless ``numeric``; every other call one adaptive
     quadrature of the closed-form spectrum per block of elements of
-    ``omega0``.
+    ``omega0``, each element within ``max_intervals`` intervals.
     """
     omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
     if not numeric and w.kind in _CLOSED_FORMS:
         return _CLOSED_FORMS[w.kind](omega0 * w.t0), 0.0
-    return _bracket_spectrum(w, omega0, cfg)
+    return _bracket_spectrum(w, omega0, max_intervals)
 
 
-def numeric_bound_detail(
-    w: SamplingWindow,
-    mu: SpectralFunction,
-    cfg: QuadratureConfig | None = None,
-) -> BoundResult:
+def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult:
     """Bound evaluation with bracket diagnostics, by quadrature, which
     every family supports.
 
@@ -436,15 +427,14 @@ def numeric_bound_detail(
     integrals (a Gauss-Hermite sum over one array of omega_p), confirming
     numerically that the cancellation holds to lowest order in delta_omega.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        bracket, err = _bracket(w, mu.omega0, cfg, True)
+        bracket, err = _bracket(w, mu.omega0, True)
     else:
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket(w, omega_p, cfg, True)
+        brackets, errs = _bracket(w, omega_p, True)
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
     _check_bracket(bracket, err)
@@ -452,20 +442,16 @@ def numeric_bound_detail(
                        bracket_error=float(err))
 
 
-def bound_value(
-    kind: WindowKind,
-    n: float | None,
-    omega_t0,
-    numeric: bool = False,
-    cfg: QuadratureConfig | None = None,
-):
+def bound_value(kind: WindowKind, n: float | None, omega_t0, numeric: bool = False,
+                max_intervals: int = MAX_INTERVALS):
     """R (dB) of a window family at the phase argument omega0*t0, in closed
-    form where the family has one, else (or if ``numeric``) by quadrature;
-    a bracket at or below the floor gives the -inf sentinel either way."""
-    cfg = cfg or DEFAULT_QUADRATURE
+    form where the family has one, else (or if ``numeric``) by quadrature
+    within ``max_intervals`` intervals per element; a bracket at or below
+    the floor gives the -inf sentinel either way."""
+    check_max_intervals(max_intervals)
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
-    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, cfg, numeric)
+    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, numeric, max_intervals)
     _check_bracket(bracket, err)
     return _floored_db(bracket)
 
@@ -489,7 +475,7 @@ def curve_value(curve: QiCurve, ft):
     """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
     ft = checked(ft, lambda f: (f > 0.0) & (f <= 1.0), "ft must lie in (0, 1]")
     arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
-    return bound_value(curve.window, curve.n, arg, curve.numeric, curve.cfg)
+    return bound_value(curve.window, curve.n, arg, curve.numeric, curve.max_intervals)
 
 
 def sample_curve(curve: QiCurve, fts) -> np.ndarray:

@@ -143,12 +143,10 @@ def test_bound_usage_errors(capsys, monkeypatch):
     assert err == "sqzqi: a step of 1e-09 gives more than 1000000 grid points\n"
 
 
-def test_bound_numeric_failure_exit_code(capsys, tmp_path):
-    # a long oscillatory range with almost no subdivision budget cannot
+def test_bound_numeric_failure_exit_code(capsys):
+    # a long oscillatory range with almost no interval budget cannot
     # certify its error estimate
-    config = tmp_path / "strict.cfg"
-    config.write_text("quad.max_nodes=10\n")
-    code, _, err = run(capsys, "--config", str(config), "bound", "--window", "square",
+    code, _, err = run(capsys, "--max-intervals", "10", "bound", "--window", "square",
                        "--allow-square", "--omega-t0", "200", "--numeric")
     assert code == 3
     assert "numeric failure" in err
@@ -168,6 +166,8 @@ def test_bound_trapezoid_narrow_peak_exit_code(capsys, n, omega_t0, achieved):
                          "--omega-t0", omega_t0)
     assert (code, out) == (3, "")
     assert re.search(rf"bound quadrature did not converge \(achieved error estimate {achieved}\)", err)
+    # more intervals can only help an error estimate that is finite
+    assert err.endswith("; a larger --max-intervals may help\n") == (achieved != "inf")
 
 
 # --- opa -----------------------------------------------------------------------
@@ -555,55 +555,41 @@ def test_negative_value_after_a_space(capsys, tmp_path, argv, code, expected):
         assert not svg.exists()
 
 
-# --- config ------------------------------------------------------------------------
+# --- quadrature budget -------------------------------------------------------------
 
-def test_config_plot_floor_applies(capsys, tmp_path):
-    # the plot floor is set by --db-floor alone: a config file naming it is refused
-    config = tmp_path / "sqzqi.cfg"
-    config.write_text("# plotting\nplot.db_floor = -20\n")
-    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    code, _, err = run(capsys, "--config", str(config), "plot", "--fig", "5", "--out", str(b))
-    assert code == 2
-    assert "unknown config key" in err
-    assert not b.exists()
-    run(capsys, "plot", "--fig", "5", "--out", str(a))
-    assert run(capsys, "plot", "--fig", "5", "--db-floor", "-20", "--out", str(b))[0] == 0
-    assert a.read_bytes() != b.read_bytes()
-
-
-def test_config_unknown_key_rejected(capsys, tmp_path):
-    config = tmp_path / "bad.cfg"
-    # quad.rel_tol is not a key: no bound integral reads a relative tolerance
-    for line in ("quad.bogus=1\n", "quad.rel_tol=0.1\n"):
-        config.write_text(line)
-        code, _, err = run(capsys, "--config", str(config), "opa", "--ideal-bound", "0.2")
-        assert code == 2
-        assert "unknown config key" in err
-
-
-@pytest.mark.parametrize("line, message", [
-    ("quad.max_nodes=abc", "quad.max_nodes: invalid literal for int()"),
-    ("quad.max_nodes=5", "quad.max_nodes: max_subdivisions must be at least 10"),
-    # QUADPACK would overflow, or ask for gigabytes of workspace
-    ("quad.max_nodes=99999999999", "quad.max_nodes: max_subdivisions must be at most 100000"),
-])
-def test_config_bad_value_names_file_line_and_key(capsys, tmp_path, line, message):
-    config = tmp_path / "bad.cfg"
-    config.write_text(f"# quadrature\n{line}\n")
-    code, out, err = run(capsys, "--config", str(config), "bound", "--window", "gaussian",
+@pytest.mark.parametrize("value", ["abc", "5", "-5", "100001", "99999999999", "2.5"])
+def test_max_intervals_bad_value_exit_2(capsys, value):
+    code, out, err = run(capsys, "--max-intervals", value, "bound", "--window", "gaussian",
                          "--omega-t0", "1", "--numeric")
     assert (code, out) == (2, "")
-    assert err.startswith(f"sqzqi: {config}:2: {message}")
-    assert err.count("\n") == 1
+    assert value in err and "Traceback" not in err
 
 
-def test_config_max_nodes_upper_limit_accepted(capsys, tmp_path):
-    config = tmp_path / "wide.cfg"
-    config.write_text("quad.max_nodes=100000\n")
-    code, out, _ = run(capsys, "--config", str(config), "bound", "--window", "gaussian",
+def test_max_intervals_refused_before_any_work(capsys, monkeypatch):
+    # opa takes no quadrature, but a bad budget is refused all the same
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the budget was checked")
+
+    monkeypatch.setattr(opa, "ideal_bound", never)
+    code, out, err = run(capsys, "--max-intervals", "5", "opa", "--ideal-bound", "0.2")
+    assert (code, out) == (2, "")
+    assert err == "sqzqi: max_intervals must be an integer in 10..100000, got 5\n"
+
+
+def test_max_intervals_upper_limit_accepted(capsys):
+    code, out, _ = run(capsys, "--max-intervals", "100000", "bound", "--window", "gaussian",
                        "--omega-t0", "1", "--numeric")
     assert code == 0
     assert "R = -0.2022 dB" in out
+
+
+def test_max_intervals_reaches_a_square_bound(capsys):
+    # square at omega0*t0 = 2500 needs more than the default 200 intervals
+    argv = ("bound", "--window", "square", "--allow-square", "--omega-t0", "2500")
+    assert run(capsys, *argv)[0] == 3
+    code, out, _ = run(capsys, "--max-intervals", "300", *argv)
+    assert code == 0
+    assert out.startswith("R = -0.0011 dB")
 
 
 @pytest.mark.parametrize("argv", [
@@ -612,34 +598,25 @@ def test_config_max_nodes_upper_limit_accepted(capsys, tmp_path):
     # classify, its flags, the fit and the report's curve samples
     ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2"),
     ("plot", "--curve", "trapezoid-paper-n0.2", "--out", "{svg}"),
-    # the presets are built before any config file is read
+    # the presets are built at import, before the budget is known
     ("plot", "--fig", "8", "--grid-step", "0.1", "--out", "{svg}"),
 ], ids=["bound-ft", "bound-omega-t0", "analyze", "plot-curve", "plot-fig8"])
-@pytest.mark.parametrize("max_nodes", [None, 300])
-def test_config_budget_reaches_every_quadrature(capsys, tmp_path, monkeypatch, argv, max_nodes):
+@pytest.mark.parametrize("max_intervals", [None, 300])
+def test_config_budget_reaches_every_quadrature(capsys, tmp_path, monkeypatch, argv,
+                                                max_intervals):
     # at these F_T every budget converges: only a spy can see which one a bracket got
     budgets = []
     spectrum = qi_bound._bracket_spectrum
 
-    def spy(w, omega0, cfg):
-        budgets.append(cfg.max_subdivisions)
-        return spectrum(w, omega0, cfg)
+    def spy(w, omega0, max_intervals):
+        budgets.append(max_intervals)
+        return spectrum(w, omega0, max_intervals)
 
     monkeypatch.setattr(qi_bound, "_bracket_spectrum", spy)
-    config = tmp_path / "sqzqi.cfg"
-    config.write_text(f"quad.max_nodes = {max_nodes}\n")
-    options = ("--config", str(config)) if max_nodes else ()
+    options = ("--max-intervals", str(max_intervals)) if max_intervals else ()
     code, _, err = run(capsys, *options, *(a.format(svg=tmp_path / "x.svg") for a in argv))
     assert (code, "Traceback" in err) == (0, False)
-    assert budgets and set(budgets) == {max_nodes or 200}
-
-
-def test_config_missing_file_exit_2(capsys, tmp_path):
-    code, _, err = run(capsys, "--config", str(tmp_path / "absent.cfg"),
-                       "opa", "--ideal-bound", "0.2")
-    assert code == 2
-    assert "absent.cfg" in err
-    assert "Traceback" not in err
+    assert budgets and set(budgets) == {max_intervals or 200}
 
 
 def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
@@ -656,11 +633,9 @@ def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
     assert run(capsys, "plot", "--fig", "5", "--report", str(report),
                "--out", str(plain))[0] == 0
     report.write_text(bom + report.read_text(encoding="utf-8"), encoding="utf-8")
-    config = tmp_path / "sqzqi.cfg"
-    config.write_text(bom + "quad.max_nodes = 200\n", encoding="utf-8")
     marked = tmp_path / "marked.svg"
-    code, _, err = run(capsys, "--config", str(config), "plot", "--fig", "5",
-                       "--report", str(report), "--out", str(marked))
+    code, _, err = run(capsys, "plot", "--fig", "5", "--report", str(report),
+                       "--out", str(marked))
     assert (code, err) == (0, "")
     assert marked.read_bytes() == plain.read_bytes()
 
@@ -692,7 +667,6 @@ def test_unwritable_output_exit_2(capsys, monkeypatch, tmp_path, argv, target):
     (("analyze", "--data", "{bad}"), 4, "dataset error: cannot read {bad}"),
     (("plot", "--fig", "5", "--report", "{bad}", "--out", "{svg}"), 4,
      "dataset error: cannot read report {bad}"),
-    (("--config", "{bad}", "opa", "--ideal-bound", "0.2"), 2, "cannot read config {bad}"),
 ])
 def test_non_utf8_input_names_the_file(capsys, tmp_path, argv, code, message):
     bad, svg = tmp_path / "latin1.txt", tmp_path / "x.svg"
@@ -702,6 +676,31 @@ def test_non_utf8_input_names_the_file(capsys, tmp_path, argv, code, message):
     assert err.startswith(f"sqzqi: {message.format(bad=bad)}: 'utf-8' codec can't decode byte 0xe9")
     assert err.count("\n") == 1
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    # square at omega0*t0 past about 2.0e3 does not converge in 200 intervals
+    (("bound", "--window", "square", "--allow-square", "--scale", "1000", "--ft", "0.5:1:0.1",
+      "--out", "{out}"), 3),
+    (("analyze", "--data", "{bad}", "--report", "{out}"), 4),
+    (("plot", "--fig", "5", "--report", "{bad}", "--out", "{out}"), 4),
+], ids=["bound", "analyze", "plot"])
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+def test_failed_run_leaves_its_output_alone(capsys, tmp_path, argv, code, existing):
+    # an output is written whole or not at all: a failed run neither
+    # truncates an existing file nor creates a missing one
+    bad, target = tmp_path / "bad.csv", tmp_path / "out.txt"
+    bad.write_text(HEADER + "\nr1,ref,abc,,,-3.0,3.0,,,,\n")  # neither a dataset nor a report
+    before = b"an earlier output\n\x00\xff"
+    if existing:
+        target.write_bytes(before)
+    got, out, err = run(capsys, *(a.format(bad=bad, out=target) for a in argv))
+    assert (got, out) == (code, "")
+    assert "Traceback" not in err
+    if existing:
+        assert target.read_bytes() == before
+    else:
+        assert not target.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -25,10 +25,8 @@ from sqzqi import qi_bound
 from sqzqi.qi_bound import (
     BOUND_TOL,
     BRACKET_FLOOR,
-    DEFAULT_QUADRATURE,
     ConsistencyError,
     QiCurve,
-    QuadratureConfig,
     QuadratureError,
     SpectralFunction,
     SpectralShape,
@@ -98,7 +96,7 @@ ARGS = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0]
 def test_closed_form_gaussian_vs_series(arg):
     # the library's closed-form bracket, erf(sqrt(2)*arg), to 1e-14 absolute
     z = math.sqrt(2.0) * arg
-    bracket, err = _bracket(gaussian_window(1.0), arg, DEFAULT_QUADRATURE, False)
+    bracket, err = _bracket(gaussian_window(1.0), arg, False)
     assert float(bracket) == pytest.approx(erf_series(z), abs=1e-14) and err == 0.0
     expected = db(erf_series(z))
     assert bound_value(WindowKind.GAUSSIAN, None, arg) == pytest.approx(expected, abs=1e-10)
@@ -107,7 +105,7 @@ def test_closed_form_gaussian_vs_series(arg):
 @pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3)])
 def test_closed_form_gaussian_keeps_the_shape(shape):
     omega0 = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
-    bracket, _ = _bracket(gaussian_window(1.0), omega0, DEFAULT_QUADRATURE, False)
+    bracket, _ = _bracket(gaussian_window(1.0), omega0, False)
     assert bracket.shape == shape
     want = [math.erf(math.sqrt(2.0) * o) for o in omega0.ravel().tolist()]
     assert bracket.ravel().tolist() == want
@@ -201,7 +199,7 @@ def test_oracle_bracket_matches_closed_form_or_raises(kind):
     # the window.
     w = SamplingWindow(kind, 1.0)
     omega0 = np.logspace(-6.0, math.log10(50.0), 15)
-    closed, _ = _bracket(w, omega0, DEFAULT_QUADRATURE, False)
+    closed, _ = _bracket(w, omega0, False)
     certified = 0
     for o, want in zip(omega0.tolist(), closed.tolist()):
         try:
@@ -230,7 +228,7 @@ def test_floor_holds_for_every_method(kind):
     for numeric in (False, True):
         assert bound_value(kind, None, 1e-16, numeric) == -math.inf
         r = bound_value(kind, None, 1e-15, numeric)
-        bracket, _ = _bracket(w, 1e-15, DEFAULT_QUADRATURE, numeric)
+        bracket, _ = _bracket(w, 1e-15, numeric)
         assert math.isfinite(r) and to_db(bracket) == r
         brackets.append(bracket)
     assert brackets[1] == pytest.approx(brackets[0], rel=4 * np.finfo(float).eps)
@@ -287,7 +285,7 @@ def test_square_bracket_vs_si_oracle(omega0_dt):
 
 def test_square_spectrum_bracket_vs_si_oracle_sweep():
     omega0 = np.logspace(-3.0, math.log10(50.0), 60)
-    bracket, _ = _bracket(square_window(1.0), omega0, DEFAULT_QUADRATURE, True)
+    bracket, _ = _bracket(square_window(1.0), omega0, True)
     for o, b in zip(omega0.tolist(), bracket.tolist()):
         assert b == pytest.approx(square_bracket_oracle(o), rel=1e-13), o
 
@@ -359,7 +357,7 @@ def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
     windows = [trapezoid_window(1.0, n) for n in TRAPEZOID_FAMILY]
     windows += [gaussian_window(1.0), lorentzian_sq_window(1.0), square_window(1.0)]
     for w in windows:
-        bracket, err = _bracket(w, omega0, DEFAULT_QUADRATURE, True)
+        bracket, err = _bracket(w, omega0, True)
         for o, b in zip(omega0.tolist(), bracket.tolist()):
             val, _ = integrate.quad(lambda u: sqrt_ft_squared(w, u), 0.0, o,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)
@@ -463,13 +461,12 @@ def test_trapezoid_bracket_interval_budget():
     # too few intervals leave an honest, large error estimate, which the
     # bound gate turns into QuadratureError
     w = trapezoid_window(1.0, 5.0)
-    bracket, err = _bracket(w, 50.0, DEFAULT_QUADRATURE, True)
-    small = QuadratureConfig(max_subdivisions=10)
-    coarse, coarse_err = _bracket(w, 50.0, small, True)
+    bracket, err = _bracket(w, 50.0, True)
+    coarse, coarse_err = _bracket(w, 50.0, True, 10)
     assert err < 1e-12 and BOUND_TOL < coarse_err
     assert abs(coarse - bracket) <= coarse_err
     with pytest.raises(QuadratureError) as exc:
-        bound_value(WindowKind.TRAPEZOID, 5.0, 50.0, cfg=small)
+        bound_value(WindowKind.TRAPEZOID, 5.0, 50.0, max_intervals=10)
     assert exc.value.achieved == pytest.approx(float(coarse_err))
 
 
@@ -479,10 +476,27 @@ def test_small_budget_keeps_the_fine_start(budget, n, omega0):
     # it, one rule spanned [16pi/c, omega0] here and claimed an error
     # thousands of times below its actual one.
     w = trapezoid_window(1.0, n)
-    ref, ref_err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=20_000), True)
-    bracket, err = _bracket(w, omega0, QuadratureConfig(max_subdivisions=budget), True)
+    ref, ref_err = _bracket(w, omega0, True, 20_000)
+    bracket, err = _bracket(w, omega0, True, budget)
     assert ref_err < 1e-11
     assert abs(bracket - ref) <= err
+
+
+@pytest.mark.parametrize("budget", [9, 100_001, -5, 200.0, "200", True, None],
+                         ids=["9", "100001", "-5", "float", "str", "bool", "None"])
+def test_interval_budget_outside_its_range_raises(budget):
+    # a curve refuses the budget when it is built, bound_value when it is called
+    match = r"max_intervals must be an integer in 10\.\.100000"
+    with pytest.raises(ValueError, match=match):
+        QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, max_intervals=budget)
+    with pytest.raises(ValueError, match=match):
+        bound_value(WindowKind.GAUSSIAN, None, 1.0, max_intervals=budget)
+
+
+@pytest.mark.parametrize("budget", [10, 100_000, np.int64(300)])
+def test_interval_budget_limits_accepted(budget):
+    curve = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, numeric=True, max_intervals=budget)
+    assert curve_value(curve, 0.3) == bound_value(WindowKind.GAUSSIAN, None, 0.3 * math.pi, True)
 
 
 def test_square_window_bracket_convergence_diagnostic():
@@ -587,7 +601,7 @@ def test_method_table(kind, numeric):
     n = 0.2 if kind is WindowKind.TRAPEZOID else None
     w = SamplingWindow(kind, 1.0, n)
     curve = QiCurve(kind, Variant.WITH_PI, n=n, numeric=numeric, allow_unstable=True)
-    bracket, err = _bracket(w, 1.0, DEFAULT_QUADRATURE, numeric)
+    bracket, err = _bracket(w, 1.0, numeric)
     assert bound_value(kind, n, 1.0, numeric) == to_db(bracket)
     assert curve_value(curve, 1.0 / math.pi) == to_db(bracket)
     detail = numeric_bound_detail(w, SpectralFunction(omega0=1.0))
