@@ -247,9 +247,10 @@ def cmd_opa(args) -> int:
             raise UsageError("--x and --beta are required for model evaluation")
     elif (args.x, args.beta, args.w) != (None, None, None):
         raise UsageError("--x, --beta and --w apply only with --theta, --extremes or --ft")
+    elif args.ideal_bound is None:
+        raise UsageError("nothing to do: pass --extremes, --ft, --theta or --ideal-bound")
     w = 0.0 if args.w is None else args.w
 
-    did_something = False
     if args.ideal_bound is not None:
         ft = args.ideal_bound
         # the library keeps the open domain; the CLI accepts the 0.5
@@ -258,12 +259,10 @@ def cmd_opa(args) -> int:
             raise UsageError(f"--ideal-bound takes F_T in (0, 0.5], got {ft}")
         s = 1.0 if ft == 0.5 else opa.ideal_bound(ft)
         print(f"ideal OPA bound at F_T={ft:g}: S- = {s:.6g} ({format_db(to_db(s))} dB)")
-        did_something = True
     if args.theta is not None:
         p = opa.OpaParams(x=args.x, beta=args.beta, w=w, theta=args.theta)
         s = opa.variance(p)
         print(f"S(theta={args.theta:g}) = {s:.6g} ({format_db(to_db(s))} dB)")
-        did_something = True
     if args.extremes:
         point = opa.extremes(args.x, args.beta, w)
         product = opa.extremal_product(args.x, args.beta, w)
@@ -271,13 +270,9 @@ def cmd_opa(args) -> int:
         print(f"S+ = {point.s_plus:.6g} ({format_db(to_db(point.s_plus))} dB)")
         print(f"S-*S+ = {product:.6g}")
         print(f"F_T = {point.ft:.6g}")
-        did_something = True
     elif args.ft:
         ft = opa.squeezed_fraction(args.x, args.beta, w)
         print(f"F_T = {ft:.6g}")
-        did_something = True
-    if not did_something:
-        raise UsageError("nothing to do: pass --extremes, --ft, --theta or --ideal-bound")
     return 0
 
 

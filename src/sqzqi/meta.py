@@ -87,11 +87,10 @@ class SqueezingRecord:
         if not self.id:
             raise ValueError("record id must be non-empty")
         if self.s_minus_db is not None and self.s_plus_db is not None:
-            if not (self.s_minus_db < 0.0 < self.s_plus_db):
-                raise ValueError(
-                    f"record {self.id}: need s_minus_db < 0 < s_plus_db, "
-                    f"got ({self.s_minus_db}, {self.s_plus_db})"
-                )
+            try:
+                ft_from_extremes(self.s_minus_db, self.s_plus_db)
+            except ValueError as exc:
+                raise ValueError(f"record {self.id}: {exc}") from None
         if self.x is not None and not (0.0 < self.x < 1.0):
             raise ValueError(f"record {self.id}: x={self.x} outside (0, 1)")
         if self.beta is not None and not (0.0 < self.beta <= 1.0):
@@ -163,13 +162,20 @@ def ft_from_extremes(s_minus_db: float, s_plus_db: float) -> float:
     """Squeezed fraction from extremal variances given in dB.
 
     Converts to linear ratios and applies
-    F_T = 1 - (2/pi) * arctan sqrt((S+ - 1)/(1 - S-)).
+    F_T = 1 - (2/pi) * arctan sqrt((S+ - 1)/(1 - S-)), which must lie in
+    (0, 1) as an explicit ``ft_formula`` must.
     """
     if not (s_minus_db < 0.0 < s_plus_db):
         raise ValueError(f"need s_minus_db < 0 < s_plus_db, got ({s_minus_db}, {s_plus_db})")
-    sm = 10.0 ** (s_minus_db / 10.0)
-    sp = 10.0 ** (s_plus_db / 10.0)
-    return 1.0 - (2.0 / math.pi) * math.atan(math.sqrt((sp - 1.0) / (1.0 - sm)))
+    try:
+        sm = 10.0 ** (s_minus_db / 10.0)
+        sp = 10.0 ** (s_plus_db / 10.0)
+        ft = 1.0 - (2.0 / math.pi) * math.atan(math.sqrt((sp - 1.0) / (1.0 - sm)))
+    except (ZeroDivisionError, OverflowError):  # S- rounds to 1, or S+ overflows
+        ft = 0.0
+    if not (0.0 < ft < 1.0):
+        raise ValueError(f"extremes ({s_minus_db}, {s_plus_db}) dB give no F_T in (0, 1)")
+    return ft
 
 
 @dataclass(frozen=True)
@@ -394,11 +400,10 @@ def classify(
         DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
-    # the fit takes the same columns back in input order, the order in
-    # which fit_scale(records, ...) would reconcile them itself
+    # the fit takes the columns back in input order, on which its sum depends
     by_input = np.argsort(order)
     for curve in (fit_curves or []):
-        fit = _fit_columns(ft[by_input], r[by_input], curve)
+        fit = fit_scale(ft[by_input], r[by_input], curve)
         report.fitted_scales[curve.curve_id] = ScaleFit(
             curve_id=fit.curve_id,
             envelope_k=_q(fit.envelope_k),
@@ -407,9 +412,12 @@ def classify(
     return report
 
 
-def fit_scale(records: list[SqueezingRecord], curve: QiCurve) -> ScaleFit:
+def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
+    ``ft`` and ``r`` are the F_T and depth (dB) columns of the classifiable
+    records, in input order: ``reconcile_ft(record).ft`` and
+    ``record.s_minus_db`` of each record that has both.
     The primary result is the envelope scale: the largest k in (0, 1]
     such that no record falls below the scaled curve, found by bisection
     to :data:`FIT_TOL`.  (Shrinking k drags the curve toward -inf everywhere, so
@@ -417,15 +425,7 @@ def fit_scale(records: list[SqueezingRecord], curve: QiCurve) -> ScaleFit:
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
     """
-    ft, r = np.array([(rec.ft, record.s_minus_db) for record in records
-                      if (rec := reconcile_ft(record)) is not None
-                      and record.s_minus_db is not None], dtype=float).reshape(-1, 2).T
-    return _fit_columns(ft, r, curve)
-
-
-def _fit_columns(ft: np.ndarray, r: np.ndarray, curve: QiCurve) -> ScaleFit:
-    """:func:`fit_scale` on the (F_T, depth) columns of the classifiable
-    records, in input order."""
+    ft, r = np.asarray(ft, dtype=float), np.asarray(r, dtype=float)
     if ft.size == 0:
         raise FitError("no classifiable records to fit")
 

@@ -122,16 +122,16 @@ def test_criterion_06_vahlbruch_point_and_envelope_fit():
 
     # envelope property on the shipped subset plus frozen regression scales
     pinned = {"gaussian-paper": 0.104910, "lorentzian2-paper": 0.085264}
+    points = []
+    for rec in records:
+        out = reconcile_ft(rec)
+        if out is not None and rec.s_minus_db is not None:
+            points.append((out.ft, rec.s_minus_db))
     for curve_id, expected_k in pinned.items():
         window, variant = curve_id.split("-")
         curve = QiCurve(WindowKind(window), Variant(variant))
-        fit = fit_scale(records, curve)
+        fit = fit_scale([p[0] for p in points], [p[1] for p in points], curve)
         assert fit.envelope_k == pytest.approx(expected_k, abs=2e-5)
-        points = []
-        for rec in records:
-            out = reconcile_ft(rec)
-            if out is not None and rec.s_minus_db is not None:
-                points.append((out.ft, rec.s_minus_db))
         scaled = QiCurve(curve.window, curve.variant, scale=fit.envelope_k)
         assert sum(r < curve_value(scaled, ft) for ft, r in points) == 0
         bumped = QiCurve(curve.window, curve.variant, scale=1.01 * fit.envelope_k)

@@ -294,6 +294,17 @@ def test_analyze_parse_error_exit_4(capsys, tmp_path):
     assert "line 2" in err and "violations" not in out
 
 
+@pytest.mark.parametrize("extremes", ["-1e-17,3", "-1e-320,1e-320", "-3,4000", "-3,400",
+                                      "-3,1e-17"])
+def test_analyze_refuses_extremes_without_an_ft_in_the_open_interval(capsys, tmp_path, extremes):
+    # a derived F_T of 0 or 1, or none at all (S- rounds to 1, S+ overflows)
+    data = tmp_path / "edge.csv"
+    data.write_text(HEADER + f"\nedge,l,,,,{extremes},,,,\n")
+    code, out, err = run(capsys, "analyze", "--fit", "--data", str(data))
+    assert (code, out) == (4, "")
+    assert "line 2" in err and "record edge" in err and "Traceback" not in err
+
+
 def test_analyze_fit_without_usable_records_exit_4(capsys, tmp_path):
     data = tmp_path / "stub.csv"
     data.write_text(HEADER + "\nstub,l,,,,,,,,,\n")

@@ -70,6 +70,21 @@ def test_ft_from_extremes_rejects_nonphysical():
             ft_from_extremes(*bad)
 
 
+# S- that rounds to 1 in linear units, S+ that overflows, and F_T that
+# rounds to 0 or to 1
+EXTREMES_WITHOUT_FT = [(-1e-17, 3.0), (-1e-320, 1e-320), (-3.0, 4000.0), (-3.0, 400.0),
+                       (-3.0, 1e-17)]
+
+
+@pytest.mark.parametrize("s_minus_db, s_plus_db", EXTREMES_WITHOUT_FT)
+def test_ft_from_extremes_refuses_a_derived_ft_outside_the_open_interval(s_minus_db, s_plus_db):
+    # the rule an explicit ft_formula follows: F_T in (0, 1)
+    with pytest.raises(ValueError, match=r"give no F_T in \(0, 1\)"):
+        ft_from_extremes(s_minus_db, s_plus_db)
+    with pytest.raises(ValueError, match=r"^record edge: extremes "):
+        SqueezingRecord(id="edge", s_minus_db=s_minus_db, s_plus_db=s_plus_db)
+
+
 @settings(max_examples=60)
 @given(x=st.floats(1e-3, 0.99), beta=st.floats(0.1, 1.0), w=st.floats(0.0, 10.0))
 def test_round_trip_with_opa_extremes(x, beta, w):
@@ -480,8 +495,15 @@ def envelope_oracle_gaussian_paper(ft: float, r_db: float) -> float:
         return float(lo)
 
 
+def columns(records):
+    """The F_T and depth columns of the classifiable records, in input order."""
+    points = [(rec.ft, record.s_minus_db) for record in records
+              if (rec := reconcile_ft(record)) is not None and record.s_minus_db is not None]
+    return [ft for ft, _ in points], [r for _, r in points]
+
+
 def test_fit_scale_single_record_pinned():
-    fit = fit_scale([single_record(0.0705, -14.31)], GAUSS_PAPER)
+    fit = fit_scale(*columns([single_record(0.0705, -14.31)]), GAUSS_PAPER)
     oracle = envelope_oracle_gaussian_paper(0.0705, -14.31)
     assert oracle == pytest.approx(0.1049173, abs=1e-6)  # frozen regression value
     assert fit.envelope_k == pytest.approx(oracle, abs=2e-6)
@@ -490,7 +512,7 @@ def test_fit_scale_single_record_pinned():
 def test_fit_scale_envelope_property():
     records = vah_like_records()
     for curve in (GAUSS_PAPER, GAUSS_MARECKI, LOR2_PAPER):
-        fit = fit_scale(records, curve)
+        fit = fit_scale(*columns(records), curve)
         k = fit.envelope_k
 
         def violations(scale: float) -> int:
@@ -514,10 +536,10 @@ def test_fit_scale_envelope_property():
 def test_fit_scale_shipped_dataset_regressions():
     records = vah_like_records()
     # frozen after first computation
-    fit_g = fit_scale(records, GAUSS_PAPER)
+    fit_g = fit_scale(*columns(records), GAUSS_PAPER)
     assert fit_g.envelope_k == pytest.approx(0.104910, abs=2e-5)
     assert fit_g.least_squares_k == pytest.approx(0.186189, abs=2e-4)
-    fit_l = fit_scale(records, LOR2_PAPER)
+    fit_l = fit_scale(*columns(records), LOR2_PAPER)
     assert fit_l.envelope_k == pytest.approx(0.085264, abs=2e-5)
     assert fit_l.least_squares_k == pytest.approx(0.162068, abs=2e-4)
 
@@ -525,31 +547,35 @@ def test_fit_scale_shipped_dataset_regressions():
 def test_fit_scale_no_violation_at_unity():
     # generous measurement: the theoretical curve already excludes nothing
     rec = single_record(0.3, -0.1)
-    fit = fit_scale([rec], GAUSS_PAPER)
+    fit = fit_scale(*columns([rec]), GAUSS_PAPER)
     assert fit.envelope_k == 1.0
 
 
 def test_fit_scale_requires_classifiable_records():
     with pytest.raises(FitError):
-        fit_scale([SqueezingRecord(id="stub")], GAUSS_PAPER)
+        fit_scale([], [], GAUSS_PAPER)
+    with pytest.raises(FitError):
+        classify([SqueezingRecord(id="stub")], [GAUSS_PAPER], fit_curves=[GAUSS_PAPER])
 
 
 def test_classify_fits_from_its_own_columns(monkeypatch):
-    # classify reconciles each record once and fits its own columns, back
-    # in input order: the same bits as fit_scale(records, ...)
+    # classify reconciles each record once and hands its own columns, back
+    # in input order, to the module's fit_scale, once per fit curve: a
+    # wrapper set on meta.fit_scale sees every fit
     rng = random.Random(3)
     records = [SqueezingRecord(id=f"r{rng.randrange(10**6):06d}", s_minus_db=-rng.uniform(0.1, 15.0),
                                ft_formula=rng.uniform(0.01, 0.99)) for _ in range(200)]
     records += [SqueezingRecord(id="stub"), SqueezingRecord(id="g", ft_graphical=0.3)]
     rng.shuffle(records)
     curves = [GAUSS_PAPER, LOR2_PAPER]
-    want = [fit_scale(records, curve) for curve in curves]
+    want = [fit_scale(*columns(records), curve) for curve in curves]
     fits, reconciled = [], []
-    fit, reconcile = meta._fit_columns, meta.reconcile_ft
-    monkeypatch.setattr(meta, "_fit_columns", lambda *a: fits.append(fit(*a)) or fits[-1])
+    fit, reconcile = meta.fit_scale, meta.reconcile_ft
+    monkeypatch.setattr(meta, "fit_scale", lambda *a: fits.append(fit(*a)) or fits[-1])
     monkeypatch.setattr(meta, "reconcile_ft", lambda r: reconciled.append(r.id) or reconcile(r))
     classify(records, curves, fit_curves=curves)
     assert sorted(reconciled) == sorted(r.id for r in records)
+    assert [f.curve_id for f in fits] == [curve.curve_id for curve in curves]
     assert [(f.envelope_k.hex(), f.least_squares_k.hex()) for f in fits] == [
         (f.envelope_k.hex(), f.least_squares_k.hex()) for f in want]
 
@@ -579,7 +605,7 @@ def test_least_squares_k_replays_scipy_on_the_shipped_dataset(monkeypatch, curve
         return minimize(f, lo, hi, xatol, maxfun)
 
     monkeypatch.setattr(meta, "_minimize_bounded", spy)
-    fit = fit_scale(load_records(DATASET), parse_curve_id(curve_id))
+    fit = fit_scale(*columns(load_records(DATASET)), parse_curve_id(curve_id))
     [(cost, lo, hi, xatol, maxfun)] = calls
     assert (lo, hi, xatol, maxfun) == (1e-4, 2.0, 1e-8, 500)
     want = optimize.minimize_scalar(cost, bounds=(lo, hi), method="bounded",
