@@ -25,14 +25,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-# Only what every command needs loads here; each command imports ``meta``,
-# ``opa`` and ``svgfig`` when it runs them, which keeps start-up short.
+# Only what every command needs loads here; each command imports ``meta``, ``opa``
+# and ``svgfig``, and NumPy with its first array, when it runs them: a short start-up.
 from . import qi_bound
 from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureError,
                        Variant, parse_curve_id)
-from .units import format_db, to_db
+from .units import format_db, rounded_grid, to_db
 from .windows import WindowKind
 
 DEFAULT_DB_FLOOR = -25.0
@@ -74,7 +72,7 @@ def _check_output(path: str | None) -> None:
             open(path, "r+").close()  # raises; "r+" never creates or truncates
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list[float]:
     try:
         lo, hi, step = (float(s) for s in spec.split(":"))
     except ValueError:
@@ -83,15 +81,16 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"grid {spec!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf")
     _check_grid_size(hi - lo, step)
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return np.round(lo + step * np.arange(count), 12)
+    return rounded_grid(lo, step, count, 12)
 
 
-def _plot_grid(step: float | None, default: float) -> np.ndarray:
+def _plot_grid(step: float | None, default: float) -> list[float]:
     step = default if step is None else step
     if not 0.0 < step <= 0.5:
         raise UsageError(f"--grid-step must lie in (0, 0.5], got {step:g}")
     _check_grid_size(0.5, step)
-    return np.round(np.arange(step, 0.5 + step * 1e-6, step), 10)
+    # the points of np.arange(step, 0.5 + step * 1e-6, step)
+    return rounded_grid(step, step, math.ceil((0.5 + step * 1e-6 - step) / step), 10)
 
 
 def _check_grid_size(span: float, step: float) -> None:
@@ -327,10 +326,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _points(xs: np.ndarray, ys: np.ndarray):
-    return tuple(xs.tolist()), tuple(ys.tolist())
-
-
 _POINT_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
 
 
@@ -401,13 +396,13 @@ def cmd_plot(args) -> int:
             raise UsageError("--grid-step applies to F_T plots only; fig 4 has no F_T grid")
         if args.report is not None:
             raise UsageError("--report draws (F_T, R) points; fig 4 has no F_T axis")
-        xs = np.round(np.arange(0.005, 0.9951, 0.005), 10)
+        xs = rounded_grid(0.005, 0.005, 199, 10)  # 0.005, 0.01, ..., 0.995
         spec = svgfig.PlotSpec(
             title="Deepest squeezing vs pump ratio (lossless, on resonance)",
             x_label="x = P/P_th", y_label="S- (dB)",
             x_range=(0.0, 1.0), y_range=(args.db_floor, 0.0),
-            curves=[svgfig.CurveTrace("S-(x, 0), beta = 1",
-                                      *_points(xs, to_db(opa.s_minus(xs, 1.0, 0.0))))],
+            curves=[svgfig.CurveTrace("S-(x, 0), beta = 1", tuple(xs),
+                                      tuple(to_db(opa.s_minus(xs, 1.0, 0.0))))],
         )
     else:
         budget = args.max_intervals
@@ -420,12 +415,12 @@ def cmd_plot(args) -> int:
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
             x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
-            curves=[svgfig.CurveTrace(curve.curve_id, *_points(
-                grid, qi_bound.sample_curve(replace(curve, max_intervals=budget), grid)),
+            curves=[svgfig.CurveTrace(curve.curve_id, tuple(grid), tuple(
+                qi_bound.sample_curve(replace(curve, max_intervals=budget), grid)),
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:
-            spec.curves.append(svgfig.CurveTrace("ideal OPA", *_points(grid, opa.ideal_r_db(grid)),
+            spec.curves.append(svgfig.CurveTrace("ideal OPA", tuple(grid), tuple(opa.ideal_r_db(grid)),
                                                  style=fig.ideal, width=2.2))
     if args.report:
         spec.points.append(_report_points(args.report))

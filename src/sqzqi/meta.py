@@ -29,11 +29,9 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .opa import ideal_r_db
 from .qi_bound import DatasetError, FitError, QiCurve, curve_csv, curve_value, samples_csv
-from .units import round_sig
+from .units import round_sig, rounded_grid
 
 # Applied when a source gives no uncertainty; always flagged in the report.
 DEFAULT_S_ERR_DB = 0.5
@@ -78,6 +76,8 @@ class SqueezingRecord:
     ft_formula: float | None = None
     ft_graphical: float | None = None
     ft_err: float | None = None
+    # F_T from the extremes when both are given, else None
+    ft_extremes: float | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for f in fields(self):
@@ -88,9 +88,10 @@ class SqueezingRecord:
             raise ValueError("record id must be non-empty")
         if self.s_minus_db is not None and self.s_plus_db is not None:
             try:
-                ft_from_extremes(self.s_minus_db, self.s_plus_db)
+                ft = ft_from_extremes(self.s_minus_db, self.s_plus_db)
             except ValueError as exc:
                 raise ValueError(f"record {self.id}: {exc}") from None
+            object.__setattr__(self, "ft_extremes", ft)
         if self.x is not None and not (0.0 < self.x < 1.0):
             raise ValueError(f"record {self.id}: x={self.x} outside (0, 1)")
         if self.beta is not None and not (0.0 < self.beta <= 1.0):
@@ -193,9 +194,7 @@ def reconcile_ft(record: SqueezingRecord) -> Reconciled | None:
     formula and graphical routes are both available their arithmetic mean
     is used and the relative discrepancy is reported.
     """
-    formula = record.ft_formula
-    if formula is None and record.s_minus_db is not None and record.s_plus_db is not None:
-        formula = ft_from_extremes(record.s_minus_db, record.s_plus_db)
+    formula = record.ft_extremes if record.ft_formula is None else record.ft_formula
     graphical = record.ft_graphical
     if formula is not None and graphical is not None:
         mean = 0.5 * (formula + graphical)
@@ -315,8 +314,8 @@ def _q(x: float | None) -> float | None:
     return None if x is None else round_sig(x, 6)
 
 
-def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
-           curve: QiCurve) -> list[str]:
+def _flags(r, s_err, ft, ft_err, curve: QiCurve) -> list[str]:
+    import numpy as np
     # Bound curves increase with ft, so the error rectangle sits entirely
     # below the curve iff its top-left corner does (and the bound diverges
     # to -inf as ft -> 0, so a rectangle reaching ft <= 0 can never be
@@ -333,7 +332,7 @@ def _flags(r: np.ndarray, s_err: np.ndarray, ft: np.ndarray, ft_err: np.ndarray,
     return [values[c] for c in codes]
 
 
-DEFAULT_FT_GRID = tuple(np.round(np.arange(0.01, 0.5001, 0.01), 6))
+DEFAULT_FT_GRID = tuple(rounded_grid(0.01, 0.01, 50, 6))  # 0.01, 0.02, ..., 0.5
 FIT_TOL = 1e-6
 
 
@@ -349,6 +348,7 @@ def classify(
     the +-s_err_db / +-ft_err error rectangle.  Classification is per
     record and order-independent; the report is ordered by record id.
     """
+    import numpy as np
     report = AnalysisReport()
     discrepancies = []
     columns = []
@@ -425,6 +425,7 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
     """
+    import numpy as np
     ft, r = np.asarray(ft, dtype=float), np.asarray(r, dtype=float)
     if ft.size == 0:
         raise FitError("no classifiable records to fit")

@@ -25,24 +25,25 @@ A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
 squeezing"), serialized as the literal string "-inf", closed form or not.
 
 :func:`bound_value`, :func:`phase_argument`, :func:`curve_value` (and
-:func:`sqzqi.units.to_db`) take a float or an array: a float in gives a
-float out, an array an array of the same shape.
+:func:`sqzqi.units.to_db`) map a float, a list or an array to the same kind,
+element by element in ``math``; only the quadrature and arrays load NumPy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
-import numpy as np
-
-# sqzqi runs on NumPy alone: the closed-form bounds use math.erf, and every
-# quadrature bracket the Gauss-Kronrod rule below.  SciPy is a test
+# sqzqi runs on NumPy alone: the closed forms use math.erf and math.expm1,
+# every quadrature bracket the Gauss-Kronrod rule below.  SciPy is a test
 # dependency, for the reference quadratures the tests compare against.
 
-from .units import HBAR, C_LIGHT, checked, float_or_array, format_db, to_db
+from .units import HBAR, C_LIGHT, arithmetic, checked, db, elementwise
 from .windows import SamplingWindow, WindowKind, sqrt_ft_squared
 
 # Brackets at or below this are reported as the -inf sentinel.
@@ -75,13 +76,8 @@ MAX_INTERVALS = 200
 def check_max_intervals(max_intervals) -> None:
     """ValueError unless ``max_intervals`` is an integer in 10..100,000 (the
     interval arrays grow in proportion to the budget)."""
-    if not (isinstance(max_intervals, (int, np.integer)) and 10 <= max_intervals <= 100_000):
+    if not (isinstance(max_intervals, numbers.Integral) and 10 <= max_intervals <= 100_000):
         raise ValueError(f"max_intervals must be an integer in 10..100000, got {max_intervals!r}")
-
-
-def _erf(z: np.ndarray) -> np.ndarray:
-    """math.erf element by element, in the shape of ``z`` (0-d included)."""
-    return np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 class ConsistencyError(RuntimeError):
@@ -223,10 +219,22 @@ class BoundResult:
     bracket_error: float
 
 
+def _as_list(values) -> list:
+    """A sequence or a 1-d array as a list; a number, a 0-d array included, as one element."""
+    try:
+        return list(values)
+    except TypeError:
+        return [values]
+
+
 def _check_bracket(bracket, err) -> None:
     """ConsistencyError if a bracket exceeds 1, QuadratureError if an error
     estimate exceeds :data:`BOUND_TOL` or is NaN, or a bracket is not finite
-    (its error then counts as infinite); floats or arrays."""
+    (its error then counts as infinite); floats, lists or arrays."""
+    if isinstance(err, float) and err == 0.0 and isinstance(bracket, (float, list)) and all(
+            -math.inf < b <= 1.0 + 1e-9 for b in _as_list(bracket)):
+        return  # exact (a closed form's) and in range: passes without NumPy
+    import numpy as np
     bracket, err = np.asarray(bracket), np.asarray(err)
     if (bracket > 1.0 + 1e-9 + err).any():
         raise ConsistencyError(f"bound bracket {float(bracket.max())!r} exceeds 1; the window "
@@ -237,8 +245,9 @@ def _check_bracket(bracket, err) -> None:
 
 
 def _floored_db(bracket):
-    """R (dB) of a bracket, a float or an array; at or below the floor, -inf."""
-    return to_db(np.where(bracket <= BRACKET_FLOOR, 0.0, bracket))
+    """R (dB) of a bracket, a float, a list or an array, element by element;
+    at or below the floor, -inf."""
+    return elementwise(db, bracket, BRACKET_FLOOR)
 
 
 # QUADPACK dqk21 on [-1, 1]: the non-negative Kronrod nodes, largest first
@@ -260,11 +269,11 @@ _KRONROD_W = (0.011694638867371874278064396062192, 0.032558162307964727478818972
 _GAUSS_W = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
             0.295524224714752870173892994651338)
-_K21_NODES = np.array([-x for x in _KRONROD_X[:-1]] + list(_KRONROD_X[::-1]))
+_K21_NODES = tuple(-x for x in _KRONROD_X[:-1]) + _KRONROD_X[::-1]
 _K21_WEIGHTS = _KRONROD_W[:-1] + _KRONROD_W[::-1]
 _G10_WEIGHTS = tuple(_GAUSS_W[min(j, 20 - j) // 2] if j % 2 else 0.0 for j in range(21))
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 # Memory bounds of the spectrum bracket: the intervals one block of
 # elements may hold at their full budgets, and the intervals whose 21 nodes
 # go to the spectrum in one call (the trapezoid's Fresnel evaluation keeps
@@ -273,7 +282,7 @@ _BLOCK_INTERVALS = 2**17
 _KRONROD_ROWS = 2048
 
 
-def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
+def _kronrod21(f, lo, hi):
     """QUADPACK ``dqk21`` on each interval [lo, hi]: the 21-point Kronrod
     integral, its error estimate (QUADPACK's transform of |K21 - G10|), and
     the rounding floor 50*eps*resabs that the estimate is not allowed below.
@@ -282,6 +291,7 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
     a time.  Each row is summed node by node in one fixed order, so an
     interval's numbers do not depend on which other intervals share a call.
     """
+    import numpy as np
     if lo.size > _KRONROD_ROWS:
         parts = [_kronrod21(f, lo[i:i + _KRONROD_ROWS], hi[i:i + _KRONROD_ROWS])
                  for i in range(0, lo.size, _KRONROD_ROWS)]
@@ -306,14 +316,17 @@ def _kronrod21(f, lo: np.ndarray, hi: np.ndarray):
     return resk * half, est, floor
 
 
-def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
+def _bracket_spectrum(w: SamplingWindow, omega0, max_intervals: int):
     """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
-    every element of ``omega0``: (bracket, error), each of its shape.
+    every element of ``omega0`` (a float or an array): (bracket, error),
+    each an array of its shape.
 
     Elements never interact, so they are integrated in blocks small enough
     that a block's intervals, each element at its full budget, number about
     ``_BLOCK_INTERVALS``: memory stays bounded whatever the grid size.
     """
+    import numpy as np
+    omega0 = np.asarray(omega0, dtype=float)
     flat = omega0.ravel()
     size = max(1, _BLOCK_INTERVALS // max_intervals)
     blocks = np.array_split(flat, max(1, -(-flat.size // size)))
@@ -325,7 +338,7 @@ def _bracket_spectrum(w: SamplingWindow, omega0: np.ndarray, max_intervals: int)
     return bracket.reshape(omega0.shape), error.reshape(omega0.shape)
 
 
-def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
+def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
     """(bracket, error) of :func:`_bracket_spectrum` for a 1-d block.
 
     Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
@@ -346,6 +359,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
     the caller's ``_check_bracket`` then raises QuadratureError, with that
     error, if it exceeds :data:`BOUND_TOL`.
     """
+    import numpy as np
     c = w.half_support if math.isfinite(w.half_support) else w.t0
     step = math.pi / c
     last = step * 2.0**53
@@ -390,27 +404,29 @@ def _gauss_kronrod(w: SamplingWindow, omega0: np.ndarray, max_intervals: int):
     return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
-# The families whose bracket is a closed form in x = omega0*t0:
-# erf(sqrt(2)*x) for the Gaussian, 1 - exp(-2x) for the Lorentzian^2.
+# The families whose bracket is a closed form in x = omega0*t0, each a
+# function of one float: erf(sqrt(2)*x) (Gaussian), 1 - exp(-2x) (Lorentzian^2).
+_SQRT2 = math.sqrt(2.0)
 _CLOSED_FORMS = {
-    WindowKind.GAUSSIAN: lambda x: _erf(math.sqrt(2.0) * x),
-    WindowKind.LORENTZIAN_SQ: lambda x: -np.expm1(-2.0 * x),
+    WindowKind.GAUSSIAN: lambda x: math.erf(_SQRT2 * x),
+    WindowKind.LORENTZIAN_SQ: lambda x: -math.expm1(-2.0 * x),
 }
 
 
 def _bracket(w: SamplingWindow, omega0, numeric: bool, max_intervals: int = MAX_INTERVALS):
-    """(bracket, error estimate) at omega0, a float or an array, each of the
-    same shape.
+    """(bracket, error estimate) at omega0, a float, a list or an array, in its kind.
 
     A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
     error estimate, unless ``numeric``; every other call one adaptive
     quadrature of the closed-form spectrum per block of elements of
     ``omega0``, each element within ``max_intervals`` intervals.
     """
-    omega0 = checked(omega0, lambda o: np.isfinite(o) & (o >= 0), "omega0 must be a non-negative real")
-    if not numeric and w.kind in _CLOSED_FORMS:
-        return _CLOSED_FORMS[w.kind](omega0 * w.t0), 0.0
-    return _bracket_spectrum(w, omega0, max_intervals)
+    omega0 = checked(omega0, lambda o: (o >= 0) & (o < math.inf), "omega0 must be a non-negative real")
+    form = None if numeric else _CLOSED_FORMS.get(w.kind)
+    if form is not None:
+        return elementwise(lambda o: form(o * w.t0), omega0), 0.0
+    bracket, err = _bracket_spectrum(w, omega0, max_intervals)
+    return (bracket.tolist(), err.tolist()) if isinstance(omega0, (float, list)) else (bracket, err)
 
 
 def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult:
@@ -430,6 +446,7 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
     if mu.shape is SpectralShape.DELTA_LIMIT:
         bracket, err = _bracket(w, mu.omega0, True)
     else:
+        import numpy as np
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
@@ -463,12 +480,8 @@ def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0)
     omega0*t0 = F_T*scale, except the Gaussian family where the
     transcribed result doubles the argument (2*F_T*scale).
     """
-    base = np.asarray(ft, dtype=float) * scale
-    if variant is Variant.WITH_PI:
-        base = math.pi * base
-    elif window is WindowKind.GAUSSIAN:
-        base = 2.0 * base
-    return float_or_array(base)
+    factor = math.pi if variant is Variant.WITH_PI else 2.0 if window is WindowKind.GAUSSIAN else 1.0
+    return arithmetic(lambda f: factor * (f * scale), ft)
 
 
 def curve_value(curve: QiCurve, ft):
@@ -478,24 +491,26 @@ def curve_value(curve: QiCurve, ft):
     return bound_value(curve.window, curve.n, arg, curve.numeric, curve.max_intervals)
 
 
-def sample_curve(curve: QiCurve, fts) -> np.ndarray:
-    """Evaluate a curve on a grid of F_T values, in input order."""
-    return curve_value(curve, np.atleast_1d(fts))
+def sample_curve(curve: QiCurve, fts) -> list[float]:
+    """R (dB) of a curve at each F_T of ``fts``, a sequence, a 1-d array or one
+    number, in input order: a list of floats, from one validated call."""
+    return curve_value(curve, _as_list(fts))
 
 
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"
 
 
 def samples_csv(fts, values, curve_id: str, window: str, variant: str, scale: float) -> str:
-    """CSV of one curve's ``values`` on the grid ``fts``, one row per grid point."""
-    rows = (f"{float(ft):.6g},{format_db(r)},{curve_id},{window},{variant},{scale:.6g}"
-            for ft, r in zip(fts, values))
-    return "\n".join([CURVE_CSV_HEADER, *rows]) + "\n"
+    """CSV of one curve's ``values`` (floats, -inf rendered as "-inf") on the grid
+    ``fts``, one row per point: a row template, repeated, filled in one ``%`` pass."""
+    row = "%.6g,%.4f" + f",{curve_id},{window},{variant},{scale:.6g}\n".replace("%", "%%")
+    cells = tuple(chain.from_iterable(zip(fts, values)))
+    return f"{CURVE_CSV_HEADER}\n" + row * (len(cells) // 2) % cells
 
 
 def curve_csv(curve: QiCurve, fts) -> str:
-    """CSV sampling of a curve, one row per grid point."""
-    fts = np.atleast_1d(fts)
+    """CSV sampling of a curve on the grid ``fts`` (as for :func:`sample_curve`), one row per point."""
+    fts = _as_list(fts)
     return samples_csv(fts, sample_curve(curve, fts), curve.curve_id, curve.window.value,
                        curve.variant.value, curve.scale)
 

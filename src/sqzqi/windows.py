@@ -34,8 +34,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .units import float_or_array
 
 
@@ -95,31 +93,6 @@ def trapezoid_window(ts: float, n: float) -> SamplingWindow:
     return SamplingWindow(WindowKind.TRAPEZOID, ts, n)
 
 
-def _trapezoid_height(w: SamplingWindow) -> float:
-    # unit area: h * (flat top + two triangular sides) = h * t0 * (1 + n)
-    return 1.0 / (w.t0 * (1.0 + w.n))
-
-
-def evaluate_window(w: SamplingWindow, t):
-    """Evaluate f(t); accepts scalars or arrays, returns matching shape."""
-    t = np.asarray(t, dtype=float)
-    at = np.abs(t)
-    with np.errstate(over="ignore"):  # t*t overflows to inf far in a tail, giving f = 0
-        if w.kind is WindowKind.GAUSSIAN:
-            out = np.exp(-(t * t) / (2.0 * w.t0 * w.t0)) / (w.t0 * math.sqrt(2.0 * math.pi))
-        elif w.kind is WindowKind.LORENTZIAN_SQ:
-            out = (2.0 / math.pi) * w.t0**3 / (t * t + w.t0 * w.t0) ** 2
-        elif w.kind is WindowKind.SQUARE:
-            out = np.where(at <= 0.5 * w.t0, 1.0 / w.t0, 0.0)
-        else:
-            b = 0.5 * w.t0
-            c = w.half_support
-            h = _trapezoid_height(w)
-            slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
-            out = h * np.where(at <= b, 1.0, slope)
-    return float_or_array(out)
-
-
 # Cephes ``fresnl`` (S. L. Moshier), the routine behind scipy.special.fresnel:
 # rational approximations in x^4 for x^2 < 2.5625, the auxiliary functions f
 # and g as rationals in 1/(pi x^2)^2 up to x = 36974, the leading asymptotic
@@ -167,6 +140,7 @@ def _fresnel(z):
     Every branch is evaluated on every element and the right one kept, so
     an element's value does not depend on its neighbours.
     """
+    import numpy as np
     x = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x2 = x * x
@@ -205,11 +179,12 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u):
     precision (the first correction is of order (u c)^2) and which keeps
     the 1/u factors from overflowing near the bottom of the float range.
     """
+    import numpy as np
     u = np.asarray(u, dtype=float)
     b = 0.5 * w.t0
     L = w.n * w.t0
     c = b + L
-    h = _trapezoid_height(w)
+    h = 1.0 / (w.t0 * (1.0 + w.n))  # unit area: h * t0 * (1 + n)
     limit = u * c < 1e-100
     safe = np.where(limit, 1.0, u)
     S, C = _fresnel(np.sqrt(2.0 * safe * L / math.pi))
@@ -230,6 +205,7 @@ def sqrt_ft_squared(w: SamplingWindow, omega):
     overflows, the Gaussian's and squared Lorentzian's exponents are -inf
     and their spectra 0.
     """
+    import numpy as np
     u = np.abs(np.asarray(omega, dtype=float))
     with np.errstate(over="ignore"):
         if w.kind is WindowKind.GAUSSIAN:

@@ -1,5 +1,5 @@
-"""The window-definition quadrature: the reference the closed forms are
-tested against.
+"""The window definitions and their quadrature: the reference the closed
+forms are tested against.
 
 Nothing here uses a closed-form spectrum.  Windows are even, so
 (f^{1/2})_FT(omega) is real and equals (1/pi) * integral_0^inf sqrt(f(t))
@@ -16,17 +16,33 @@ import numpy as np
 from scipy import integrate
 
 from sqzqi.qi_bound import BOUND_TOL, QuadratureError
-from sqzqi.windows import (
-    SamplingWindow,
-    WindowKind,
-    evaluate_window,
-)
+from sqzqi.windows import SamplingWindow, WindowKind
 
 ABS_TOL = 1e-12
 # a spectrum value is certified to REL_TOL of itself or of the spectral
 # scale t0/(2pi), whichever is larger
 REL_TOL = 1e-8
 LIMIT = 200
+
+
+def evaluate_window(w: SamplingWindow, t):
+    """Evaluate f(t); accepts scalars or arrays, returns matching shape."""
+    t = np.asarray(t, dtype=float)
+    at = np.abs(t)
+    with np.errstate(over="ignore"):  # t*t overflows to inf far in a tail, giving f = 0
+        if w.kind is WindowKind.GAUSSIAN:
+            out = np.exp(-(t * t) / (2.0 * w.t0 * w.t0)) / (w.t0 * math.sqrt(2.0 * math.pi))
+        elif w.kind is WindowKind.LORENTZIAN_SQ:
+            out = (2.0 / math.pi) * w.t0**3 / (t * t + w.t0 * w.t0) ** 2
+        elif w.kind is WindowKind.SQUARE:
+            out = np.where(at <= 0.5 * w.t0, 1.0 / w.t0, 0.0)
+        else:
+            b = 0.5 * w.t0
+            c = w.half_support
+            h = 1.0 / (w.t0 * (1.0 + w.n))  # unit area: h * t0 * (1 + n)
+            slope = np.clip((c - at) / (w.n * w.t0), 0.0, 1.0)
+            out = h * np.where(at <= b, 1.0, slope)
+    return float(out) if out.ndim == 0 else out
 
 
 def sqrt_window(w: SamplingWindow, t):

@@ -17,7 +17,6 @@ from sqzqi.opa import (
     effective_ft,
     extremal_product,
     ideal_bound,
-    ideal_ft,
     s_minus,
     s_plus,
     squeezed_fraction,
@@ -35,6 +34,7 @@ from sqzqi.qi_bound import (
 )
 from sqzqi.units import to_db
 from sqzqi.windows import WindowKind, gaussian_window, lorentzian_sq_window
+from test_opa import ideal_ft
 
 DATASET = Path(__file__).resolve().parent.parent / "src" / "sqzqi" / "data" / "records.csv"
 

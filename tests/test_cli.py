@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sqzqi
-from sqzqi import meta, opa, qi_bound
+from sqzqi import cli, meta, opa, qi_bound
 from sqzqi.cli import main
+from sqzqi.units import rounded_grid
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
 
 HEADER = ",".join(DATASET_COLUMNS)
@@ -105,7 +106,7 @@ def test_bound_square_requires_opt_in(capsys):
     assert "square-paper" in out
 
 
-def no_arange(*args, **kwargs):
+def no_grid(*args, **kwargs):
     raise AssertionError("the grid was built before its size was checked")
 
 
@@ -137,10 +138,39 @@ def test_bound_usage_errors(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert err == f"sqzqi: grid {grid!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf\n"
     # 990,000,001 points would take gigabytes: refused before any array exists
-    monkeypatch.setattr(np, "arange", no_arange)
+    monkeypatch.setattr(cli, "rounded_grid", no_grid)
     code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", "0.01:1:1e-9")
     assert code == 2 and out == ""
     assert err == "sqzqi: a step of 1e-09 gives more than 1000000 grid points\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(lo=st.floats(1e-6, 1.0), span=st.floats(0.0, 1.0), step=st.floats(1e-5, 1.0))
+def test_ft_grid_is_numpys_rounded_grid_bit_for_bit(lo, span, step):
+    # the list grid keeps the points of the NumPy expression it replaced
+    hi = min(lo + span, 1.0)
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    grid = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}")
+    assert grid == np.round(lo + step * np.arange(count), 12).tolist()
+    assert all(type(ft) is float for ft in grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=st.floats(2e-4, 0.5))
+@example(step=1e-6)  # 500,000 points
+@example(step=0.005)
+def test_plot_grid_is_numpys_rounded_arange_bit_for_bit(step):
+    want = np.round(np.arange(step, 0.5 + step * 1e-6, step), 10).tolist()
+    assert cli._plot_grid(step, 0.005) == want
+    assert cli._plot_grid(None, step) == want
+
+
+def test_fixed_grids_are_numpys_rounded_aranges():
+    # fig 4's pump ratios and the F_T grid of the report's curve samples
+    want = np.round(np.arange(0.005, 0.9951, 0.005), 10).tolist()
+    assert rounded_grid(0.005, 0.005, 199, 10) == want
+    assert meta.DEFAULT_FT_GRID == tuple(np.round(np.arange(0.01, 0.5001, 0.01), 6).tolist())
+    assert all(type(ft) is float for ft in meta.DEFAULT_FT_GRID)
 
 
 def test_bound_numeric_failure_exit_code(capsys):
@@ -490,7 +520,7 @@ def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
             assert code == 2
             assert err.startswith("sqzqi: --grid-step must lie in (0, 0.5], got ")
     with monkeypatch.context() as m:
-        m.setattr(np, "arange", no_arange)
+        m.setattr(cli, "rounded_grid", no_grid)
         code, _, err = run(capsys, "plot", "--curve", "gaussian-paper", "--grid-step", "1e-9",
                            "--out", str(tmp_path / "x.svg"))
     assert code == 2
@@ -719,16 +749,57 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "bound", "--help")[0] == 0
 
 
+# --- extreme values ----------------------------------------------------------------
+
+# Non-finite, subnormal and near-overflow numbers, with ordinary ones.
+EDGE_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "1e-320", "2.2e-308",
+                     "1e308", "-1e308", "1.7976931348623157e308", "0", "-0"]),
+    st.floats(-2.0, 2.0).map(repr))
+# One command per template, the value in place of {}; the plot grids stay
+# coarse enough that a run takes well under a second.
+EDGE_COMMANDS = [
+    "bound --window {w} --scale {} --ft 0.1:0.5:0.1",
+    "bound --window {w} --omega-t0 {}",
+    "bound --window {w} --omega-t0 {} --numeric",
+    "bound --window {w} --ft {}:0.5:0.1",
+    "bound --window {w} --ft 0.1:{}:0.1",
+    "bound --window {w} --ft 0.1:0.5:{}",
+    "plot --curve {w}-paper-k{} --grid-step 0.25 --out {out}",
+    "plot --curve trapezoid-marecki-n{} --grid-step 0.5 --out {out}",
+    "plot --curve trapezoid-paper-k{0}-n{0} --grid-step 0.5 --out {out}",
+    "plot --fig 6 --db-floor {} --grid-step 0.1 --out {out}",
+    "plot --fig 4 --db-floor {} --out {out}",
+]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(template=st.sampled_from(EDGE_COMMANDS), value=EDGE_VALUES,
+       window=st.sampled_from(["gaussian", "lorentzian2"]),
+       step=st.one_of(st.sampled_from(["nan", "inf", "-0", "5e-324", "1e308"]),
+                      st.floats(2e-3, 1.0).map(repr)))
+def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, step):
+    # a usage error, a numeric failure or an answer: never a traceback or a NaN
+    commands = [template.format(value, w=window, out=tmp_path / "x.svg"),
+                f"plot --fig 5 --grid-step {step} --out {tmp_path / 'x.svg'}"]
+    for command in commands:
+        code, out, err = run(capsys, *command.split())
+        assert code in (0, 2, 3, 4), (command, err)
+        assert "Traceback" not in err and "nan" not in out.lower(), (command, out, err)
+
+
 # --- start-up ----------------------------------------------------------------------
 
 # Runs a statement that sets ``code`` (by default one command of the CLI) in
-# a fresh interpreter, then prints the SciPy modules it loaded and, on the
-# last line of stdout, the sqzqi modules it loaded.
+# a fresh interpreter, then prints the SciPy modules it loaded, the sqzqi
+# modules it loaded and, on the last line of stdout, whether NumPy loaded.
 MODULE_PROBE = """
 import sys
 {statement}
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 print(" ".join(sorted(m.removeprefix("sqzqi.") for m in sys.modules if m.startswith("sqzqi."))))
+print("numpy" in sys.modules)
 sys.exit(code)
 """
 CLI_COMMAND = """
@@ -737,8 +808,9 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 """
 
 
-def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str], set[str]]:
-    """(SciPy modules, sqzqi submodules without the package prefix) loaded."""
+def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str], set[str], bool]:
+    """(SciPy modules, sqzqi submodules without the package prefix, whether
+    NumPy) loaded."""
     src = str(Path(sqzqi.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -746,8 +818,8 @@ def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str],
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    scipy, own = proc.stdout.splitlines()[-2:]
-    return set(scipy.split()), set(own.split())
+    scipy, own, numpy = proc.stdout.splitlines()[-3:]
+    return set(scipy.split()), set(own.split()), numpy == "True"
 
 
 CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every command
@@ -757,38 +829,42 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
 # every closed-form spectrum (--numeric, the square and trapezoid windows)
 # run on NumPy.  The same probe checks that each command loads only the
 # sqzqi modules it runs: `bound` needs neither the meta-analysis nor the
-# SVG writer.
-@pytest.mark.parametrize("argv, extra", [
-    ((), set()),  # import sqzqi.cli alone
-    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set()),
-    (("plot", "--fig", "4", "--out", "fig.svg"), {"opa", "svgfig"}),
-    (("plot", "--fig", "6", "--out", "fig.svg"), {"opa", "svgfig"}),
-    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), {"opa"}),
-    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), set()),
-    (("plot", "--fig", "5", "--out", "fig.svg"), {"opa", "svgfig"}),
+# SVG writer.  NumPy loads only where arrays pay: the quadrature (square,
+# trapezoid, --numeric) and analyze's record columns; the closed-form
+# bounds, their figures and the OPA model run in math.
+@pytest.mark.parametrize("argv, extra, numpy", [
+    ((), set(), False),  # import sqzqi.cli alone
+    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set(), False),
+    (("plot", "--fig", "4", "--out", "fig.svg"), {"opa", "svgfig"}, False),
+    (("plot", "--fig", "6", "--out", "fig.svg"), {"opa", "svgfig"}, False),
+    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), {"opa"}, False),
+    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), set(), False),
+    (("plot", "--fig", "5", "--out", "fig.svg"), {"opa", "svgfig"}, False),
     (("plot", "--fig", "5", "--report", "report.json", "--out", "fig.svg"),
-     {"opa", "svgfig", "meta"}),
-    (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}),
-    (("analyze", "--report", "report.json"), {"opa", "meta"}),
-    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}),
-    (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}),
-    (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}),
+     {"opa", "svgfig", "meta"}, False),
+    (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}, False),
+    (("analyze", "--report", "report.json"), {"opa", "meta"}, True),
+    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}, True),
+    (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}, True),
+    (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}, False),
     (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
-     {"opa", "meta"}),
-    (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set()),
-    (("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"), set()),
-    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set()),
+     {"opa", "meta"}, True),
+    (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set(), True),
+    (("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"), set(), True),
+    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set(), True),
+    (("bound", "--window", "lorentzian2", "--omega-t0", "1"), set(), False),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
-        "analyze-fit-trapezoid", "bound-trapezoid", "bound-numeric", "bound-square"])
-def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
+        "analyze-fit-trapezoid", "bound-trapezoid", "bound-numeric", "bound-square",
+        "bound-omega-t0"])
+def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra, numpy):
     if "--report" in argv and argv[0] == "plot":
         assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
-    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra)
+    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, numpy)
 
 
 def test_importing_the_package_loads_no_module(tmp_path):
-    assert modules_loaded_by(tmp_path, statement="import sqzqi\ncode = 0") == (set(), set())
+    assert modules_loaded_by(tmp_path, statement="import sqzqi\ncode = 0") == (set(), set(), False)
 
 
 def test_dataset_errors_are_defined_once():
@@ -799,7 +875,7 @@ def test_dataset_errors_are_defined_once():
 
 def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
     # the tests' window-definition quadrature runs on scipy.integrate
-    scipy, _ = modules_loaded_by(tmp_path, statement=f"""
+    scipy, _, _ = modules_loaded_by(tmp_path, statement=f"""
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from oracles import bracket
 from sqzqi.windows import gaussian_window

@@ -5,7 +5,7 @@ import json
 import math
 import random
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import mpmath
@@ -35,10 +35,11 @@ from sqzqi.meta import (
     load_records,
     reconcile_ft,
 )
-from sqzqi.opa import extremes, ideal_ft, squeezed_fraction
+from sqzqi.opa import extremes, squeezed_fraction
 from sqzqi.qi_bound import QiCurve, Variant, curve_value, parse_curve_id
 from sqzqi.units import to_db
 from sqzqi.windows import WindowKind
+from test_opa import ideal_ft
 
 DATASET = Path(__file__).resolve().parent.parent / "src" / "sqzqi" / "data" / "records.csv"
 
@@ -118,6 +119,21 @@ def test_reconcile_computes_formula_from_extremes():
     out = reconcile_ft(rec)
     assert out.method is FtMethod.FORMULA
     assert out.ft == pytest.approx(0.07045, abs=1e-4)
+
+
+def test_reconcile_takes_the_ft_the_record_derived(monkeypatch):
+    # the record derives F_T from its extremes once, when it is built;
+    # reconcile_ft reads that value, bit for bit, and derives nothing
+    rec = SqueezingRecord(id="v", s_minus_db=-14.3136, s_plus_db=18.9763, ft_graphical=0.08)
+    want = ft_from_extremes(-14.3136, 18.9763)
+    assert rec.ft_extremes == want
+    assert SqueezingRecord(id="f", s_minus_db=-3.0, ft_formula=0.2).ft_extremes is None
+    alone = replace(rec, ft_graphical=None)
+    monkeypatch.setattr(meta, "ft_from_extremes", lambda *a: pytest.fail("F_T derived again"))
+    out = reconcile_ft(rec)
+    assert out.method is FtMethod.AVERAGE
+    assert out.ft == 0.5 * (want + 0.08)
+    assert reconcile_ft(alone).ft == want
 
 
 def test_reconcile_nothing_available():

@@ -17,7 +17,6 @@ from sqzqi.opa import (
     extremal_product,
     extremes,
     ideal_bound,
-    ideal_ft,
     ideal_r_db,
     s_minus,
     s_plus,
@@ -25,7 +24,20 @@ from sqzqi.opa import (
     variance,
 )
 from sqzqi.qi_bound import ConsistencyError
-from sqzqi.units import to_db
+from sqzqi.units import elementwise, to_db
+
+
+def ideal_ft(s_min):
+    """Squeezed fraction of a lossless OPA at squeezing depth s_min, a float
+    or an array: the exact inverse of ``ideal_bound`` on 0 < s_min < 1,
+    from substituting s_plus = 1/s_minus into the fraction formula."""
+    def one(s):
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"s_minus must lie in (0, 1), got {s}")
+        return 1.0 - (2.0 / math.pi) * math.atan(math.sqrt(1.0 / s))
+
+    return elementwise(one, s_min)
+
 
 xs = st.floats(1e-3, 0.999)
 betas = st.floats(1e-3, 1.0)
@@ -324,7 +336,9 @@ def test_self_check_names_the_first_bad_element(monkeypatch):
     w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     corrupted = s_plus(0.8, 0.975, w)
     corrupted[[2, 4]] = 2.0
-    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: corrupted)
+    # S+ is evaluated once per element, in order
+    values = iter(corrupted.tolist())
+    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: next(values))
     ratio = (2.0 - 1.0) / (1.0 - s_minus(0.8, 0.975, 1.0))
     with pytest.raises(ConsistencyError, match=f"ratio {ratio!r} disagrees"):
         squeezed_fraction(0.8, 0.975, w)
@@ -344,7 +358,8 @@ def test_self_check_keeps_math_isclose_semantics(monkeypatch, rel):
         slack = 64.0 * eps * reduced * (1.0 + 1.0 / (sp_i - 1.0) + 1.0 / (1.0 - sm_i))
         if not math.isclose(ratio, reduced, rel_tol=1e-12, abs_tol=slack):
             bad.append(ratio)
-    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: perturbed)
+    values = iter(perturbed.tolist())  # S+ is evaluated once per element, in order
+    monkeypatch.setattr(opa, "_s_plus", lambda x, beta, b: next(values))
     if not bad:
         squeezed_fraction(x, beta, w)
     else:

@@ -341,7 +341,7 @@ def test_gauss_kronrod_rules_integrate_polynomials_exactly(weights, degree):
     # int_{-1}^{1} x^d dx = 2/(d+1) for even d, 0 for odd d; exact up to
     # the rule's degree and no further
     def error(d):
-        return abs(math.fsum(w * x**d for w, x in zip(weights, _K21_NODES.tolist()))
+        return abs(math.fsum(w * x**d for w, x in zip(weights, _K21_NODES))
                    - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
     for d in range(degree + 1):
         assert error(d) <= 4 * np.finfo(float).eps, d
@@ -684,12 +684,29 @@ def test_sample_curve_preserves_order():
     assert vals[2] == curve_value(curve, 0.2)
 
 
+@pytest.mark.parametrize("ft", [0.3, np.float64(0.3), np.array(0.3)], ids=["float", "np-float", "0-d"])
+def test_one_ft_is_a_grid_of_one_point(ft):
+    curve = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI)
+    assert sample_curve(curve, ft) == [curve_value(curve, 0.3)]
+    assert curve_csv(curve, ft) == curve_csv(curve, [0.3])
+
+
 # --- arrays through the one evaluation core -----------------------------------
 
 # one member of each family, each by its default method
 FAMILIES = [(WindowKind.GAUSSIAN, None), (WindowKind.LORENTZIAN_SQ, None),
             (WindowKind.TRAPEZOID, 0.2), (WindowKind.SQUARE, None)]
 FAMILY_IDS = [kind.value for kind, _ in FAMILIES]
+
+
+@pytest.mark.parametrize("kind, n", FAMILIES, ids=FAMILY_IDS)
+def test_sample_curve_gives_the_floats_of_curve_value(kind, n):
+    curve = QiCurve(kind, Variant.NO_PI, n=n, allow_unstable=True)
+    grid = [0.3, 1e-3, 1.0, 0.1]
+    values = sample_curve(curve, grid)
+    assert type(values) is list and all(type(v) is float for v in values)
+    assert values == [curve_value(curve, ft) for ft in grid]
+    assert sample_curve(curve, tuple(grid)) == sample_curve(curve, np.array(grid)) == values
 
 
 @pytest.mark.parametrize("kind, n", FAMILIES, ids=FAMILY_IDS)
@@ -757,6 +774,17 @@ def test_bracket_consistency_guard():
     with pytest.raises(ConsistencyError):
         _check_bracket(1.5, 0.0)
     _check_bracket(0.999999999, 0.0)  # fine
+
+
+def test_exact_brackets_still_get_the_range_check():
+    # a zero error estimate, a closed form's, spares no bracket the checks
+    _check_bracket([0.0, 0.5, 1.0], 0.0)
+    for bad in ([0.5, 1.5], [math.inf]):
+        with pytest.raises(ConsistencyError):
+            _check_bracket(bad, 0.0)
+    for bad in ([0.5, math.nan], -math.inf):
+        with pytest.raises(QuadratureError, match="achieved error estimate inf"):
+            _check_bracket(bad, 0.0)
 
 
 # --- context quantities -------------------------------------------------------

@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import oracles
+from oracles import evaluate_window
 from sqzqi.qi_bound import BOUND_TOL, QuadratureError, bound_value
 from sqzqi.windows import (
     SamplingWindow,
     WindowKind,
     _fresnel,
-    evaluate_window,
     gaussian_window,
     lorentzian_sq_window,
     sqrt_ft_squared,
