@@ -402,7 +402,7 @@ def cmd_plot(args) -> int:
             x_label="x = P/P_th", y_label="S- (dB)",
             x_range=(0.0, 1.0), y_range=(args.db_floor, 0.0),
             curves=[svgfig.CurveTrace("S-(x, 0), beta = 1", tuple(xs),
-                                      tuple(to_db(opa.s_minus(xs, 1.0, 0.0))))],
+                                      tuple(to_db(opa.s_minus(x, 1.0, 0.0)) for x in xs))],
         )
     else:
         budget = args.max_intervals
@@ -420,7 +420,8 @@ def cmd_plot(args) -> int:
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:
-            spec.curves.append(svgfig.CurveTrace("ideal OPA", tuple(grid), tuple(opa.ideal_r_db(grid)),
+            spec.curves.append(svgfig.CurveTrace("ideal OPA", tuple(grid),
+                                                 tuple(opa.ideal_r_db(ft) for ft in grid),
                                                  style=fig.ideal, width=2.2))
     if args.report:
         spec.points.append(_report_points(args.report))

@@ -324,8 +324,8 @@ def _flags(r, s_err, ft, ft_err, curve: QiCurve) -> list[str]:
     hi_ft = np.minimum(ft + ft_err, 1.0)
     r_at_lo = np.full_like(ft, -np.inf)
     reach = lo_ft > 0
-    r_at_lo[reach] = curve_value(curve, lo_ft[reach])
-    r_at_hi = curve_value(curve, hi_ft)
+    r_at_lo[reach] = curve_value(curve, lo_ft[reach].tolist())
+    r_at_hi = curve_value(curve, hi_ft.tolist())
     # indices in RecordFlag's order, so that every row shares its value strings
     codes = np.select([r + s_err < r_at_lo, r - s_err >= r_at_hi], [0, 1], 2)
     values = [flag.value for flag in RecordFlag]
@@ -388,16 +388,17 @@ def classify(
     r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
     for curve in curves:
         cid = curve.curve_id
-        below = r < curve_value(curve, ft)
+        below = r < curve_value(curve, ft.tolist())
         flags = _flags(r, s_err, ft, ft_err, curve)
         for row, violates, flag in zip(report.per_record, below, flags):
             row.violations[cid] = bool(violates)
             row.flags[cid] = flag
         report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
-    for row, exceeded in zip(report.per_record, r < ideal_r_db(ft)):
+    for row, exceeded in zip(report.per_record, r < [ideal_r_db(f) for f in ft.tolist()]):
         row.ideal_opa_exceeded = bool(exceeded)
+    ideal = [ideal_r_db(f) for f in DEFAULT_FT_GRID]
     report.curve_samples["ideal-opa"] = samples_csv(
-        DEFAULT_FT_GRID, ideal_r_db(DEFAULT_FT_GRID), "ideal-opa", "ideal-opa", "", 1.0)
+        DEFAULT_FT_GRID, ideal, "ideal-opa", "ideal-opa", "", 1.0)
     if discrepancies:
         report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
     # the fit takes the columns back in input order, on which its sum depends
@@ -426,8 +427,8 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     diagnostic; it is not constrained to exclude nothing.
     """
     import numpy as np
-    ft, r = np.asarray(ft, dtype=float), np.asarray(r, dtype=float)
-    if ft.size == 0:
+    ft, r = np.asarray(ft, dtype=float).tolist(), np.asarray(r, dtype=float)
+    if not ft:
         raise FitError("no classifiable records to fit")
 
     def violations(k: float) -> int:

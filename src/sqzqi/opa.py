@@ -21,12 +21,9 @@ L, and round-trip length l; published experiments span full widths
 2*gamma/2pi of roughly 9 to 84 MHz, so omega/gamma stays below ~1 in the
 measurement band.
 
-The functions of x, beta, w or ft take floats, lists or arrays that
-broadcast together.  Each formula is a function of floats in ``math``,
-applied element by element (:func:`sqzqi.units.elementwise`), so each array
-element equals its scalar call bit for bit and only arrays load NumPy; only
-``OpaParams``, ``variance``, ``extremes`` and ``effective_ft`` describe one
-operating point.  All dB conversions go through :mod:`sqzqi.units`.
+Every function takes and returns floats, one operating point (or one F_T)
+per call, in ``math``; a caller with a grid writes a comprehension.  All dB
+conversions go through :mod:`sqzqi.units`.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .qi_bound import ConsistencyError
-from .units import checked, db, elementwise
+from .units import to_db
 
 
 class NoSqueezingError(RuntimeError):
@@ -87,17 +84,17 @@ def variance(p: OpaParams) -> float:
             + math.sin(p.theta) ** 2 * _s_minus(p.x, p.beta, p.w))
 
 
-def s_minus(x, beta, w=0.0):
+def s_minus(x: float, beta: float, w: float = 0.0) -> float:
     """Deepest squeezing, attained at theta = pi/2."""
-    return elementwise(_s_minus, *_validate(x, beta, w))
+    return _s_minus(*_validate(x, beta, w))
 
 
-def s_plus(x, beta, w=0.0):
+def s_plus(x: float, beta: float, w: float = 0.0) -> float:
     """Peak antisqueezing, attained at theta = 0 (or pi)."""
-    return elementwise(_s_plus, *_validate(x, beta, w))
+    return _s_plus(*_validate(x, beta, w))
 
 
-def extremal_product(x, beta, w=0.0):
+def extremal_product(x: float, beta: float, w: float = 0.0) -> float:
     """Closed form of s_minus*s_plus.
 
     Expanding the product of the two extremal variances gives
@@ -107,27 +104,20 @@ def extremal_product(x, beta, w=0.0):
     which is 1 exactly at beta = 1, as the uncertainty principle demands
     for a lossless system, and above 1 otherwise.
     """
-    def product(x, beta, w):
-        a, b = _widths(x, w)
-        return 1.0 + 16.0 * beta * (1.0 - beta) * x * x / (a * b)
-    return elementwise(product, *_validate(x, beta, w))
+    x, beta, w = _validate(x, beta, w)
+    a, b = _widths(x, w)
+    return 1.0 + 16.0 * beta * (1.0 - beta) * x * x / (a * b)
 
 
-def squeezed_fraction(x, beta=1.0, w=0.0):
+def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
     """Fraction F_T of the cycle with variance below vacuum.
 
         F_T = 1 - (2/pi) * arctan sqrt( (S+ - 1) / (1 - S-) )
 
     The ratio under the root reduces to ((1+x)^2+w^2)/((1-x)^2+w^2),
-    independent of beta; every call verifies that, element by element
-    (ConsistencyError naming the first element that fails).
+    independent of beta; every call verifies that (ConsistencyError).
     """
-    return elementwise(_fraction, *_validate(x, beta, w))
-
-
-def _fraction(x: float, beta: float, w: float) -> float:
-    """:func:`squeezed_fraction` of one validated operating point, from its
-    extremes, with the consistency check."""
+    x, beta, w = _validate(x, beta, w)
     sm, sp = _s_minus(x, beta, w), _s_plus(x, beta, w)
     if not (sp > 1.0 and sm < 1.0):
         raise ValueError("squeezed fraction needs s_plus > 1 and s_minus < 1")
@@ -147,29 +137,25 @@ def _fraction(x: float, beta: float, w: float) -> float:
 
 def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
     """Extremal variances and squeezed fraction at one operating point."""
-    x, beta, w = _validate(x, beta, w)
-    return SqueezingPoint(_s_minus(x, beta, w), _s_plus(x, beta, w), _fraction(x, beta, w))
+    return SqueezingPoint(s_minus(x, beta, w), s_plus(x, beta, w), squeezed_fraction(x, beta, w))
 
 
-def ideal_bound(ft):
+def ideal_bound(ft: float) -> float:
     """Deepest squeezing a lossless OPA allows at squeezed fraction ft.
 
     s_minus = tan^2(ft * pi/2), valid on 0 < ft < 0.5.
     """
-    return elementwise(_ideal_bound, ft)
-
-
-def ideal_r_db(ft):
-    """:func:`ideal_bound` in dB, saturating at 0 dB for ft >= 0.5
-    (squeezing can never occupy more than half the cycle)."""
-    return elementwise(lambda f: 0.0 if f >= 0.5 else db(_ideal_bound(f)), ft)
-
-
-def _ideal_bound(ft: float) -> float:
+    ft = float(ft)
     if not 0.0 < ft < 0.5:
         raise ValueError(f"ft must lie in (0, 0.5), got {ft}")
     t = math.tan(ft * math.pi / 2.0)
     return t * t
+
+
+def ideal_r_db(ft: float) -> float:
+    """:func:`ideal_bound` in dB, saturating at 0 dB for ft >= 0.5
+    (squeezing can never occupy more than half the cycle)."""
+    return 0.0 if ft >= 0.5 else to_db(ideal_bound(ft))
 
 
 def effective_ft(x: float, beta: float, w_max: float) -> float:
@@ -184,25 +170,25 @@ def effective_ft(x: float, beta: float, w_max: float) -> float:
     if not (math.isfinite(w_max) and w_max > 0):
         raise ValueError(f"w_max must be positive, got {w_max}")
     ws = np.linspace(0.0, w_max, 2001)
-    ft = squeezed_fraction(x, beta, ws)
-    weight = _depth_weight(x, beta, ws)
+    ft = np.array([squeezed_fraction(x, beta, w) for w in ws.tolist()])
+    weight = 1.0 - np.array([s_minus(x, beta, w) for w in ws.tolist()])
     total = np.trapezoid(weight, ws)
     if total <= 0.0:
         raise NoSqueezingError(f"no squeezing anywhere in [0, {w_max}]")
     return float(np.trapezoid(weight * ft, ws) / total)
 
 
-def _depth_weight(x, beta, w):
-    """Squeezing depth 1 - S-(x, beta, w), the averaging weight of :func:`effective_ft`."""
-    return 1.0 - s_minus(x, beta, w)
-
-
-def _validate(x, beta, w):
-    """x, beta and w as floats (a float, a list or a float array each);
-    ValueError naming the first bad element."""
-    return (checked(x, lambda v: (0.0 < v) & (v < 1.0), "pump ratio x must lie in (0, 1)"),
-            checked(beta, lambda v: (0.0 < v) & (v <= 1.0), "efficiency beta must lie in (0, 1]"),
-            checked(w, lambda v: (v >= 0) & (v < math.inf), "normalized frequency w must be >= 0"))
+def _validate(x: float, beta: float, w: float) -> tuple[float, float, float]:
+    """x, beta and w as floats; ValueError naming the first out of range
+    (NaN fails every range)."""
+    x, beta, w = float(x), float(beta), float(w)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"pump ratio x must lie in (0, 1), got {x}")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"efficiency beta must lie in (0, 1], got {beta}")
+    if not 0.0 <= w < math.inf:
+        raise ValueError(f"normalized frequency w must be >= 0, got {w}")
+    return x, beta, w
 
 
 def _widths(x: float, w: float) -> tuple[float, float]:

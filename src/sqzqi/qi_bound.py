@@ -24,9 +24,10 @@ are first-class; no attempt is made to adjudicate between them.
 A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
 squeezing"), serialized as the literal string "-inf", closed form or not.
 
-:func:`bound_value`, :func:`phase_argument`, :func:`curve_value` (and
-:func:`sqzqi.units.to_db`) map a float, a list or an array to the same kind,
-element by element in ``math``; only the quadrature and arrays load NumPy.
+:func:`bound_value` and :func:`curve_value` take a float, and give a float,
+or a sequence of floats (a list, a tuple or a 1-d array), and give a list;
+:func:`phase_argument` takes a float.  The closed forms run in ``math``;
+only the quadrature loads NumPy.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from itertools import chain
 # every quadrature bracket the Gauss-Kronrod rule below.  SciPy is a test
 # dependency, for the reference quadratures the tests compare against.
 
-from .units import HBAR, C_LIGHT, arithmetic, checked, db, elementwise
+from .units import HBAR, C_LIGHT, to_db
 from .windows import SamplingWindow, WindowKind, sqrt_ft_squared
 
 # Brackets at or below this are reported as the -inf sentinel.
@@ -219,35 +220,21 @@ class BoundResult:
     bracket_error: float
 
 
-def _as_list(values) -> list:
-    """A sequence or a 1-d array as a list; a number, a 0-d array included, as one element."""
-    try:
-        return list(values)
-    except TypeError:
-        return [values]
-
-
-def _check_bracket(bracket, err) -> None:
+def _check_bracket(bracket: list, err: list) -> None:
     """ConsistencyError if a bracket exceeds 1, QuadratureError if an error
     estimate exceeds :data:`BOUND_TOL` or is NaN, or a bracket is not finite
-    (its error then counts as infinite); floats, lists or arrays."""
-    if isinstance(err, float) and err == 0.0 and isinstance(bracket, (float, list)) and all(
-            -math.inf < b <= 1.0 + 1e-9 for b in _as_list(bracket)):
-        return  # exact (a closed form's) and in range: passes without NumPy
-    import numpy as np
-    bracket, err = np.asarray(bracket), np.asarray(err)
-    if (bracket > 1.0 + 1e-9 + err).any():
-        raise ConsistencyError(f"bound bracket {float(bracket.max())!r} exceeds 1; the window "
+    (its error then counts as infinite); two lists of floats, one pass over
+    them when every element passes."""
+    failed = [b for b, e in zip(bracket, err)
+              if not (e <= BOUND_TOL and -math.inf < b <= 1.0 + 1e-9 + e)]
+    if not failed:
+        return
+    if any(b > 1.0 + 1e-9 + e for b, e in zip(bracket, err)):
+        raise ConsistencyError(f"bound bracket {max(bracket)!r} exceeds 1; the window "
                                "spectrum is inconsistent with unit normalization")
-    err = np.where(np.isfinite(bracket), err, np.inf)
-    if not (err <= BOUND_TOL).all():
-        raise QuadratureError("bound quadrature did not converge", achieved=float(err.max()))
-
-
-def _floored_db(bracket):
-    """R (dB) of a bracket, a float, a list or an array, element by element;
-    at or below the floor, -inf."""
-    return elementwise(db, bracket, BRACKET_FLOOR)
+    errors = [e if math.isfinite(b) else math.inf for b, e in zip(bracket, err)]
+    worst = math.nan if any(map(math.isnan, errors)) else max(errors)
+    raise QuadratureError("bound quadrature did not converge", achieved=float(worst))
 
 
 # QUADPACK dqk21 on [-1, 1]: the non-negative Kronrod nodes, largest first
@@ -316,10 +303,9 @@ def _kronrod21(f, lo, hi):
     return resk * half, est, floor
 
 
-def _bracket_spectrum(w: SamplingWindow, omega0, max_intervals: int):
+def _bracket_spectrum(w: SamplingWindow, omega0: list, max_intervals: int):
     """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
-    every element of ``omega0`` (a float or an array): (bracket, error),
-    each an array of its shape.
+    every element of the list ``omega0``: (bracket, error), two lists.
 
     Elements never interact, so they are integrated in blocks small enough
     that a block's intervals, each element at its full budget, number about
@@ -327,15 +313,14 @@ def _bracket_spectrum(w: SamplingWindow, omega0, max_intervals: int):
     """
     import numpy as np
     omega0 = np.asarray(omega0, dtype=float)
-    flat = omega0.ravel()
     size = max(1, _BLOCK_INTERVALS // max_intervals)
-    blocks = np.array_split(flat, max(1, -(-flat.size // size)))
+    blocks = np.array_split(omega0, max(1, -(-omega0.size // size)))
     # omega0 or the trapezoid's u*L past the float range makes a bracket
     # inf or NaN, which _check_bracket turns into QuadratureError
     with np.errstate(over="ignore", invalid="ignore"):
         bracket, error = (np.concatenate(column) for column in
                           zip(*[_gauss_kronrod(w, b, max_intervals) for b in blocks]))
-    return bracket.reshape(omega0.shape), error.reshape(omega0.shape)
+    return bracket.tolist(), error.tolist()
 
 
 def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
@@ -404,29 +389,27 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
     return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
-# The families whose bracket is a closed form in x = omega0*t0, each a
-# function of one float: erf(sqrt(2)*x) (Gaussian), 1 - exp(-2x) (Lorentzian^2).
+# The families whose bracket is a closed form in x = omega0*t0: erf(sqrt(2)*x)
+# (Gaussian), 1 - exp(-2x) (Lorentzian^2), each over a list of omega0 at width t0.
 _SQRT2 = math.sqrt(2.0)
 _CLOSED_FORMS = {
-    WindowKind.GAUSSIAN: lambda x: math.erf(_SQRT2 * x),
-    WindowKind.LORENTZIAN_SQ: lambda x: -math.expm1(-2.0 * x),
+    WindowKind.GAUSSIAN: lambda omega0, t0: [math.erf(_SQRT2 * (o * t0)) for o in omega0],
+    WindowKind.LORENTZIAN_SQ: lambda omega0, t0: [-math.expm1(-2.0 * (o * t0)) for o in omega0],
 }
 
 
-def _bracket(w: SamplingWindow, omega0, numeric: bool, max_intervals: int = MAX_INTERVALS):
-    """(bracket, error estimate) at omega0, a float, a list or an array, in its kind.
+def _bracket(w: SamplingWindow, omega0: list, numeric: bool, max_intervals: int = MAX_INTERVALS):
+    """(brackets, error estimates), two lists, at each omega0 of a list.
 
     A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
     error estimate, unless ``numeric``; every other call one adaptive
     quadrature of the closed-form spectrum per block of elements of
     ``omega0``, each element within ``max_intervals`` intervals.
     """
-    omega0 = checked(omega0, lambda o: (o >= 0) & (o < math.inf), "omega0 must be a non-negative real")
     form = None if numeric else _CLOSED_FORMS.get(w.kind)
-    if form is not None:
-        return elementwise(lambda o: form(o * w.t0), omega0), 0.0
-    bracket, err = _bracket_spectrum(w, omega0, max_intervals)
-    return (bracket.tolist(), err.tolist()) if isinstance(omega0, (float, list)) else (bracket, err)
+    if form is None:
+        return _bracket_spectrum(w, omega0, max_intervals)
+    return form(omega0, w.t0), [0.0] * len(omega0)
 
 
 def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult:
@@ -444,57 +427,85 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        bracket, err = _bracket(w, mu.omega0, True)
+        (bracket,), (err,) = _bracket(w, [mu.omega0], True)
     else:
         import numpy as np
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket(w, omega_p, True)
+        brackets, errs = _bracket(w, omega_p.tolist(), True)
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
-    _check_bracket(bracket, err)
-    return BoundResult(r_db=_floored_db(bracket), bracket=float(bracket),
+    _check_bracket([bracket], [err])
+    return BoundResult(r_db=to_db(bracket, BRACKET_FLOOR), bracket=float(bracket),
                        bracket_error=float(err))
 
 
 def bound_value(kind: WindowKind, n: float | None, omega_t0, numeric: bool = False,
                 max_intervals: int = MAX_INTERVALS):
-    """R (dB) of a window family at the phase argument omega0*t0, in closed
-    form where the family has one, else (or if ``numeric``) by quadrature
-    within ``max_intervals`` intervals per element; a bracket at or below
-    the floor gives the -inf sentinel either way."""
+    """R (dB) of a window family at the phase argument omega0*t0, a float (a
+    float comes out) or a sequence (a list comes out), in closed form where
+    the family has one, else (or if ``numeric``) by quadrature within
+    ``max_intervals`` intervals per element; a bracket at or below the floor
+    gives the -inf sentinel either way."""
     check_max_intervals(max_intervals)
+    one = isinstance(omega_t0, numbers.Real)
+    omegas = [omega_t0] if one else omega_t0
+    bad = [o for o in omegas if not 0.0 <= o < math.inf]
+    if bad:
+        raise ValueError(f"omega0 must be a non-negative real, got {float(bad[0])}")
+    r = _r_db(kind, n, omegas, numeric, max_intervals)
+    return r[0] if one else r
+
+
+def _r_db(kind: WindowKind, n: float | None, omega_t0: list, numeric: bool,
+          max_intervals: int) -> list[float]:
+    """R (dB) at each phase argument of a list, all checked to lie in [0, inf)."""
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
     bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, numeric, max_intervals)
     _check_bracket(bracket, err)
-    return _floored_db(bracket)
+    return [to_db(b, BRACKET_FLOOR) for b in bracket]
 
 
-def phase_argument(variant: Variant, window: WindowKind, ft, scale: float = 1.0):
+def _phase_factor(variant: Variant, window: WindowKind) -> float:
+    """omega0*t0 / (F_T*scale) of a convention and family (see :func:`phase_argument`)."""
+    return math.pi if variant is Variant.WITH_PI else 2.0 if window is WindowKind.GAUSSIAN else 1.0
+
+
+def phase_argument(variant: Variant, window: WindowKind, ft: float, scale: float = 1.0) -> float:
     """Map a squeezed fraction F_T to the phase argument omega0*t0.
 
     ``paper``: omega0*t0 = pi*F_T*scale for every family.  ``marecki``:
     omega0*t0 = F_T*scale, except the Gaussian family where the
     transcribed result doubles the argument (2*F_T*scale).
     """
-    factor = math.pi if variant is Variant.WITH_PI else 2.0 if window is WindowKind.GAUSSIAN else 1.0
-    return arithmetic(lambda f: factor * (f * scale), ft)
+    return _phase_factor(variant, window) * (ft * scale)
 
 
 def curve_value(curve: QiCurve, ft):
-    """R (dB) of a bound curve at squeezed fraction ft in (0, 1]."""
-    ft = checked(ft, lambda f: (f > 0.0) & (f <= 1.0), "ft must lie in (0, 1]")
-    arg = phase_argument(curve.variant, curve.window, ft, curve.scale)
-    return bound_value(curve.window, curve.n, arg, curve.numeric, curve.max_intervals)
+    """R (dB) of a bound curve at squeezed fraction ft in (0, 1], a float (a
+    float comes out) or a sequence (a list comes out); an F_T whose phase
+    argument overflows is a ValueError naming the curve and the F_T."""
+    one = isinstance(ft, numbers.Real)
+    fts = [ft] if one else ft
+    factor, scale = _phase_factor(curve.variant, curve.window), curve.scale
+    args = [factor * (f * scale) for f in fts if 0.0 < f <= 1.0]
+    if len(args) < len(fts):
+        bad = next(f for f in fts if not 0.0 < f <= 1.0)
+        raise ValueError(f"ft must lie in (0, 1], got {float(bad)}")
+    if math.inf in args:
+        raise ValueError(f"the phase argument of curve {curve.curve_id} at F_T = "
+                         f"{float(fts[args.index(math.inf)]):g} overflows")
+    r = _r_db(curve.window, curve.n, args, curve.numeric, curve.max_intervals)
+    return r[0] if one else r
 
 
 def sample_curve(curve: QiCurve, fts) -> list[float]:
-    """R (dB) of a curve at each F_T of ``fts``, a sequence, a 1-d array or one
-    number, in input order: a list of floats, from one validated call."""
-    return curve_value(curve, _as_list(fts))
+    """R (dB) of a curve at each F_T of the grid ``fts``, a sequence, in input
+    order: a list of floats, from one validated call."""
+    return curve_value(curve, list(fts))
 
 
 CURVE_CSV_HEADER = "ft,r_db,curve_id,window,variant,scale"
@@ -510,7 +521,6 @@ def samples_csv(fts, values, curve_id: str, window: str, variant: str, scale: fl
 
 def curve_csv(curve: QiCurve, fts) -> str:
     """CSV sampling of a curve on the grid ``fts`` (as for :func:`sample_curve`), one row per point."""
-    fts = _as_list(fts)
     return samples_csv(fts, sample_curve(curve, fts), curve.curve_id, curve.window.value,
                        curve.variant.value, curve.scale)
 

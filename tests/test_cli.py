@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,12 @@ def test_bound_usage_errors(capsys, monkeypatch):
         code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", grid)
         assert code == 2 and out == ""
         assert err == f"sqzqi: grid {grid!r} must satisfy 0 < lo <= hi <= 1 and 0 < step < inf\n"
+    # the user set --scale and --ft, so an overflowing pi*F_T*scale names those
+    code, out, err = run(capsys, "bound", "--window", "gaussian", "--scale", "1e308",
+                         "--ft", "1:1:0.1")
+    assert (code, out) == (2, "")
+    assert err == ("sqzqi: the phase argument of curve gaussian-paper-k1e+308 at F_T = 1 "
+                   "overflows\n")
     # 990,000,001 points would take gigabytes: refused before any array exists
     monkeypatch.setattr(cli, "rounded_grid", no_grid)
     code, out, err = run(capsys, "bound", "--window", "gaussian", "--ft", "0.01:1:1e-9")
@@ -770,23 +777,46 @@ EDGE_COMMANDS = [
     "plot --curve trapezoid-paper-k{0}-n{0} --grid-step 0.5 --out {out}",
     "plot --fig 6 --db-floor {} --grid-step 0.1 --out {out}",
     "plot --fig 4 --db-floor {} --out {out}",
+    "opa --x {} --beta 0.9 --extremes",
+    "opa --x 0.5 --beta {} --ft",
+    "opa --x 0.5 --beta 0.9 --w {} --extremes",
+    "opa --x 0.5 --beta 0.9 --theta {}",
+    "opa --ideal-bound {}",
 ]
+# One record with every field set; the test puts the value in one numeric column.
+EDGE_RECORD = dict(zip(DATASET_COLUMNS, ("r1", "ref", "0.8", "0.1", "0.975", "-14.3136",
+                                         "18.9763", "0.2", "0.07", "0.071", "0.01")))
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(template=st.sampled_from(EDGE_COMMANDS), value=EDGE_VALUES,
        window=st.sampled_from(["gaussian", "lorentzian2"]),
        step=st.one_of(st.sampled_from(["nan", "inf", "-0", "5e-324", "1e308"]),
-                      st.floats(2e-3, 1.0).map(repr)))
-def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, step):
-    # a usage error, a numeric failure or an answer: never a traceback or a NaN
-    commands = [template.format(value, w=window, out=tmp_path / "x.svg"),
-                f"plot --fig 5 --grid-step {step} --out {tmp_path / 'x.svg'}"]
-    for command in commands:
+                      st.floats(2e-3, 1.0).map(repr)),
+       column=st.sampled_from(DATASET_COLUMNS[2:]))
+@example(template="opa --x {} --beta 0.9 --extremes", value="nan", window="gaussian",
+         step="0.1", column="x")
+@example(template="opa --x 0.5 --beta {} --ft", value="nan", window="gaussian",
+         step="0.1", column="beta")
+@example(template="opa --x 0.5 --beta 0.9 --w {} --extremes", value="nan", window="gaussian",
+         step="0.1", column="omega_over_gamma")
+def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, step, column):
+    # a usage error, a numeric failure or an answer: never a traceback or a
+    # NaN, and a failed command leaves no output file behind
+    here = Path(tempfile.mkdtemp(dir=tmp_path))  # tmp_path is shared across examples
+    data = here / "data.csv"
+    data.write_text(HEADER + "\n" + ",".join({**EDGE_RECORD, column: value}.values()) + "\n")
+    commands = [(template.format(value, w=window, out=here / "a.svg"), here / "a.svg"),
+                (f"plot --fig 5 --grid-step {step} --out {here / 'b.svg'}", here / "b.svg"),
+                (f"analyze --data {data} --report {here / 'c.json'}", here / "c.json")]
+    for command, output in commands:
         code, out, err = run(capsys, *command.split())
         assert code in (0, 2, 3, 4), (command, err)
         assert "Traceback" not in err and "nan" not in out.lower(), (command, out, err)
+        assert code == 0 or not output.exists(), (command, err)
+    report = here / "c.json"
+    assert not report.exists() or "nan" not in report.read_text().lower()
 
 
 # --- start-up ----------------------------------------------------------------------
