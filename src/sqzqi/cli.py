@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 # Only what every command needs loads here; each command imports ``meta``, ``opa``
-# and ``svgfig``, and NumPy with its first array, when it runs them: a short start-up.
+# and ``svgfig`` when it runs them, and NumPy loads only when a quadrature runs.
 from . import qi_bound
 from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureError,
                        Variant, parse_curve_id)
@@ -326,7 +326,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_POINT_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
+_ERROR_FIELDS = ("ft_err_used", "s_err_db_used")
+_POINT_FIELDS = ("ft_used", "r_db_used", *_ERROR_FIELDS)
 
 
 def _report_points(path: str) -> svgfig.PointSet:
@@ -343,7 +344,9 @@ def _report_points(path: str) -> svgfig.PointSet:
                 if type(value) not in (int, float) or not math.isfinite(value):
                     raise ValueError(f"record {r.record_id!r}: {name} is not a finite number: "
                                      f"{value!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                if value < 0 and name in _ERROR_FIELDS:
+                    raise ValueError(f"record {r.record_id!r}: {name} is negative: {value!r}")
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise DatasetError(f"malformed report {path}: {type(exc).__name__}: {exc}") from None
     return svgfig.PointSet(
         label="experimental points",

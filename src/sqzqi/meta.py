@@ -26,6 +26,7 @@ import enum
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -315,21 +316,19 @@ def _q(x: float | None) -> float | None:
 
 
 def _flags(r, s_err, ft, ft_err, curve: QiCurve) -> list[str]:
-    import numpy as np
     # Bound curves increase with ft, so the error rectangle sits entirely
     # below the curve iff its top-left corner does (and the bound diverges
     # to -inf as ft -> 0, so a rectangle reaching ft <= 0 can never be
     # entirely below).
-    lo_ft = ft - ft_err
-    hi_ft = np.minimum(ft + ft_err, 1.0)
-    r_at_lo = np.full_like(ft, -np.inf)
-    reach = lo_ft > 0
-    r_at_lo[reach] = curve_value(curve, lo_ft[reach].tolist())
-    r_at_hi = curve_value(curve, hi_ft.tolist())
-    # indices in RecordFlag's order, so that every row shares its value strings
-    codes = np.select([r + s_err < r_at_lo, r - s_err >= r_at_hi], [0, 1], 2)
-    values = [flag.value for flag in RecordFlag]
-    return [values[c] for c in codes]
+    lo_ft = [f - e for f, e in zip(ft, ft_err)]
+    hi_ft = [min(f + e, 1.0) for f, e in zip(ft, ft_err)]
+    reached = iter(curve_value(curve, [f for f in lo_ft if f > 0]))
+    r_at_lo = [next(reached) if f > 0 else -math.inf for f in lo_ft]
+    r_at_hi = curve_value(curve, hi_ft)
+    # values in RecordFlag's order, so that every row shares its value strings
+    violates, consistent, within = (flag.value for flag in RecordFlag)
+    return [violates if x + e < lo else consistent if x - e >= hi else within
+            for x, e, lo, hi in zip(r, s_err, r_at_lo, r_at_hi)]
 
 
 DEFAULT_FT_GRID = tuple(rounded_grid(0.01, 0.01, 50, 6))  # 0.01, 0.02, ..., 0.5
@@ -348,7 +347,6 @@ def classify(
     the +-s_err_db / +-ft_err error rectangle.  Classification is per
     record and order-independent; the report is ordered by record id.
     """
-    import numpy as np
     report = AnalysisReport()
     discrepancies = []
     columns = []
@@ -385,40 +383,39 @@ def classify(
             assumed_error_fields=assumed,
         ))
     # each curve, and the lossless-OPA limit, is evaluated once per column
-    r, ft, s_err, ft_err = np.array(columns, dtype=float).reshape(-1, 4).T
+    r, ft, s_err, ft_err = (columns[i::4] for i in range(4))
     for curve in curves:
         cid = curve.curve_id
-        below = r < curve_value(curve, ft.tolist())
+        below = map(operator.lt, r, curve_value(curve, ft))
         flags = _flags(r, s_err, ft, ft_err, curve)
         for row, violates, flag in zip(report.per_record, below, flags):
-            row.violations[cid] = bool(violates)
+            row.violations[cid] = violates
             row.flags[cid] = flag
         report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
-    for row, exceeded in zip(report.per_record, r < [ideal_r_db(f) for f in ft.tolist()]):
-        row.ideal_opa_exceeded = bool(exceeded)
+    for row, x, f in zip(report.per_record, r, ft):
+        row.ideal_opa_exceeded = x < ideal_r_db(f)
     ideal = [ideal_r_db(f) for f in DEFAULT_FT_GRID]
     report.curve_samples["ideal-opa"] = samples_csv(
         DEFAULT_FT_GRID, ideal, "ideal-opa", "ideal-opa", "", 1.0)
     if discrepancies:
-        report.method_agreement_rms = _q(float(np.sqrt(np.mean(np.square(discrepancies)))))
-    # the fit takes the columns back in input order, on which its sum depends
-    by_input = np.argsort(order)
+        report.method_agreement_rms = _q(math.sqrt(
+            math.fsum(d * d for d in discrepancies) / len(discrepancies)))
+    # the fit takes the columns back in input order
+    by_input = sorted(range(len(order)), key=order.__getitem__)
+    ft, r = [ft[i] for i in by_input], [r[i] for i in by_input]
     for curve in (fit_curves or []):
-        fit = fit_scale(ft[by_input], r[by_input], curve)
-        report.fitted_scales[curve.curve_id] = ScaleFit(
-            curve_id=fit.curve_id,
-            envelope_k=_q(fit.envelope_k),
-            least_squares_k=_q(fit.least_squares_k),
-        )
+        fit = fit_scale(ft, r, curve)
+        report.fitted_scales[curve.curve_id] = replace(
+            fit, envelope_k=_q(fit.envelope_k), least_squares_k=_q(fit.least_squares_k))
     return report
 
 
 def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
-    ``ft`` and ``r`` are the F_T and depth (dB) columns of the classifiable
-    records, in input order: ``reconcile_ft(record).ft`` and
-    ``record.s_minus_db`` of each record that has both.
+    ``ft`` and ``r`` are sequences of floats, the F_T and depth (dB) columns
+    of the classifiable records in input order: ``reconcile_ft(record).ft``
+    and ``record.s_minus_db`` of each record that has both.
     The primary result is the envelope scale: the largest k in (0, 1]
     such that no record falls below the scaled curve, found by bisection
     to :data:`FIT_TOL`.  (Shrinking k drags the curve toward -inf everywhere, so
@@ -426,13 +423,11 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     minimizing the squared dB residuals is returned alongside as a
     diagnostic; it is not constrained to exclude nothing.
     """
-    import numpy as np
-    ft, r = np.asarray(ft, dtype=float).tolist(), np.asarray(r, dtype=float)
-    if not ft:
+    if len(ft) == 0:
         raise FitError("no classifiable records to fit")
 
     def violations(k: float) -> int:
-        return int(np.count_nonzero(r < curve_value(replace(curve, scale=k), ft)))
+        return sum(map(operator.lt, r, curve_value(replace(curve, scale=k), ft)))
 
     if violations(1.0) == 0:
         envelope = 1.0
@@ -449,8 +444,10 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
         envelope = lo
 
     def cost(k: float) -> float:
-        bound = np.maximum(curve_value(replace(curve, scale=k), ft), -60.0)
-        return float(np.sum((r - bound) ** 2))
+        # fsum: correctly rounded, so no order of summation moves the minimum
+        res = [x - (b if b > -60.0 else -60.0)
+               for x, b in zip(r, curve_value(replace(curve, scale=k), ft))]
+        return math.fsum(map(operator.mul, res, res))
 
     return ScaleFit(curve_id=curve.curve_id, envelope_k=envelope,
                     least_squares_k=_minimize_bounded(cost, 1e-4, 2.0, xatol=1e-8))

@@ -198,7 +198,7 @@ def render_svg(spec: PlotSpec) -> str:
         xe = ps.x_err if ps.x_err else (0.0,) * len(ps.x)
         ye = ps.y_err if ps.y_err else (0.0,) * len(ps.y)
         for x, y, ex, ey in zip(ps.x, ps.y, xe, ye):
-            if not (c.x0 <= x <= c.x1) or not math.isfinite(y) or y < c.y0:
+            if not (c.x0 <= x <= c.x1 and c.y0 <= y <= c.y1):
                 continue
             if ex > 0 or ey > 0:
                 rx0, rx1 = c.px(max(x - ex, c.x0)), c.px(min(x + ex, c.x1))

@@ -498,11 +498,14 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
     good = json.loads((tmp_path / "r.json").read_text())
     listed = dict(good, fitted_scales=[])
     malformed = [("empty.json", "{}"), ("text.json", "not json"),
-                 ("listed.json", json.dumps(listed))]
-    # a drawn field that is not a finite number (JSON as Python writes it)
+                 ("listed.json", json.dumps(listed)),
+                 ("deep.json", "[" * 100000 + "]" * 100000)]  # deeper than the decoder recurses
+    # a drawn field that is not a finite number (JSON as Python writes it), or
+    # a negative error
     for field, value in (("ft_used", "0.3"), ("r_db_used", None), ("ft_used", math.nan),
                          ("ft_err_used", math.inf), ("s_err_db_used", True),
-                         ("ft_used", "-inf"), ("s_err_db_used", "-inf")):
+                         ("ft_used", "-inf"), ("s_err_db_used", "-inf"),
+                         ("ft_err_used", -0.01), ("s_err_db_used", -1e308)):
         bad = json.loads(json.dumps(good))
         bad["per_record"][0][field] = value
         malformed.append((f"{field}-{value}.json", json.dumps(bad)))
@@ -786,6 +789,20 @@ EDGE_COMMANDS = [
 # One record with every field set; the test puts the value in one numeric column.
 EDGE_RECORD = dict(zip(DATASET_COLUMNS, ("r1", "ref", "0.8", "0.1", "0.975", "-14.3136",
                                          "18.9763", "0.2", "0.07", "0.071", "0.01")))
+# The fields of a report that `plot --report` draws; the test puts the value in one.
+DRAWN_FIELDS = ("ft_used", "r_db_used", "ft_err_used", "s_err_db_used")
+FRAME = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" '
+                   r'fill="none" stroke="#000000" stroke-width="1"/>')
+DATA_POINT = re.compile(r'<circle cx="([^"]*)" cy="([^"]*)" r="3.2" fill="#000000" stroke="none"/>')
+
+
+def assert_drawable(svg: str) -> None:
+    """No non-finite coordinate, no negative extent, no data point off the frame."""
+    assert "inf" not in svg and "nan" not in svg, svg
+    assert not re.search(r'(width|height)="-', svg), svg
+    left, top, width, height = map(float, FRAME.search(svg).groups())
+    for cx, cy in DATA_POINT.findall(svg):
+        assert left <= float(cx) <= left + width and top <= float(cy) <= top + height, svg
 
 
 @settings(max_examples=80, deadline=None,
@@ -794,22 +811,36 @@ EDGE_RECORD = dict(zip(DATASET_COLUMNS, ("r1", "ref", "0.8", "0.1", "0.975", "-1
        window=st.sampled_from(["gaussian", "lorentzian2"]),
        step=st.one_of(st.sampled_from(["nan", "inf", "-0", "5e-324", "1e308"]),
                       st.floats(2e-3, 1.0).map(repr)),
-       column=st.sampled_from(DATASET_COLUMNS[2:]))
+       column=st.sampled_from(DATASET_COLUMNS[2:]), drawn=st.sampled_from(DRAWN_FIELDS))
 @example(template="opa --x {} --beta 0.9 --extremes", value="nan", window="gaussian",
-         step="0.1", column="x")
+         step="0.1", column="x", drawn="ft_used")
 @example(template="opa --x 0.5 --beta {} --ft", value="nan", window="gaussian",
-         step="0.1", column="beta")
+         step="0.1", column="beta", drawn="ft_used")
 @example(template="opa --x 0.5 --beta 0.9 --w {} --extremes", value="nan", window="gaussian",
-         step="0.1", column="omega_over_gamma")
-def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, step, column):
+         step="0.1", column="omega_over_gamma", drawn="ft_used")
+@example(template="opa --ideal-bound {}", value="1e308", window="gaussian", step="0.1",
+         column="x", drawn="r_db_used")  # a point above the frame
+@example(template="opa --ideal-bound {}", value="-1e308", window="gaussian", step="0.1",
+         column="x", drawn="ft_err_used")  # an error rectangle of negative width
+def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, step, column,
+                                    drawn):
     # a usage error, a numeric failure or an answer: never a traceback or a
     # NaN, and a failed command leaves no output file behind
     here = Path(tempfile.mkdtemp(dir=tmp_path))  # tmp_path is shared across examples
     data = here / "data.csv"
     data.write_text(HEADER + "\n" + ",".join({**EDGE_RECORD, column: value}.values()) + "\n")
+    # a report of the unchanged record, the value in one drawn field (JSON as
+    # Python writes it, NaN and Infinity included)
+    edge = meta.load_records(HEADER + "\n" + ",".join(EDGE_RECORD.values()) + "\n")
+    drawn_report = json.loads(meta.classify(edge, [qi_bound.parse_curve_id("gaussian-paper")])
+                              .to_json())
+    drawn_report["per_record"][0][drawn] = float(value)
+    (here / "d.json").write_text(json.dumps(drawn_report))
     commands = [(template.format(value, w=window, out=here / "a.svg"), here / "a.svg"),
                 (f"plot --fig 5 --grid-step {step} --out {here / 'b.svg'}", here / "b.svg"),
-                (f"analyze --data {data} --report {here / 'c.json'}", here / "c.json")]
+                (f"analyze --data {data} --report {here / 'c.json'}", here / "c.json"),
+                (f"plot --fig 5 --report {here / 'd.json'} --out {here / 'd.svg'}",
+                 here / "d.svg")]
     for command, output in commands:
         code, out, err = run(capsys, *command.split())
         assert code in (0, 2, 3, 4), (command, err)
@@ -817,6 +848,8 @@ def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, 
         assert code == 0 or not output.exists(), (command, err)
     report = here / "c.json"
     assert not report.exists() or "nan" not in report.read_text().lower()
+    if (here / "d.svg").exists():
+        assert_drawable((here / "d.svg").read_text())
 
 
 # --- start-up ----------------------------------------------------------------------
@@ -859,9 +892,9 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
 # every closed-form spectrum (--numeric, the square and trapezoid windows)
 # run on NumPy.  The same probe checks that each command loads only the
 # sqzqi modules it runs: `bound` needs neither the meta-analysis nor the
-# SVG writer.  NumPy loads only where arrays pay: the quadrature (square,
-# trapezoid, --numeric) and analyze's record columns; the closed-form
-# bounds, their figures and the OPA model run in math.
+# SVG writer.  NumPy loads if and only if a quadrature runs (square,
+# trapezoid, --numeric); the closed-form bounds, their figures, the OPA
+# model and analyze's classification and fits run in math.
 @pytest.mark.parametrize("argv, extra, numpy", [
     ((), set(), False),  # import sqzqi.cli alone
     (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set(), False),
@@ -873,8 +906,8 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
     (("plot", "--fig", "5", "--report", "report.json", "--out", "fig.svg"),
      {"opa", "svgfig", "meta"}, False),
     (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}, False),
-    (("analyze", "--report", "report.json"), {"opa", "meta"}, True),
-    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}, True),
+    (("analyze", "--report", "report.json"), {"opa", "meta"}, False),
+    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}, False),
     (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}, True),
     (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}, False),
     (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -594,6 +595,47 @@ def test_classify_fits_from_its_own_columns(monkeypatch):
     assert [f.curve_id for f in fits] == [curve.curve_id for curve in curves]
     assert [(f.envelope_k.hex(), f.least_squares_k.hex()) for f in fits] == [
         (f.envelope_k.hex(), f.least_squares_k.hex()) for f in want]
+
+
+def test_fsum_reductions_give_numpys_quantized_results(monkeypatch):
+    # fit_scale's cost and classify's RMS sum with math.fsum; quantized, the
+    # least-squares k and the RMS are those of NumPy's pairwise sums, and the
+    # cost is the correctly rounded sum of its squared residuals
+    costs, minimize = [], meta._minimize_bounded
+    monkeypatch.setattr(meta, "_minimize_bounded",
+                        lambda f, *args, **kw: costs.append(f) or minimize(f, *args, **kw))
+
+    def np_cost(ft, r, curve):
+        r = np.asarray(r)
+        return lambda k: float(np.sum(
+            (r - np.maximum(curve_value(replace(curve, scale=k), ft), -60.0)) ** 2))
+
+    datasets = [load_records(DATASET)]
+    for seed in range(10):
+        rng = random.Random(seed)
+        records = []
+        for i in range(200):
+            ft = rng.uniform(0.01, 0.9)
+            graphical = ft * rng.uniform(0.9, 1.1) if rng.random() < 0.5 else None
+            records.append(SqueezingRecord(id=f"r{i:03d}", s_minus_db=-rng.uniform(0.1, 15.0),
+                                           ft_formula=ft, ft_graphical=graphical))
+        datasets.append(records)
+    averaged = 0
+    for records in datasets:
+        ft, r = columns(records)
+        for curve in (GAUSS_PAPER, GAUSS_MARECKI, LOR2_PAPER):
+            want = minimize(np_cost(ft, r, curve), 1e-4, 2.0, xatol=1e-8)
+            assert meta._q(fit_scale(ft, r, curve).least_squares_k) == meta._q(want)
+            for k in (0.05, 0.3, 1.7):
+                bound = curve_value(replace(curve, scale=k), ft)
+                res = [x - max(b, -60.0) for x, b in zip(r, bound)]
+                assert costs[-1](k) == float(sum(Fraction(d * d) for d in res))
+        d = [rec.discrepancy for record in records if record.s_minus_db is not None
+             and (rec := reconcile_ft(record)) is not None and rec.discrepancy is not None]
+        want = meta._q(float(np.sqrt(np.mean(np.square(d))))) if d else None
+        assert classify(records, [GAUSS_PAPER]).method_agreement_rms == want
+        averaged += bool(d)
+    assert averaged == 10  # every seeded set, not the shipped one, has an RMS
 
 
 # --- least-squares minimizer against SciPy's bounded Brent ------------------------
