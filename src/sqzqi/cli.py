@@ -111,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="sample a bound curve or evaluate one argument")
     p.add_argument("--window", required=True, choices=[k.value for k in WindowKind])
     p.add_argument("--n", type=float, help="trapezoid side length in units of the flat top")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default="paper")
-    p.add_argument("--scale", type=float, default=1.0, help="argument scale k (default 1)")
+    p.add_argument("--variant", choices=[v.value for v in Variant],
+                   help="argument convention (default paper)")
+    p.add_argument("--scale", type=float, help="argument scale k (default 1)")
     p.add_argument("--ft", help="F_T grid as lo:hi:step")
     p.add_argument("--omega-t0", type=float, help="evaluate a single phase argument instead")
-    p.add_argument("--numeric", action="store_true", help="force numeric bound evaluation")
     p.add_argument("--allow-square", action="store_true",
                    help="opt in to the mathematically unstable square window")
     p.add_argument("--out", help="write CSV here instead of stdout")
@@ -205,12 +205,13 @@ def _curve_from_args(args) -> QiCurve:
         raise UsageError("--n only applies to the trapezoid window")
     if kind is WindowKind.SQUARE and not args.allow_square:
         raise UsageError("the square window is mathematically unstable; pass --allow-square")
+    if kind is not WindowKind.SQUARE and args.allow_square:
+        raise UsageError("--allow-square only applies to the square window")
     return QiCurve(
         window=kind,
-        variant=Variant(args.variant),
-        scale=args.scale,
+        variant=Variant(args.variant or "paper"),
+        scale=1.0 if args.scale is None else args.scale,
         n=args.n,
-        numeric=args.numeric,
         max_intervals=args.max_intervals,
         allow_unstable=args.allow_square,
     )
@@ -219,12 +220,14 @@ def _curve_from_args(args) -> QiCurve:
 def cmd_bound(args) -> int:
     if (args.ft is None) == (args.omega_t0 is None):
         raise UsageError("pass exactly one of --ft or --omega-t0")
-    if args.omega_t0 is not None and args.out is not None:
-        raise UsageError("--out applies to --ft only; --omega-t0 prints one value")
+    if args.omega_t0 is not None:
+        for name, value in (("--variant", args.variant), ("--scale", args.scale),
+                            ("--out", args.out)):
+            if value is not None:
+                raise UsageError(f"{name} applies to --ft only; --omega-t0 prints one value")
     curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.numeric,
-                                 curve.max_intervals)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.max_intervals)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)

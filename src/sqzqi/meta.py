@@ -350,9 +350,7 @@ def classify(
     report = AnalysisReport()
     discrepancies = []
     columns = []
-    order = []  # the input position of each classified record
-    for index in sorted(range(len(records)), key=lambda i: records[i].id):
-        record = records[index]
+    for record in sorted(records, key=lambda record: record.id):
         rec = reconcile_ft(record)
         if rec is None:
             reason = "no measurements" if record.is_stub else "no F_T route available"
@@ -368,7 +366,6 @@ def classify(
         ft_err = DEFAULT_FT_ERR if record.ft_err is None else record.ft_err
         r = record.s_minus_db
         columns += (r, rec.ft, s_err, ft_err)
-        order.append(index)
         report.per_record.append(RecordResult(
             record_id=record.id,
             ft_used=_q(rec.ft),
@@ -400,9 +397,6 @@ def classify(
     if discrepancies:
         report.method_agreement_rms = _q(math.sqrt(
             math.fsum(d * d for d in discrepancies) / len(discrepancies)))
-    # the fit takes the columns back in input order
-    by_input = sorted(range(len(order)), key=order.__getitem__)
-    ft, r = [ft[i] for i in by_input], [r[i] for i in by_input]
     for curve in (fit_curves or []):
         fit = fit_scale(ft, r, curve)
         report.fitted_scales[curve.curve_id] = replace(
@@ -414,7 +408,7 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     """Fit the argument scale of a curve family to the data.
 
     ``ft`` and ``r`` are sequences of floats, the F_T and depth (dB) columns
-    of the classifiable records in input order: ``reconcile_ft(record).ft``
+    of the classifiable records, in any one order: ``reconcile_ft(record).ft``
     and ``record.s_minus_db`` of each record that has both.
     The primary result is the envelope scale: the largest k in (0, 1]
     such that no record falls below the scaled curve, found by bisection

@@ -8,12 +8,13 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
 so a measured value of -X dB is inconsistent with the bound whenever
 X > |R|.  The Gaussian and squared-Lorentzian bounds are closed forms
 (an error function and an exponential in omega0*t0, :data:`_CLOSED_FORMS`).
-The square and trapezoid bounds, and every family's with ``numeric=True``
-(``--numeric``), are a quadrature: the family's closed-form spectrum
-integrated in the complement form 4pi * integral_0^{omega0}
+The square and trapezoid bounds are a quadrature: the family's closed-form
+spectrum integrated in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
 the omega0 of a call together, in blocks, each omega0 within a budget of
 ``max_intervals`` intervals (default :data:`MAX_INTERVALS`).
+:func:`numeric_bound_detail` takes that quadrature for every family: it
+is the slow reference the closed forms are checked against.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -143,8 +144,7 @@ class QiCurve:
     theoretical curve; fitted envelopes use smaller values).  Trapezoid
     curves need ``n``; square curves must opt in explicitly: the sharp
     window is mathematically unstable in the bound integrals (its spectrum
-    decays only like 1/omega^2).  ``numeric`` evaluates even a closed-form
-    family's bound by quadrature; ``max_intervals`` is the budget of every
+    decays only like 1/omega^2).  ``max_intervals`` is the budget of every
     quadrature the curve's evaluation takes.
     """
 
@@ -152,7 +152,6 @@ class QiCurve:
     variant: Variant
     scale: float = 1.0
     n: float | None = None
-    numeric: bool = False
     max_intervals: int = MAX_INTERVALS
     allow_unstable: bool = False
 
@@ -398,15 +397,15 @@ _CLOSED_FORMS = {
 }
 
 
-def _bracket(w: SamplingWindow, omega0: list, numeric: bool, max_intervals: int = MAX_INTERVALS):
+def _bracket(w: SamplingWindow, omega0: list, max_intervals: int = MAX_INTERVALS):
     """(brackets, error estimates), two lists, at each omega0 of a list.
 
     A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
-    error estimate, unless ``numeric``; every other call one adaptive
-    quadrature of the closed-form spectrum per block of elements of
-    ``omega0``, each element within ``max_intervals`` intervals.
+    error estimate; every other family one adaptive quadrature of the
+    closed-form spectrum per block of elements of ``omega0``, each element
+    within ``max_intervals`` intervals.
     """
-    form = None if numeric else _CLOSED_FORMS.get(w.kind)
+    form = _CLOSED_FORMS.get(w.kind)
     if form is None:
         return _bracket_spectrum(w, omega0, max_intervals)
     return form(omega0, w.t0), [0.0] * len(omega0)
@@ -427,14 +426,14 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        (bracket,), (err,) = _bracket(w, [mu.omega0], True)
+        (bracket,), (err,) = _bracket_spectrum(w, [mu.omega0], MAX_INTERVALS)
     else:
         import numpy as np
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket(w, omega_p.tolist(), True)
+        brackets, errs = _bracket_spectrum(w, omega_p.tolist(), MAX_INTERVALS)
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
     _check_bracket([bracket], [err])
@@ -442,29 +441,27 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
                        bracket_error=float(err))
 
 
-def bound_value(kind: WindowKind, n: float | None, omega_t0, numeric: bool = False,
-                max_intervals: int = MAX_INTERVALS):
+def bound_value(kind: WindowKind, n: float | None, omega_t0, max_intervals: int = MAX_INTERVALS):
     """R (dB) of a window family at the phase argument omega0*t0, a float (a
     float comes out) or a sequence (a list comes out), in closed form where
-    the family has one, else (or if ``numeric``) by quadrature within
-    ``max_intervals`` intervals per element; a bracket at or below the floor
-    gives the -inf sentinel either way."""
+    the family has one, else by quadrature within ``max_intervals``
+    intervals per element; a bracket at or below the floor gives the -inf
+    sentinel either way."""
     check_max_intervals(max_intervals)
     one = isinstance(omega_t0, numbers.Real)
     omegas = [omega_t0] if one else omega_t0
     bad = [o for o in omegas if not 0.0 <= o < math.inf]
     if bad:
         raise ValueError(f"omega0 must be a non-negative real, got {float(bad[0])}")
-    r = _r_db(kind, n, omegas, numeric, max_intervals)
+    r = _r_db(kind, n, omegas, max_intervals)
     return r[0] if one else r
 
 
-def _r_db(kind: WindowKind, n: float | None, omega_t0: list, numeric: bool,
-          max_intervals: int) -> list[float]:
+def _r_db(kind: WindowKind, n: float | None, omega_t0: list, max_intervals: int) -> list[float]:
     """R (dB) at each phase argument of a list, all checked to lie in [0, inf)."""
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
-    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, numeric, max_intervals)
+    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, max_intervals)
     _check_bracket(bracket, err)
     return [to_db(b, BRACKET_FLOOR) for b in bracket]
 
@@ -498,7 +495,7 @@ def curve_value(curve: QiCurve, ft):
     if math.inf in args:
         raise ValueError(f"the phase argument of curve {curve.curve_id} at F_T = "
                          f"{float(fts[args.index(math.inf)]):g} overflows")
-    r = _r_db(curve.window, curve.n, args, curve.numeric, curve.max_intervals)
+    r = _r_db(curve.window, curve.n, args, curve.max_intervals)
     return r[0] if one else r
 
 

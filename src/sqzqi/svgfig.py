@@ -47,6 +47,13 @@ class PointSet:
     x_err: tuple[float, ...] = ()
     y_err: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        # a negative or NaN half-width would draw a rectangle of negative size
+        for name in ("x_err", "y_err"):
+            bad = [e for e in getattr(self, name) if not e >= 0.0]
+            if bad:
+                raise ValueError(f"{name} must be non-negative, got {bad[0]!r}")
+
 
 @dataclass
 class PlotSpec:

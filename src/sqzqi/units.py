@@ -15,11 +15,6 @@ HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m/s
 
 
-def float_or_array(values):
-    """A float for a 0-d result, else the array: what the window spectra return."""
-    return values if getattr(values, "ndim", 0) else float(values)
-
-
 def rounded_grid(start: float, step: float, count: int, decimals: int) -> list[float]:
     """start + i*step for i < count, rounded as ``np.round`` rounds: rint(x * 10**decimals)
     / 10**decimals.  For start = step these are the points of ``np.round(np.arange(step,

@@ -34,8 +34,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .units import float_or_array
-
 
 class WindowKind(enum.Enum):
     GAUSSIAN = "gaussian"
@@ -163,7 +161,7 @@ def _fresnel(z):
     series, far = x2 < 2.5625, x > 36974.0
     S = np.where(series, s_series, np.where(far, s_far, s_aux))
     C = np.where(series, c_series, np.where(far, c_far, c_aux))
-    return float_or_array(S), float_or_array(C)
+    return S, C
 
 
 def _trapezoid_sqrt_ft(w: SamplingWindow, u):
@@ -193,12 +191,13 @@ def _trapezoid_sqrt_ft(w: SamplingWindow, u):
     B = (pref * C - math.sqrt(L) * np.cos(safe * L)) / safe
     side = math.sqrt(h / L) * (np.cos(safe * c) * A + np.sin(safe * c) * B)
     amp = (math.sqrt(h) * np.sin(safe * b) / safe + side) / math.pi
-    return float_or_array(np.where(limit, math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi, amp))
+    return np.where(limit, math.sqrt(h) * (b + 2.0 * L / 3.0) / math.pi, amp)
 
 
 def sqrt_ft_squared(w: SamplingWindow, omega):
     """|(f^{1/2})_FT(omega)|^2 in seconds (for t0 in seconds), in the
-    family's closed form; ``omega`` is a float or an array.
+    family's closed form; ``omega`` is a float or an array, and the result
+    what NumPy gives for it (a NumPy float for a float).
 
     The square window's amplitude is the trapezoid's flat-top term,
     sqrt(h)*sin(u b)/(pi u) with h = 1/t0 and b = t0/2.  Where t0*omega
@@ -217,4 +216,4 @@ def sqrt_ft_squared(w: SamplingWindow, omega):
         else:
             amp = _trapezoid_sqrt_ft(w, u)
             out = amp * amp
-    return float_or_array(out)
+    return out

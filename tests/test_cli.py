@@ -19,10 +19,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sqzqi
-from sqzqi import cli, meta, opa, qi_bound
+from sqzqi import cli, meta, opa, qi_bound, svgfig
 from sqzqi.cli import main
-from sqzqi.units import rounded_grid
+from sqzqi.units import format_db, rounded_grid
 from sqzqi.meta import DATASET_COLUMNS, AnalysisReport
+from sqzqi.qi_bound import QiCurve, SpectralFunction, Variant
+from sqzqi.windows import SamplingWindow, WindowKind
 
 HEADER = ",".join(DATASET_COLUMNS)
 
@@ -44,43 +46,51 @@ def test_bound_grid_row_count(capsys):
     assert len(lines) == 101  # header + 100 grid rows
 
 
+def reference_r_db(window: str, omega_t0: float) -> float:
+    """R (dB) of a closed-form family by quadrature, the closed forms' reference."""
+    w = SamplingWindow(WindowKind(window), 1.0)
+    return qi_bound.numeric_bound_detail(w, SpectralFunction(omega0=omega_t0)).r_db
+
+
 def test_bound_single_argument_numeric(capsys):
-    code, out, _ = run(capsys, "bound", "--window", "gaussian", "--omega-t0", "1",
-                       "--numeric")
+    code, out, _ = run(capsys, "bound", "--window", "gaussian", "--omega-t0", "1")
     assert code == 0
     assert "R = -0.2022 dB" in out
+    assert format_db(reference_r_db("gaussian", 1.0)) == "-0.2022"
 
 
 @pytest.mark.parametrize("window", ["gaussian", "lorentzian2"])
-def test_bound_numeric_flag_takes_the_quadrature(capsys, monkeypatch, window):
-    calls = []
-    spectrum = qi_bound._bracket_spectrum
+def test_bound_closed_form_prints_the_quadratures_bytes(capsys, monkeypatch, window):
+    # bound takes the closed form, and prints what the quadrature gives
+    grid = cli._parse_grid("0.01:1:0.01")
+    expected = {}
+    for variant in Variant:
+        curve = QiCurve(WindowKind(window), variant)
+        r = [reference_r_db(window, qi_bound.phase_argument(variant, curve.window, ft))
+             for ft in grid]
+        expected[variant.value] = qi_bound.samples_csv(grid, r, curve.curve_id, window,
+                                                       variant.value, 1.0)
+    r_at_1 = reference_r_db(window, 1.0)
 
-    def spy(*args):
-        calls.append(args)
-        return spectrum(*args)
+    def never(*args):
+        raise AssertionError("a closed-form bound took the quadrature")
 
-    monkeypatch.setattr(qi_bound, "_bracket_spectrum", spy)
-    runs = [("--variant", v, "--ft", "0.01:1:0.01") for v in ("paper", "marecki")]
-    for argv in runs + [("--omega-t0", "1")]:
-        outputs = []
-        for flag in ((), ("--numeric",)):
-            before = len(calls)
-            code, out, _ = run(capsys, "bound", "--window", window, *argv, *flag)
-            assert code == 0
-            assert (len(calls) > before) == bool(flag)
-            outputs.append(out)
-        # the closed form and the quadrature print the same bytes
-        assert outputs[0] == outputs[1]
+    monkeypatch.setattr(qi_bound, "_bracket_spectrum", never)
+    for variant, csv_text in expected.items():
+        argv = ("bound", "--window", window, "--variant", variant, "--ft", "0.01:1:0.01")
+        assert run(capsys, *argv) == (0, csv_text, "")
+    code, out, _ = run(capsys, "bound", "--window", window, "--omega-t0", "1")
+    assert (code, out) == (0, f"R = {format_db(r_at_1)} dB  (window={window}, omega_t0=1)\n")
 
 
 @pytest.mark.parametrize("window", ["gaussian", "lorentzian2"])
 @pytest.mark.parametrize("omega_t0", ["1e155", "1e300"])
 def test_bound_numeric_at_a_huge_phase_argument(capsys, window, omega_t0):
     # past the float range of (omega*t0)^2 the Gaussian spectrum is 0 (it
-    # raised OverflowError); both brackets saturate at 1 within the budget
-    code, out, err = run(capsys, "bound", "--window", window, "--omega-t0", omega_t0,
-                         "--numeric")
+    # raised OverflowError); the quadrature's bracket saturates at 1 within
+    # the budget, as the closed form's does
+    assert format_db(reference_r_db(window, float(omega_t0))) == "0.0000"
+    code, out, err = run(capsys, "bound", "--window", window, "--omega-t0", omega_t0)
     assert (code, err) == (0, "")
     assert out.startswith("R = 0.0000 dB")
 
@@ -123,6 +133,36 @@ def test_bound_omega_t0_refuses_out(capsys, monkeypatch, tmp_path):
     assert (code, out) == (2, "")
     assert err == "sqzqi: --out applies to --ft only; --omega-t0 prints one value\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--window", "gaussian", "--scale", "0.5", "--omega-t0", "1"),
+     "--scale applies to --ft only; --omega-t0 prints one value"),
+    (("--window", "gaussian", "--variant", "marecki", "--omega-t0", "1"),
+     "--variant applies to --ft only; --omega-t0 prints one value"),
+    (("--window", "gaussian", "--allow-square", "--omega-t0", "1"),
+     "--allow-square only applies to the square window"),
+    (("--window", "lorentzian2", "--allow-square", "--ft", "0.1:0.2:0.1"),
+     "--allow-square only applies to the square window"),
+], ids=["scale", "variant", "allow-square", "allow-square-ft"])
+def test_bound_refuses_an_option_it_would_ignore(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("work done before the options were checked")
+
+    monkeypatch.setattr(qi_bound, "bound_value", never)
+    monkeypatch.setattr(qi_bound, "curve_csv", never)
+    code, out, err = run(capsys, "bound", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"sqzqi: {message}\n"
+
+
+def test_bound_has_no_numeric_option(capsys):
+    # a closed-form family's one path is its closed form; the quadrature
+    # that checks it is qi_bound.numeric_bound_detail
+    code, out, err = run(capsys, "bound", "--window", "gaussian", "--omega-t0", "1",
+                         "--numeric")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --numeric" in err
 
 
 def test_bound_usage_errors(capsys, monkeypatch):
@@ -184,7 +224,7 @@ def test_bound_numeric_failure_exit_code(capsys):
     # a long oscillatory range with almost no interval budget cannot
     # certify its error estimate
     code, _, err = run(capsys, "--max-intervals", "10", "bound", "--window", "square",
-                       "--allow-square", "--omega-t0", "200", "--numeric")
+                       "--allow-square", "--omega-t0", "200")
     assert code == 3
     assert "numeric failure" in err
     assert "achieved error estimate" in err
@@ -519,6 +559,15 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
         assert not (tmp_path / "x.svg").exists()
 
 
+def test_point_set_refuses_a_negative_or_nan_error():
+    # the first drew an error rectangle of width -223.20
+    with pytest.raises(ValueError, match=r"^x_err must be non-negative, got -0\.1$"):
+        svgfig.PointSet("p", (0.2,), (-3.0,), (-0.1,), (0.5,))
+    with pytest.raises(ValueError, match=r"^y_err must be non-negative, got nan$"):
+        svgfig.PointSet("p", (0.2, 0.3), (-3.0, -2.0), (0.1, 0.1), (0.5, math.nan))
+    svgfig.PointSet("p", (0.2,), (-3.0,), (0.0,), (0.0,))
+
+
 def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, "plot", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "9", "--out", str(tmp_path / "x.svg"))[0] == 2
@@ -610,8 +659,8 @@ def test_negative_value_after_a_space(capsys, tmp_path, argv, code, expected):
 
 @pytest.mark.parametrize("value", ["abc", "5", "-5", "100001", "99999999999", "2.5"])
 def test_max_intervals_bad_value_exit_2(capsys, value):
-    code, out, err = run(capsys, "--max-intervals", value, "bound", "--window", "gaussian",
-                         "--omega-t0", "1", "--numeric")
+    code, out, err = run(capsys, "--max-intervals", value, "bound", "--window", "square",
+                         "--allow-square", "--omega-t0", "1")
     assert (code, out) == (2, "")
     assert value in err and "Traceback" not in err
 
@@ -628,10 +677,10 @@ def test_max_intervals_refused_before_any_work(capsys, monkeypatch):
 
 
 def test_max_intervals_upper_limit_accepted(capsys):
-    code, out, _ = run(capsys, "--max-intervals", "100000", "bound", "--window", "gaussian",
-                       "--omega-t0", "1", "--numeric")
+    code, out, _ = run(capsys, "--max-intervals", "100000", "bound", "--window", "square",
+                       "--allow-square", "--omega-t0", "1")
     assert code == 0
-    assert "R = -0.2022 dB" in out
+    assert "R = -5.0914 dB" in out
 
 
 def test_max_intervals_reaches_a_square_bound(capsys):
@@ -645,7 +694,7 @@ def test_max_intervals_reaches_a_square_bound(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("bound", "--window", "trapezoid", "--n", "0.2", "--ft", "0.1:0.3:0.1"),
-    ("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"),
+    ("bound", "--window", "square", "--allow-square", "--omega-t0", "1"),
     # classify, its flags, the fit and the report's curve samples
     ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2"),
     ("plot", "--curve", "trapezoid-paper-n0.2", "--out", "{svg}"),
@@ -771,7 +820,7 @@ EDGE_VALUES = st.one_of(
 EDGE_COMMANDS = [
     "bound --window {w} --scale {} --ft 0.1:0.5:0.1",
     "bound --window {w} --omega-t0 {}",
-    "bound --window {w} --omega-t0 {} --numeric",
+    "bound --window square --allow-square --omega-t0 {}",
     "bound --window {w} --ft {}:0.5:0.1",
     "bound --window {w} --ft 0.1:{}:0.1",
     "bound --window {w} --ft 0.1:0.5:{}",
@@ -889,12 +938,11 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
 
 
 # No command loads SciPy: the closed forms and the Gauss-Kronrod bracket of
-# every closed-form spectrum (--numeric, the square and trapezoid windows)
-# run on NumPy.  The same probe checks that each command loads only the
-# sqzqi modules it runs: `bound` needs neither the meta-analysis nor the
-# SVG writer.  NumPy loads if and only if a quadrature runs (square,
-# trapezoid, --numeric); the closed-form bounds, their figures, the OPA
-# model and analyze's classification and fits run in math.
+# the square and trapezoid spectra run on NumPy.  The same probe checks that
+# each command loads only the sqzqi modules it runs: `bound` needs neither
+# the meta-analysis nor the SVG writer.  NumPy loads if and only if a
+# quadrature runs (square, trapezoid); the closed-form bounds, their
+# figures, the OPA model and analyze's classification and fits run in math.
 @pytest.mark.parametrize("argv, extra, numpy", [
     ((), set(), False),  # import sqzqi.cli alone
     (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set(), False),
@@ -913,12 +961,11 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
     (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
      {"opa", "meta"}, True),
     (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set(), True),
-    (("bound", "--window", "gaussian", "--omega-t0", "1", "--numeric"), set(), True),
     (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set(), True),
     (("bound", "--window", "lorentzian2", "--omega-t0", "1"), set(), False),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
-        "analyze-fit-trapezoid", "bound-trapezoid", "bound-numeric", "bound-square",
+        "analyze-fit-trapezoid", "bound-trapezoid", "bound-square",
         "bound-omega-t0"])
 def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra, numpy):
     if "--report" in argv and argv[0] == "plot":

@@ -568,6 +568,19 @@ def test_fit_scale_no_violation_at_unity():
     assert fit.envelope_k == 1.0
 
 
+@pytest.mark.parametrize("curve", [GAUSS_PAPER, parse_curve_id("trapezoid-paper-n0.2")],
+                         ids=lambda curve: curve.curve_id)
+def test_fit_scale_does_not_depend_on_row_order(curve):
+    # it counts violations and sums its cost with math.fsum, so every order
+    # of the rows gives the same fit, to the bit
+    rows = list(zip(*columns(vah_like_records())))
+    shuffled = rows[:]
+    random.Random(5).shuffle(shuffled)
+    want = fit_scale(*zip(*rows), curve)
+    for order in (rows[::-1], shuffled):
+        assert fit_scale(*zip(*order), curve) == want
+
+
 def test_fit_scale_requires_classifiable_records():
     with pytest.raises(FitError):
         fit_scale([], [], GAUSS_PAPER)
@@ -576,9 +589,10 @@ def test_fit_scale_requires_classifiable_records():
 
 
 def test_classify_fits_from_its_own_columns(monkeypatch):
-    # classify reconciles each record once and hands its own columns, back
-    # in input order, to the module's fit_scale, once per fit curve: a
-    # wrapper set on meta.fit_scale sees every fit
+    # classify reconciles each record once and hands its own columns, in
+    # record-id order, to the module's fit_scale, once per fit curve: a
+    # wrapper set on meta.fit_scale sees every fit, equal to the fit of the
+    # columns in input order
     rng = random.Random(3)
     records = [SqueezingRecord(id=f"r{rng.randrange(10**6):06d}", s_minus_db=-rng.uniform(0.1, 15.0),
                                ft_formula=rng.uniform(0.01, 0.99)) for _ in range(200)]

@@ -25,6 +25,7 @@ from sqzqi import qi_bound
 from sqzqi.qi_bound import (
     BOUND_TOL,
     BRACKET_FLOOR,
+    MAX_INTERVALS,
     ConsistencyError,
     QiCurve,
     QuadratureError,
@@ -36,6 +37,7 @@ from sqzqi.qi_bound import (
     _K21_WEIGHTS,
     _KRONROD_ROWS,
     _bracket,
+    _bracket_spectrum,
     _check_bracket,
     _kronrod21,
     bound_value,
@@ -96,7 +98,7 @@ ARGS = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0]
 def test_closed_form_gaussian_vs_series(arg):
     # the library's closed-form bracket, erf(sqrt(2)*arg), to 1e-14 absolute
     z = math.sqrt(2.0) * arg
-    (bracket,), (err,) = _bracket(gaussian_window(1.0), [arg], False)
+    (bracket,), (err,) = _bracket(gaussian_window(1.0), [arg])
     assert bracket == pytest.approx(erf_series(z), abs=1e-14) and err == 0.0
     expected = db(erf_series(z))
     assert bound_value(WindowKind.GAUSSIAN, None, arg) == pytest.approx(expected, abs=1e-10)
@@ -191,7 +193,7 @@ def test_oracle_bracket_matches_closed_form_or_raises(kind):
     # the window.
     w = SamplingWindow(kind, 1.0)
     omega0 = np.logspace(-6.0, math.log10(50.0), 15)
-    closed, _ = _bracket(w, omega0.tolist(), False)
+    closed, _ = _bracket(w, omega0.tolist())
     certified = 0
     for o, want in zip(omega0.tolist(), closed):
         try:
@@ -215,15 +217,16 @@ def test_bracket_stays_in_unit_interval(arg):
 @pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ],
                          ids=lambda k: k.value)
 def test_floor_holds_for_every_method(kind):
+    # the closed form and the quadrature reference alike
     w = SamplingWindow(kind, 1.0)
-    brackets = []
-    for numeric in (False, True):
-        assert bound_value(kind, None, 1e-16, numeric) == -math.inf
-        r = bound_value(kind, None, 1e-15, numeric)
-        (bracket,), _ = _bracket(w, [1e-15], numeric)
-        assert math.isfinite(r) and to_db(bracket) == r
-        brackets.append(bracket)
-    assert brackets[1] == pytest.approx(brackets[0], rel=4 * np.finfo(float).eps)
+    assert bound_value(kind, None, 1e-16) == -math.inf
+    assert numeric_bound_detail(w, SpectralFunction(omega0=1e-16)).r_db == -math.inf
+    r = bound_value(kind, None, 1e-15)
+    (bracket,), _ = _bracket(w, [1e-15])
+    assert math.isfinite(r) and to_db(bracket) == r
+    detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15))
+    assert math.isfinite(detail.r_db) and to_db(detail.bracket) == detail.r_db
+    assert detail.bracket == pytest.approx(bracket, rel=4 * np.finfo(float).eps)
 
 
 def test_zero_omega_gives_sentinel():
@@ -277,7 +280,7 @@ def test_square_bracket_vs_si_oracle(omega0_dt):
 
 def test_square_spectrum_bracket_vs_si_oracle_sweep():
     omega0 = np.logspace(-3.0, math.log10(50.0), 60)
-    bracket, _ = _bracket(square_window(1.0), omega0.tolist(), True)
+    bracket, _ = _bracket(square_window(1.0), omega0.tolist())
     for o, b in zip(omega0.tolist(), bracket):
         assert b == pytest.approx(square_bracket_oracle(o), rel=1e-13), o
 
@@ -349,7 +352,7 @@ def test_trapezoid_bracket_matches_scipy_quad_on_the_fig8_grid():
     windows = [trapezoid_window(1.0, n) for n in TRAPEZOID_FAMILY]
     windows += [gaussian_window(1.0), lorentzian_sq_window(1.0), square_window(1.0)]
     for w in windows:
-        bracket, err = _bracket(w, omega0.tolist(), True)
+        bracket, err = _bracket_spectrum(w, omega0.tolist(), MAX_INTERVALS)
         for o, b in zip(omega0.tolist(), bracket):
             val, _ = integrate.quad(lambda u: sqrt_ft_squared(w, u), 0.0, o,
                                     epsabs=1e-15, epsrel=1e-13, limit=200)
@@ -455,8 +458,8 @@ def test_trapezoid_bracket_interval_budget():
     # too few intervals leave an honest, large error estimate, which the
     # bound gate turns into QuadratureError
     w = trapezoid_window(1.0, 5.0)
-    (bracket,), (err,) = _bracket(w, [50.0], True)
-    (coarse,), (coarse_err,) = _bracket(w, [50.0], True, 10)
+    (bracket,), (err,) = _bracket_spectrum(w, [50.0], MAX_INTERVALS)
+    (coarse,), (coarse_err,) = _bracket_spectrum(w, [50.0], 10)
     assert err < 1e-12 and BOUND_TOL < coarse_err
     assert abs(coarse - bracket) <= coarse_err
     with pytest.raises(QuadratureError) as exc:
@@ -470,8 +473,8 @@ def test_small_budget_keeps_the_fine_start(budget, n, omega0):
     # it, one rule spanned [16pi/c, omega0] here and claimed an error
     # thousands of times below its actual one.
     w = trapezoid_window(1.0, n)
-    (ref,), (ref_err,) = _bracket(w, [omega0], True, 20_000)
-    (bracket,), (err,) = _bracket(w, [omega0], True, budget)
+    (ref,), (ref_err,) = _bracket_spectrum(w, [omega0], 20_000)
+    (bracket,), (err,) = _bracket_spectrum(w, [omega0], budget)
     assert ref_err < 1e-11
     assert abs(bracket - ref) <= err
 
@@ -489,8 +492,9 @@ def test_interval_budget_outside_its_range_raises(budget):
 
 @pytest.mark.parametrize("budget", [10, 100_000, np.int64(300)])
 def test_interval_budget_limits_accepted(budget):
-    curve = QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, numeric=True, max_intervals=budget)
-    assert curve_value(curve, 0.3) == bound_value(WindowKind.GAUSSIAN, None, 0.3 * math.pi, True)
+    curve = QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=0.2, max_intervals=budget)
+    assert curve_value(curve, 0.3) == bound_value(WindowKind.TRAPEZOID, 0.2, 0.3 * math.pi,
+                                                  max_intervals=budget)
 
 
 def test_square_window_bracket_convergence_diagnostic():
@@ -587,35 +591,41 @@ def test_curve_validation():
 CLOSED_FORM_FAMILIES = {WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ}
 
 
-# "closed_form" asks for the closed form (numeric=False, the default),
-# which only the families above have; "spectrum" forces the quadrature
-@pytest.mark.parametrize("numeric", [False, True], ids=["closed_form", "spectrum"])
+# "closed_form" asks the dispatch, _bracket, which takes the closed form
+# where the family has one (only the families above); "spectrum" takes the
+# quadrature, _bracket_spectrum, that numeric_bound_detail takes too
+@pytest.mark.parametrize("spectrum", [False, True], ids=["closed_form", "spectrum"])
 @pytest.mark.parametrize("kind", list(WindowKind), ids=lambda k: k.value)
-def test_method_table(kind, numeric):
+def test_method_table(kind, spectrum):
     n = 0.2 if kind is WindowKind.TRAPEZOID else None
     w = SamplingWindow(kind, 1.0, n)
-    curve = QiCurve(kind, Variant.WITH_PI, n=n, numeric=numeric, allow_unstable=True)
-    (bracket,), (err,) = _bracket(w, [1.0], numeric)
-    assert bound_value(kind, n, 1.0, numeric) == to_db(bracket)
-    assert curve_value(curve, 1.0 / math.pi) == to_db(bracket)
+    (bracket,), (err,) = (_bracket_spectrum(w, [1.0], MAX_INTERVALS) if spectrum
+                          else _bracket(w, [1.0]))
     detail = numeric_bound_detail(w, SpectralFunction(omega0=1.0))
     assert bracket == pytest.approx(detail.bracket, abs=1e-9)
-    closed_form = not numeric and kind in CLOSED_FORM_FAMILIES
+    closed_form = not spectrum and kind in CLOSED_FORM_FAMILIES
     assert (err == 0.0) == closed_form
     if not closed_form:
         assert err > 0.0 and bracket == detail.bracket
+    if not spectrum:
+        curve = QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True)
+        assert bound_value(kind, n, 1.0) == to_db(bracket)
+        assert curve_value(curve, 1.0 / math.pi) == to_db(bracket)
 
 
 def test_method_defaults():
-    # curves and bound_value take the closed form where there is one;
-    # numeric_bound_detail always takes the quadrature
+    # curves and bound_value take the closed form where there is one, the
+    # quadrature elsewhere; numeric_bound_detail always takes the quadrature
     for kind in WindowKind:
         n = 0.2 if kind is WindowKind.TRAPEZOID else None
-        assert QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True).numeric is False
-        quadrature_only = kind not in CLOSED_FORM_FAMILIES
-        assert bound_value(kind, n, 1.0) == bound_value(kind, n, 1.0, quadrature_only)
-        detail = numeric_bound_detail(SamplingWindow(kind, 1.0, n), SpectralFunction(omega0=1.0))
-        assert detail.bracket_error > 0.0
+        w = SamplingWindow(kind, 1.0, n)
+        (quadrature,), _ = _bracket_spectrum(w, [1.0], MAX_INTERVALS)
+        detail = numeric_bound_detail(w, SpectralFunction(omega0=1.0))
+        assert detail.bracket == quadrature and detail.bracket_error > 0.0
+        if kind not in CLOSED_FORM_FAMILIES:
+            curve = QiCurve(kind, Variant.WITH_PI, n=n, allow_unstable=True)
+            assert bound_value(kind, n, 1.0) == to_db(quadrature)
+            assert curve_value(curve, 1.0 / math.pi) == to_db(quadrature)
 
 
 def test_curve_id_round_trip():
