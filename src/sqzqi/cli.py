@@ -8,11 +8,9 @@ Subcommands::
     sqzqi plot     emit a deterministic SVG figure (presets 4-8)
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (no
-convergence or a failed self-check), 4 dataset error.  ``--max-intervals
-N`` sets the Gauss-Kronrod intervals (21 nodes each) a quadrature bound
-may use per phase argument; an N outside 10..100000 is a usage error, and
-so is an output file that cannot be written or an option that the
-command would ignore.  A ``--data`` or ``plot --report`` file that cannot
+convergence or a failed self-check), 4 dataset error.  An output file
+that cannot be written, or an option that the command would ignore, is a
+usage error.  A ``--data`` or ``plot --report`` file that cannot
 be read, is not UTF-8 or is malformed is a dataset error.
 """
 
@@ -22,7 +20,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 # Only what every command needs loads here; each command imports ``meta``, ``opa``
@@ -104,8 +102,6 @@ def _shipped_dataset() -> Path:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sqzqi", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-intervals", type=int, default=qi_bound.MAX_INTERVALS, metavar="N",
-                        help="quadrature intervals per bound (10..100000, default 200)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="sample a bound curve or evaluate one argument")
@@ -181,15 +177,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     try:
-        qi_bound.check_max_intervals(args.max_intervals)
         return args.func(args)
     except (QuadratureError, ConsistencyError) as exc:
-        # a finite error estimate may shrink with more intervals; a
-        # non-finite bracket does not
-        achieved = getattr(exc, "achieved", None)  # set on QuadratureError
-        hint = ("; a larger --max-intervals may help"
-                if achieved is not None and math.isfinite(achieved) else "")
-        print(f"sqzqi: numeric failure: {exc}{hint}", file=sys.stderr)
+        print(f"sqzqi: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DatasetError, FitError) as exc:
         print(f"sqzqi: dataset error: {exc}", file=sys.stderr)
@@ -212,7 +202,6 @@ def _curve_from_args(args) -> QiCurve:
         variant=Variant(args.variant or "paper"),
         scale=1.0 if args.scale is None else args.scale,
         n=args.n,
-        max_intervals=args.max_intervals,
         allow_unstable=args.allow_square,
     )
 
@@ -227,7 +216,7 @@ def cmd_bound(args) -> int:
                 raise UsageError(f"{name} applies to --ft only; --omega-t0 prints one value")
     curve = _curve_from_args(args)
     if args.omega_t0 is not None:
-        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0, curve.max_intervals)
+        r = qi_bound.bound_value(curve.window, curve.n, args.omega_t0)
         print(f"R = {format_db(r)} dB  (window={curve.window.value}, omega_t0={args.omega_t0:g})")
         return 0
     grid = _parse_grid(args.ft)
@@ -278,10 +267,9 @@ def cmd_opa(args) -> int:
     return 0
 
 
-def _parse_curves(ids, max_intervals: int) -> list[QiCurve]:
-    """The curves of ``analyze --curves`` and ``plot --curve``, with the
-    quadrature budget ``max_intervals``, blank ids skipped; a square id, or
-    two ids of one curve, is a usage error."""
+def _parse_curves(ids) -> list[QiCurve]:
+    """The curves of ``analyze --curves`` and ``plot --curve``, blank ids
+    skipped; a square id, or two ids of one curve, is a usage error."""
     curves = {}
     for token in ids:
         token = token.strip()
@@ -290,7 +278,7 @@ def _parse_curves(ids, max_intervals: int) -> list[QiCurve]:
         if token.split("-")[0] == WindowKind.SQUARE.value:
             raise UsageError("the square window is mathematically unstable; square curves are "
                              "available only through `bound --window square --allow-square`")
-        curve = replace(parse_curve_id(token), max_intervals=max_intervals)
+        curve = parse_curve_id(token)
         if curve.curve_id in curves:
             raise UsageError(f"curve {curve.curve_id} is named more than once")
         curves[curve.curve_id] = curve
@@ -305,7 +293,7 @@ def cmd_analyze(args) -> int:
     _check_output(args.report)
     data = Path(args.data) if args.data else _shipped_dataset()
     records = meta.load_records(_read_text(data, str(data)))
-    curves = _parse_curves(args.curves.split(","), args.max_intervals)
+    curves = _parse_curves(args.curves.split(","))
     report = meta.classify(records, curves, fit_curves=curves if args.fit else None)
     if not records:
         print("warning: dataset is empty", file=sys.stderr)
@@ -396,6 +384,9 @@ def cmd_plot(args) -> int:
 
     if not (math.isfinite(args.db_floor) and args.db_floor < 0.0):
         raise UsageError(f"--db-floor must be a finite negative dB value, got {args.db_floor:g}")
+    if args.db_floor > -sys.float_info.min:  # a subnormal span leaves the axis no tick step
+        raise UsageError(f"--db-floor must be at most {-sys.float_info.min!r} dB (a normal "
+                         f"float), got {args.db_floor!r}")
     _check_output(args.out)
     if args.fig == 4:  # S- against the pump ratio: no F_T grid
         if args.grid_step is not None:
@@ -411,18 +402,16 @@ def cmd_plot(args) -> int:
                                       tuple(to_db(opa.s_minus(x, 1.0, 0.0)) for x in xs))],
         )
     else:
-        budget = args.max_intervals
         fig = _FIGURES[args.fig] if args.fig is not None else _BoundFigure(
             "Bound curves", 0.005,
-            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve, budget)),
+            tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve)),
             ideal=None)
         grid = _plot_grid(args.grid_step, fig.grid_step)
-        # the presets are built at import, before the budget is known
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
             x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
             curves=[svgfig.CurveTrace(curve.curve_id, tuple(grid), tuple(
-                qi_bound.sample_curve(replace(curve, max_intervals=budget), grid)),
+                qi_bound.sample_curve(curve, grid)),
                 style=style, color=color) for curve, style, color in fig.traces],
         )
         if fig.ideal is not None:

@@ -11,8 +11,8 @@ X > |R|.  The Gaussian and squared-Lorentzian bounds are closed forms
 The square and trapezoid bounds are a quadrature: the family's closed-form
 spectrum integrated in the complement form 4pi * integral_0^{omega0}
 |(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-the omega0 of a call together, in blocks, each omega0 within a budget of
-``max_intervals`` intervals (default :data:`MAX_INTERVALS`).
+the omega0 of a call together, in blocks, each within :data:`MAX_INTERVALS`
+intervals, and once more within :data:`RETRY_INTERVALS` if that is not enough.
 :func:`numeric_bound_detail` takes that quadrature for every family: it
 is the slow reference the closed forms are checked against.
 
@@ -70,16 +70,10 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-# The default budget of a quadrature bracket: the Gauss-Kronrod intervals,
-# of 21 nodes each, it may use per element of an omega0 array.
+# The Gauss-Kronrod intervals, of 21 nodes each, one element of an omega0
+# array may use in the first pass of a quadrature bracket, and in its retry.
 MAX_INTERVALS = 200
-
-
-def check_max_intervals(max_intervals) -> None:
-    """ValueError unless ``max_intervals`` is an integer in 10..100,000 (the
-    interval arrays grow in proportion to the budget)."""
-    if not (isinstance(max_intervals, numbers.Integral) and 10 <= max_intervals <= 100_000):
-        raise ValueError(f"max_intervals must be an integer in 10..100000, got {max_intervals!r}")
+RETRY_INTERVALS = 100_000
 
 
 class ConsistencyError(RuntimeError):
@@ -144,22 +138,19 @@ class QiCurve:
     theoretical curve; fitted envelopes use smaller values).  Trapezoid
     curves need ``n``; square curves must opt in explicitly: the sharp
     window is mathematically unstable in the bound integrals (its spectrum
-    decays only like 1/omega^2).  ``max_intervals`` is the budget of every
-    quadrature the curve's evaluation takes.
+    decays only like 1/omega^2).
     """
 
     window: WindowKind
     variant: Variant
     scale: float = 1.0
     n: float | None = None
-    max_intervals: int = MAX_INTERVALS
     allow_unstable: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale}")
         SamplingWindow(self.window, 1.0, self.n)  # checks n
-        check_max_intervals(self.max_intervals)
         if self.window is WindowKind.SQUARE and not self.allow_unstable:
             raise ValueError(
                 "the square window is mathematically unstable in the bound "
@@ -302,27 +293,36 @@ def _kronrod21(f, lo, hi):
     return resk * half, est, floor
 
 
-def _bracket_spectrum(w: SamplingWindow, omega0: list, max_intervals: int):
+def _bracket_spectrum(w: SamplingWindow, omega0: list):
     """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
     every element of the list ``omega0``: (bracket, error), two lists.
 
     Elements never interact, so they are integrated in blocks small enough
     that a block's intervals, each element at its full budget, number about
     ``_BLOCK_INTERVALS``: memory stays bounded whatever the grid size.
+    Each element whose error is then finite and above :data:`BOUND_TOL` is
+    retried alone, within :data:`RETRY_INTERVALS` (see :func:`_gauss_kronrod`).
+    The first retry that fails ends them, as ``_check_bracket`` fails the
+    whole call anyway.
     """
     import numpy as np
     omega0 = np.asarray(omega0, dtype=float)
-    size = max(1, _BLOCK_INTERVALS // max_intervals)
+    size = max(1, _BLOCK_INTERVALS // MAX_INTERVALS)
     blocks = np.array_split(omega0, max(1, -(-omega0.size // size)))
     # omega0 or the trapezoid's u*L past the float range makes a bracket
     # inf or NaN, which _check_bracket turns into QuadratureError
     with np.errstate(over="ignore", invalid="ignore"):
         bracket, error = (np.concatenate(column) for column in
-                          zip(*[_gauss_kronrod(w, b, max_intervals) for b in blocks]))
+                          zip(*[_gauss_kronrod(w, b, MAX_INTERVALS) for b in blocks]))
+        for i in np.flatnonzero(np.isfinite(error) & (error > BOUND_TOL)):
+            bracket[i:i + 1], error[i:i + 1] = _gauss_kronrod(w, omega0[i:i + 1],
+                                                              RETRY_INTERVALS, retry=True)
+            if not error[i] <= BOUND_TOL:
+                break
     return bracket.tolist(), error.tolist()
 
 
-def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
+def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int, retry: bool = False):
     """(bracket, error) of :func:`_bracket_spectrum` for a 1-d block.
 
     Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
@@ -339,9 +339,14 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
     tolerance (by length) and is not the rounding floor.  An element that
     would outgrow ``max_intervals`` intervals bisects only as many
     of those as its budget has room for, largest error first.  It stops
-    with the error it has when only floors are left or its budget is spent;
-    the caller's ``_check_bracket`` then raises QuadratureError, with that
-    error, if it exceeds :data:`BOUND_TOL`.
+    with the error it has when only floors are left or its budget is spent.
+
+    A ``retry`` aims at BOUND_TOL / 10, not ABS_TOL, as it runs only to
+    certify the gate, and counts at least its own value as the error of an
+    interval wider than 4 periods pi/c of the spectrum: across more periods
+    K21 and G10 can alias to one wrong value, and an aliased sum of V >= 0
+    is off by about its own size.  (Without that, a retry of the trapezoid
+    at n = 1, omega0*t0 = 3.3e3 claimed an error of 1.5e-9, off by 3.5e-9.)
     """
     import numpy as np
     c = w.half_support if math.isfinite(w.half_support) else w.t0
@@ -357,12 +362,18 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
     owner = np.repeat(np.arange(omega0.size), [len(e) - 1 for e in edges])
     lo = np.array([x for e in edges for x in e[:-1]])
     hi = np.array([x for e in edges for x in e[1:]])
-    V = lambda u: sqrt_ft_squared(w, u)
-    res, est, floor = _kronrod21(V, lo, hi)
+    # the tolerance (the error sums carry no 4pi) and the widest trusted interval
+    abs_tol, wide = (BOUND_TOL / (40.0 * math.pi), 4.0 * step) if retry else (ABS_TOL, math.inf)
+
+    def rule(lo, hi):
+        res, est, floor = _kronrod21(lambda u: sqrt_ft_squared(w, u), lo, hi)
+        return res, np.where(hi - lo > wide, np.maximum(est, res), est), floor
+
+    res, est, floor = rule(lo, hi)
     while True:
         total = np.bincount(owner, res, omega0.size)
         error = np.bincount(owner, np.maximum(est, floor), omega0.size)
-        tol = np.maximum(ABS_TOL, 1e-11 * np.abs(total))
+        tol = np.maximum(abs_tol, 1e-11 * np.abs(total))
         active = (error > tol)[owner]
         split = active & (est > floor) & (est * omega0[owner] > tol[owner] * (hi - lo))
         # within its remaining budget, an element bisects its largest errors
@@ -384,7 +395,7 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int):
         mid = 0.5 * (lo[left] + hi[left])
         hi[left] = lo[left + 1] = mid
         new = np.concatenate((left, left + 1))
-        res[new], est[new], floor[new] = _kronrod21(V, lo[new], hi[new])
+        res[new], est[new], floor[new] = rule(lo[new], hi[new])
     return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
@@ -397,17 +408,16 @@ _CLOSED_FORMS = {
 }
 
 
-def _bracket(w: SamplingWindow, omega0: list, max_intervals: int = MAX_INTERVALS):
+def _bracket(w: SamplingWindow, omega0: list):
     """(brackets, error estimates), two lists, at each omega0 of a list.
 
     A family in :data:`_CLOSED_FORMS` gets its closed form, with a zero
-    error estimate; every other family one adaptive quadrature of the
-    closed-form spectrum per block of elements of ``omega0``, each element
-    within ``max_intervals`` intervals.
+    error estimate; every other family the adaptive quadrature of the
+    closed-form spectrum, :func:`_bracket_spectrum`.
     """
     form = _CLOSED_FORMS.get(w.kind)
     if form is None:
-        return _bracket_spectrum(w, omega0, max_intervals)
+        return _bracket_spectrum(w, omega0)
     return form(omega0, w.t0), [0.0] * len(omega0)
 
 
@@ -426,14 +436,14 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     if mu.shape is SpectralShape.DELTA_LIMIT:
-        (bracket,), (err,) = _bracket_spectrum(w, [mu.omega0], MAX_INTERVALS)
+        (bracket,), (err,) = _bracket_spectrum(w, [mu.omega0])
     else:
         import numpy as np
         nodes, weights = np.polynomial.hermite.hermgauss(61)
         omega_p = mu.omega0 + mu.delta_omega * nodes
         if np.any(omega_p <= 0):
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket_spectrum(w, omega_p.tolist(), MAX_INTERVALS)
+        brackets, errs = _bracket_spectrum(w, omega_p.tolist())
         wp3 = weights * omega_p**3
         bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
     _check_bracket([bracket], [err])
@@ -441,27 +451,25 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
                        bracket_error=float(err))
 
 
-def bound_value(kind: WindowKind, n: float | None, omega_t0, max_intervals: int = MAX_INTERVALS):
+def bound_value(kind: WindowKind, n: float | None, omega_t0):
     """R (dB) of a window family at the phase argument omega0*t0, a float (a
     float comes out) or a sequence (a list comes out), in closed form where
-    the family has one, else by quadrature within ``max_intervals``
-    intervals per element; a bracket at or below the floor gives the -inf
-    sentinel either way."""
-    check_max_intervals(max_intervals)
+    the family has one, else by quadrature; a bracket at or below the floor
+    gives the -inf sentinel either way."""
     one = isinstance(omega_t0, numbers.Real)
     omegas = [omega_t0] if one else omega_t0
     bad = [o for o in omegas if not 0.0 <= o < math.inf]
     if bad:
         raise ValueError(f"omega0 must be a non-negative real, got {float(bad[0])}")
-    r = _r_db(kind, n, omegas, max_intervals)
+    r = _r_db(kind, n, omegas)
     return r[0] if one else r
 
 
-def _r_db(kind: WindowKind, n: float | None, omega_t0: list, max_intervals: int) -> list[float]:
+def _r_db(kind: WindowKind, n: float | None, omega_t0: list) -> list[float]:
     """R (dB) at each phase argument of a list, all checked to lie in [0, inf)."""
     # The bound depends on omega0 and t0 only through their product, so
     # evaluate a unit-width window at omega0 = omega_t0.
-    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0, max_intervals)
+    bracket, err = _bracket(SamplingWindow(kind, 1.0, n), omega_t0)
     _check_bracket(bracket, err)
     return [to_db(b, BRACKET_FLOOR) for b in bracket]
 
@@ -495,7 +503,7 @@ def curve_value(curve: QiCurve, ft):
     if math.inf in args:
         raise ValueError(f"the phase argument of curve {curve.curve_id} at F_T = "
                          f"{float(fts[args.index(math.inf)]):g} overflows")
-    r = _r_db(curve.window, curve.n, args, curve.max_intervals)
+    r = _r_db(curve.window, curve.n, args)
     return r[0] if one else r
 
 

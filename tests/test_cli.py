@@ -220,31 +220,61 @@ def test_fixed_grids_are_numpys_rounded_aranges():
     assert all(type(ft) is float for ft in meta.DEFAULT_FT_GRID)
 
 
+def spy_budgets(monkeypatch) -> list:
+    """The interval budget of each Gauss-Kronrod call, in call order."""
+    budgets = []
+    gauss_kronrod = qi_bound._gauss_kronrod
+
+    def spy(w, omega0, max_intervals, **options):
+        budgets.append(max_intervals)
+        return gauss_kronrod(w, omega0, max_intervals, **options)
+
+    monkeypatch.setattr(qi_bound, "_gauss_kronrod", spy)
+    return budgets
+
+
 def test_bound_numeric_failure_exit_code(capsys):
-    # a long oscillatory range with almost no interval budget cannot
-    # certify its error estimate
-    code, _, err = run(capsys, "--max-intervals", "10", "bound", "--window", "square",
-                       "--allow-square", "--omega-t0", "200")
-    assert code == 3
+    # past about omega0*t0 = 1.6e6 the square's oscillating tail cannot be
+    # certified even by the 100,000-interval retry
+    code, out, err = run(capsys, "bound", "--window", "square", "--allow-square",
+                         "--omega-t0", "1e8")
+    assert (code, out) == (3, "")
     assert "numeric failure" in err
     assert "achieved error estimate" in err
 
 
-@pytest.mark.parametrize("n, omega_t0, achieved", [
-    # the spectral peak is about 4.5 wide against [0, 1e7]: the bracket
-    # cannot be certified within the interval budget, and says so
-    ("0.2", "1e7", r"\d\.\d{3}e-0\d"),
+@pytest.mark.parametrize("n, omega_t0, code, expected, budgets", [
+    # the spectral peak is about 4.5 wide against [0, 1e7]: 200 intervals
+    # cannot certify the bracket, the retry does; the bracket is 1 - 1e-14,
+    # within the retry's error of 1, so the zero's sign is not fixed
+    ("0.2", "1e7", 0, r"R = -?0\.0000 dB  \(window=trapezoid, omega_t0=1e\+07\)\n",
+     [200, 100_000]),
     # u*L passes the float range inside [0, omega0]: the NaN spectrum is a
-    # numeric failure, not "R = nan dB" (and raises no warning on the way)
-    ("1e10", "1e300", "inf"),
+    # numeric failure, not "R = nan dB" (and raises no warning on the way),
+    # and more intervals cannot help it
+    ("1e10", "1e300", 3, re.escape("sqzqi: numeric failure: bound quadrature did not converge "
+                                   "(achieved error estimate inf)\n"), [200]),
 ], ids=["narrow-peak", "overflow"])
-def test_bound_trapezoid_narrow_peak_exit_code(capsys, n, omega_t0, achieved):
-    code, out, err = run(capsys, "bound", "--window", "trapezoid", "--n", n,
-                         "--omega-t0", omega_t0)
-    assert (code, out) == (3, "")
-    assert re.search(rf"bound quadrature did not converge \(achieved error estimate {achieved}\)", err)
-    # more intervals can only help an error estimate that is finite
-    assert err.endswith("; a larger --max-intervals may help\n") == (achieved != "inf")
+def test_bound_trapezoid_narrow_peak_exit_code(capsys, monkeypatch, n, omega_t0, code,
+                                               expected, budgets):
+    calls = spy_budgets(monkeypatch)
+    got, out, err = run(capsys, "bound", "--window", "trapezoid", "--n", n,
+                        "--omega-t0", omega_t0)
+    assert (got, calls) == (code, budgets)
+    assert re.fullmatch(expected, out + err), out + err
+
+
+def test_uncertifiable_grid_fails_after_one_retry(capsys, monkeypatch, tmp_path):
+    # every point of this square grid, omega0*t0 = pi*1e6 .. pi*1e8, fails
+    # the first pass and the retry: the first failed retry ends the run
+    calls = spy_budgets(monkeypatch)
+    out = tmp_path / "grid.csv"
+    code, stdout, err = run(capsys, "bound", "--window", "square", "--allow-square",
+                            "--scale", "1e8", "--ft", "0.01:1:0.01", "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("sqzqi: numeric failure: bound quadrature did not converge")
+    assert calls.count(100_000) == 1 and set(calls) == {200, 100_000}
+    assert not out.exists()
 
 
 # --- opa -----------------------------------------------------------------------
@@ -640,9 +670,16 @@ def test_plot_db_floor_must_be_finite_and_negative(capsys, tmp_path, floor):
      ("opa", "--x", "0.5", "--beta", "0.9", "--theta=-1e-3")),
     (("plot", "--fig", "5", "--db-floor", "-inf", "--out", "{svg}"), 2,
      "sqzqi: --db-floor must be a finite negative dB value, got -inf\n"),
+    # a floor too close to 0 dB leaves the axis no tick step
+    (("plot", "--fig", "4", "--db-floor", "-4e-323", "--out", "{svg}"), 2,
+     "sqzqi: --db-floor must be at most -2.2250738585072014e-308 dB (a normal float), "
+     "got -4e-323\n"),
+    (("plot", "--fig", "5", "--db-floor", "-5e-324", "--out", "{svg}"), 2,
+     "sqzqi: --db-floor must be at most -2.2250738585072014e-308 dB (a normal float), "
+     "got -5e-324\n"),
     (("bound", "--window", "gaussian", "--scale", "-1e-3", "--ft", "0.1:0.2:0.1"), 2,
      "sqzqi: scale must be a positive real, got -0.001\n"),
-], ids=["theta", "db-floor", "scale"])
+], ids=["theta", "db-floor", "db-floor-subnormal", "db-floor-smallest", "scale"])
 def test_negative_value_after_a_space(capsys, tmp_path, argv, code, expected):
     svg = tmp_path / "x.svg"
     got, out, err = run(capsys, *(a.format(svg=svg) for a in argv))
@@ -656,40 +693,37 @@ def test_negative_value_after_a_space(capsys, tmp_path, argv, code, expected):
 
 
 # --- quadrature budget -------------------------------------------------------------
+# The quadrature sets its own budget: 200 intervals per phase argument, and
+# one retry at 100,000 for an error estimate that 200 leave above the gate.
+# The `--max-intervals` option is gone, and any value of it is a usage error.
 
-@pytest.mark.parametrize("value", ["abc", "5", "-5", "100001", "99999999999", "2.5"])
+@pytest.mark.parametrize("value", ["abc", "5", "-5", "100001", "99999999999", "2.5", "300"])
 def test_max_intervals_bad_value_exit_2(capsys, value):
     code, out, err = run(capsys, "--max-intervals", value, "bound", "--window", "square",
                          "--allow-square", "--omega-t0", "1")
     assert (code, out) == (2, "")
-    assert value in err and "Traceback" not in err
+    assert err.startswith("usage: sqzqi") and "Traceback" not in err
 
 
 def test_max_intervals_refused_before_any_work(capsys, monkeypatch):
-    # opa takes no quadrature, but a bad budget is refused all the same
     def never(*args, **kwargs):
-        raise AssertionError("work done before the budget was checked")
+        raise AssertionError("work done for a command with a removed option")
 
     monkeypatch.setattr(opa, "ideal_bound", never)
-    code, out, err = run(capsys, "--max-intervals", "5", "opa", "--ideal-bound", "0.2")
+    code, out, err = run(capsys, "--max-intervals=300", "opa", "--ideal-bound", "0.2")
     assert (code, out) == (2, "")
-    assert err == "sqzqi: max_intervals must be an integer in 10..100000, got 5\n"
+    assert err.endswith("sqzqi: error: unrecognized arguments: --max-intervals=300\n")
 
 
-def test_max_intervals_upper_limit_accepted(capsys):
-    code, out, _ = run(capsys, "--max-intervals", "100000", "bound", "--window", "square",
-                       "--allow-square", "--omega-t0", "1")
-    assert code == 0
-    assert "R = -5.0914 dB" in out
-
-
-def test_max_intervals_reaches_a_square_bound(capsys):
-    # square at omega0*t0 = 2500 needs more than the default 200 intervals
-    argv = ("bound", "--window", "square", "--allow-square", "--omega-t0", "2500")
-    assert run(capsys, *argv)[0] == 3
-    code, out, _ = run(capsys, "--max-intervals", "300", *argv)
+def test_max_intervals_reaches_a_square_bound(capsys, monkeypatch):
+    # square at omega0*t0 = 2500 is right to 3e-16 at 200 intervals but
+    # estimates an error of 8e-6; the retry certifies it
+    calls = spy_budgets(monkeypatch)
+    code, out, _ = run(capsys, "bound", "--window", "square", "--allow-square",
+                       "--omega-t0", "2500")
     assert code == 0
     assert out.startswith("R = -0.0011 dB")
+    assert calls == [200, 100_000]
 
 
 @pytest.mark.parametrize("argv", [
@@ -698,25 +732,19 @@ def test_max_intervals_reaches_a_square_bound(capsys):
     # classify, its flags, the fit and the report's curve samples
     ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2"),
     ("plot", "--curve", "trapezoid-paper-n0.2", "--out", "{svg}"),
-    # the presets are built at import, before the budget is known
     ("plot", "--fig", "8", "--grid-step", "0.1", "--out", "{svg}"),
 ], ids=["bound-ft", "bound-omega-t0", "analyze", "plot-curve", "plot-fig8"])
 @pytest.mark.parametrize("max_intervals", [None, 300])
 def test_config_budget_reaches_every_quadrature(capsys, tmp_path, monkeypatch, argv,
                                                 max_intervals):
-    # at these F_T every budget converges: only a spy can see which one a bracket got
-    budgets = []
-    spectrum = qi_bound._bracket_spectrum
-
-    def spy(w, omega0, max_intervals):
-        budgets.append(max_intervals)
-        return spectrum(w, omega0, max_intervals)
-
-    monkeypatch.setattr(qi_bound, "_bracket_spectrum", spy)
+    # every bracket of these commands certifies in its first pass, so each
+    # quadrature runs at 200 intervals and none is retried; the removed
+    # option is refused before any quadrature runs
+    budgets = spy_budgets(monkeypatch)
     options = ("--max-intervals", str(max_intervals)) if max_intervals else ()
     code, _, err = run(capsys, *options, *(a.format(svg=tmp_path / "x.svg") for a in argv))
-    assert (code, "Traceback" in err) == (0, False)
-    assert budgets and set(budgets) == {max_intervals or 200}
+    assert "Traceback" not in err
+    assert (code, set(budgets)) == ((2, set()) if max_intervals else (0, {200}))
 
 
 def test_inputs_with_a_byte_order_mark(capsys, tmp_path):
@@ -779,8 +807,8 @@ def test_non_utf8_input_names_the_file(capsys, tmp_path, argv, code, message):
 
 
 @pytest.mark.parametrize("argv, code", [
-    # square at omega0*t0 past about 2.0e3 does not converge in 200 intervals
-    (("bound", "--window", "square", "--allow-square", "--scale", "1000", "--ft", "0.5:1:0.1",
+    # square at omega0*t0 past about 1.6e6 does not converge even in the retry
+    (("bound", "--window", "square", "--allow-square", "--scale", "1e8", "--ft", "0.5:1:0.1",
       "--out", "{out}"), 3),
     (("analyze", "--data", "{bad}", "--report", "{out}"), 4),
     (("plot", "--fig", "5", "--report", "{bad}", "--out", "{out}"), 4),
@@ -812,8 +840,8 @@ def test_help_exits_zero(capsys):
 
 # Non-finite, subnormal and near-overflow numbers, with ordinary ones.
 EDGE_VALUES = st.one_of(
-    st.sampled_from(["nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "1e-320", "2.2e-308",
-                     "1e308", "-1e308", "1.7976931348623157e308", "0", "-0"]),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "5e-324", "-5e-324", "-4e-323", "1e-320",
+                     "2.2e-308", "1e308", "-1e308", "1.7976931348623157e308", "0", "-0"]),
     st.floats(-2.0, 2.0).map(repr))
 # One command per template, the value in place of {}; the plot grids stay
 # coarse enough that a run takes well under a second.
@@ -867,6 +895,8 @@ def assert_drawable(svg: str) -> None:
          step="0.1", column="beta", drawn="ft_used")
 @example(template="opa --x 0.5 --beta 0.9 --w {} --extremes", value="nan", window="gaussian",
          step="0.1", column="omega_over_gamma", drawn="ft_used")
+@example(template="plot --fig 6 --db-floor {} --grid-step 0.1 --out {out}", value="-4e-323",
+         window="gaussian", step="0.1", column="x", drawn="ft_used")  # no tick step
 @example(template="opa --ideal-bound {}", value="1e308", window="gaussian", step="0.1",
          column="x", drawn="r_db_used")  # a point above the frame
 @example(template="opa --ideal-bound {}", value="-1e308", window="gaussian", step="0.1",
