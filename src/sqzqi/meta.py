@@ -127,7 +127,7 @@ def _parse_field(raw: str, line: int, name: str) -> float | None:
 def load_records(source: str | Path) -> list[SqueezingRecord]:
     """Read a dataset CSV from a path (any ``os.PathLike``) or from CSV text (a ``str``)."""
     text = source if isinstance(source, str) else Path(source).read_text(encoding="utf-8-sig")
-    records = []
+    records, first_line = [], {}  # record id -> the line that gave it
     header_seen = False
     reader = csv.reader(io.StringIO(text))
     for line_no, row in enumerate(reader, start=1):
@@ -155,6 +155,8 @@ def load_records(source: str | Path) -> list[SqueezingRecord]:
             ))
         except ValueError as exc:
             raise DatasetError(str(exc), line_no) from None
+        if first_line.setdefault(rid, line_no) != line_no:
+            raise DatasetError(f"record id {rid!r} repeats line {first_line[rid]}", line_no)
     if not header_seen:
         raise DatasetError("dataset has no header row")
     return records
@@ -344,13 +346,18 @@ def classify(
 
     A record *violates* a curve when its measured squeezing is strictly
     more negative than the bound at its F_T; the three-state flag folds in
-    the +-s_err_db / +-ft_err error rectangle.  Classification is per
-    record and order-independent; the report is ordered by record id.
+    the +-s_err_db / +-ft_err error rectangle.  Record ids must be unique
+    (ValueError otherwise).  Classification is per record and
+    order-independent; the report is ordered by record id.
     """
     report = AnalysisReport()
     discrepancies = []
     columns = []
-    for record in sorted(records, key=lambda record: record.id):
+    ordered = sorted(records, key=lambda record: record.id)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.id == b.id:
+            raise ValueError(f"record id {a.id!r} repeats")
+    for record in ordered:
         rec = reconcile_ft(record)
         if rec is None:
             reason = "no measurements" if record.is_stub else "no F_T route available"

@@ -114,8 +114,10 @@ def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
 
         F_T = 1 - (2/pi) * arctan sqrt( (S+ - 1) / (1 - S-) )
 
-    The ratio under the root reduces to ((1+x)^2+w^2)/((1-x)^2+w^2),
-    independent of beta; every call verifies that (ConsistencyError).
+    The ratio under the root reduces to a/b = ((1+x)^2+w^2)/((1-x)^2+w^2),
+    independent of beta; every call verifies that (ConsistencyError).  F_T
+    is evaluated as (2/pi) * arctan sqrt(b/a), which equals the above and
+    keeps full relative accuracy as x -> 1, where the subtraction cancels.
     """
     x, beta, w = _validate(x, beta, w)
     sm, sp = _s_minus(x, beta, w), _s_plus(x, beta, w)
@@ -132,7 +134,7 @@ def squeezed_fraction(x: float, beta: float = 1.0, w: float = 0.0) -> float:
             f"extremal-variance ratio {ratio!r} disagrees with its "
             f"beta-free reduction {ratio_reduced!r}"
         )
-    return _ft_from_ratio(ratio_reduced)
+    return (2.0 / math.pi) * math.atan(math.sqrt(b / a))
 
 
 def extremes(x: float, beta: float, w: float = 0.0) -> SqueezingPoint:
@@ -211,8 +213,3 @@ def _s_minus(x: float, beta: float, w: float) -> float:
 def _s_plus(x: float, beta: float, w: float) -> float:
     """S+ of one validated operating point."""
     return 1.0 + 4.0 * beta * x / _widths(x, w)[1]
-
-
-def _ft_from_ratio(ratio: float) -> float:
-    """F_T = 1 - (2/pi) * arctan sqrt(ratio), with ratio = (S+ - 1)/(1 - S-)."""
-    return 1.0 - (2.0 / math.pi) * math.atan(math.sqrt(ratio))

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -399,6 +400,16 @@ def test_analyze_parse_error_exit_4(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--data", str(data))
     assert code == 4
     assert "line 2" in err and "violations" not in out
+
+
+def test_analyze_refuses_a_repeated_record_id_exit_4(capsys, tmp_path):
+    data = tmp_path / "dup.csv"
+    data.write_text(HEADER + "\na,l,,,,-3.0,6.0,,,,\na,m,,,,-4.0,7.0,,,,\n")
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, "analyze", "--fit", "--data", str(data), "--report", str(report))
+    assert (code, out) == (4, "")
+    assert "line 3: record id 'a' repeats line 2" in err and "Traceback" not in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("extremes", ["-1e-17,3", "-1e-320,1e-320", "-3,4000", "-3,400",
@@ -1022,3 +1033,29 @@ from sqzqi.windows import gaussian_window
 code = 0 if 0.0 < bracket(gaussian_window(1.0), 1.0)[0] < 1.0 else 1
 """)
     assert "scipy.integrate" in scipy
+
+
+# --- README ----------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``sqzqi`` line in the README's "Command line" sh block."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sqzqi ")]
+
+
+def test_readme_command_block_runs(capsys, monkeypatch, tmp_path):
+    # the documented commands run in order, each with exit 0, and write
+    # every file they name
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+        for option in ("--out", "--report"):
+            if option in argv:
+                assert (tmp_path / argv[argv.index(option) + 1]).is_file(), argv
+        capsys.readouterr()

@@ -201,6 +201,13 @@ def test_load_errors_carry_line_numbers():
         load_records("id,wrong,header")  # text, not a file name, without a newline
 
 
+def test_load_refuses_a_repeated_record_id():
+    header = ",".join(DATASET_COLUMNS)
+    text = header + "\na,l,,,,-3.0,,,0.1,,\n# note\nb,l,,,,-2.0,,,0.2,,\na,m,,,,-4.0,,,0.3,,\n"
+    with pytest.raises(DatasetError, match="^line 5: record id 'a' repeats line 2$"):
+        load_records(text)
+
+
 @pytest.mark.parametrize("row", [
     "a,l,,,,nan,,,,,",          # once classified as "0 violations"
     "a,l,,,,-inf,3.0,,,,",
@@ -287,6 +294,16 @@ def test_classify_order_independent():
         shuffled = records[:]
         random.Random(seed).shuffle(shuffled)
         assert classify(shuffled, curves).to_json() == base
+
+
+def test_classify_refuses_a_repeated_record_id():
+    # with two records "a", the report's order would follow the input's
+    a1 = SqueezingRecord(id="a", s_minus_db=-3.0, ft_formula=0.1)
+    a2 = SqueezingRecord(id="a", s_minus_db=-4.0, ft_formula=0.3)
+    b = SqueezingRecord(id="b", s_minus_db=-2.0, ft_formula=0.2)
+    for records in ([a1, b, a2], [a2, a1]):
+        with pytest.raises(ValueError, match="record id 'a' repeats"):
+            classify(records, [GAUSS_PAPER])
 
 
 @settings(max_examples=10, deadline=None)

@@ -148,6 +148,15 @@ def test_squeezed_fraction_is_beta_independent(x, w, b1, b2):
     assert abs(squeezed_fraction(x, b1, w) - squeezed_fraction(x, b2, w)) <= 1e-14
 
 
+@pytest.mark.parametrize("x", [1.0 - 1e-6, 1.0 - 1e-12, 0.9999999999999999])
+def test_squeezed_fraction_keeps_its_accuracy_near_threshold(x):
+    # at w = 0 the reduced ratio is ((1+x)/(1-x))^2, so F_T is exactly
+    # (2/pi) * atan((1-x)/(1+x)); 1 - (2/pi) * atan((1+x)/(1-x)) cancels
+    exact = (2.0 / math.pi) * math.atan((1.0 - x) / (1.0 + x))
+    assert squeezed_fraction(x, 1.0, 0.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert extremes(x, 1.0).ft == squeezed_fraction(x, 1.0, 0.0)
+
+
 def test_squeezed_fraction_limit_small_pump():
     assert squeezed_fraction(1e-6, 1.0, 0.0) == pytest.approx(0.5, abs=1e-4)
 
