@@ -22,8 +22,9 @@ L, and round-trip length l; published experiments span full widths
 measurement band.
 
 Every function takes and returns floats, one operating point (or one F_T)
-per call, in ``math``; a caller with a grid writes a comprehension.  All dB
-conversions go through :mod:`sqzqi.units`.
+per call, in ``math``, :func:`effective_ft`'s band integral included: no
+function loads NumPy, and a caller with a grid writes a comprehension.
+All dB conversions go through :mod:`sqzqi.units`.
 """
 
 from __future__ import annotations
@@ -166,18 +167,18 @@ def effective_ft(x: float, beta: float, w_max: float) -> float:
     The squeezing spectrum is Lorentzian, so measurements off the optimal
     sideband see a larger squeezed fraction; this averages F_T(x, w) over
     the band, weighted by the squeezing depth 1 - S-(x, beta, w), by the
-    trapezoidal rule on 2001 points.
+    trapezoidal rule on 2001 points, each sum correctly rounded (``fsum``).
     """
-    import numpy as np
     if not (math.isfinite(w_max) and w_max > 0):
         raise ValueError(f"w_max must be positive, got {w_max}")
-    ws = np.linspace(0.0, w_max, 2001)
-    ft = np.array([squeezed_fraction(x, beta, w) for w in ws.tolist()])
-    weight = 1.0 - np.array([s_minus(x, beta, w) for w in ws.tolist()])
-    total = np.trapezoid(weight, ws)
+    ws = [w_max * i / 2000 for i in range(2001)]
+    weight = [1.0 - s_minus(x, beta, w) for w in ws]
+    moment = [d * squeezed_fraction(x, beta, w) for d, w in zip(weight, ws)]
+    # the trapezoidal rule, without its step w_max/2000, which cancels
+    total, first = (math.fsum(y) - (y[0] + y[-1]) / 2.0 for y in (weight, moment))
     if total <= 0.0:
         raise NoSqueezingError(f"no squeezing anywhere in [0, {w_max}]")
-    return float(np.trapezoid(weight * ft, ws) / total)
+    return first / total
 
 
 def _validate(x: float, beta: float, w: float) -> tuple[float, float, float]:

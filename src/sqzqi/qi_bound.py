@@ -6,15 +6,16 @@ peaked at omega0, the admissible squeezing in decibels is bounded below by
     R = 10*log10[ 1 - 4pi * integral_0^inf |(f^{1/2})_FT(omega + omega0)|^2 d omega ]
 
 so a measured value of -X dB is inconsistent with the bound whenever
-X > |R|.  The Gaussian and squared-Lorentzian bounds are closed forms
-(an error function and an exponential in omega0*t0, :data:`_CLOSED_FORMS`).
-The square and trapezoid bounds are a quadrature: the family's closed-form
-spectrum integrated in the complement form 4pi * integral_0^{omega0}
-|(f^{1/2})_FT|^2, with an adaptive 21-point Gauss-Kronrod rule that takes
-the omega0 of a call together, in blocks, each within :data:`MAX_INTERVALS`
-intervals, and once more within :data:`RETRY_INTERVALS` if that is not enough.
-:func:`numeric_bound_detail` takes that quadrature for every family: it
-is the slow reference the closed forms are checked against.
+X > |R|.  The Gaussian, squared-Lorentzian and square bounds are closed
+forms (an error function, an exponential and a sine integral in
+omega0*t0, :data:`_CLOSED_FORMS`).  The trapezoid bound is a quadrature:
+its closed-form spectrum integrated in the complement form 4pi *
+integral_0^{omega0} |(f^{1/2})_FT|^2, with an adaptive 21-point
+Gauss-Kronrod rule that takes the omega0 of a call together, in blocks,
+each within :data:`MAX_INTERVALS` intervals, and once more within
+:data:`RETRY_INTERVALS` if that is not enough; only it can fail to
+converge.  :func:`numeric_bound_detail` takes that quadrature for every
+family: it is the slow reference the closed forms are checked against.
 
 Bound *curves* map the squeezed fraction of a cycle F_T to R through a
 phase argument omega0*t0.  Two published argument conventions are carried
@@ -41,9 +42,9 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
-# sqzqi runs on NumPy alone: the closed forms use math.erf and math.expm1,
-# every quadrature bracket the Gauss-Kronrod rule below.  SciPy is a test
-# dependency, for the reference quadratures the tests compare against.
+# sqzqi runs on NumPy alone: the closed forms use math (erf, expm1 and _si
+# below), every quadrature bracket the Gauss-Kronrod rule below.  SciPy is a
+# test dependency, for the reference quadratures the tests compare against.
 
 from .units import HBAR, C_LIGHT, to_db
 from .windows import SamplingWindow, WindowKind, sqrt_ft_squared
@@ -399,12 +400,44 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int, retry: bool = 
     return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
+def _si(x: float) -> float:
+    """The sine integral Si(x) of a float x >= 0 (A&S 5.2.1): its power
+    series below x = 2, above it pi/2 + Im[e^{-ix} E1(ix)] by the continued
+    fraction of E1(ix) (modified Lentz, as Numerical Recipes' ``cisi``).
+    Each loop stops once its step is at most eps relative; a strict test
+    would never stop at x = 5e-324, where eps*x underflows to 0."""
+    if x < 2.0:
+        p = total = x  # p = (-1)^k x^(2k+1) / (2k+1)!
+        k = 0
+        while abs(p) > _EPS * abs(total):
+            k += 1
+            p *= -x * x / ((2 * k) * (2 * k + 1))
+            total += p / (2 * k + 1)
+        return total
+    b = complex(1.0, x)
+    c, d = 1.0 / _TINY, 1.0 / b
+    h = d
+    for k in range(1, 1000):  # at most 99 steps were seen on [2, 1e308]
+        b += 2.0
+        d = 1.0 / (b - k * k * d)
+        c = b - k * k / c
+        h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            break
+    return math.pi / 2.0 + (complex(math.cos(x), -math.sin(x)) * h).imag
+
+
 # The families whose bracket is a closed form in x = omega0*t0: erf(sqrt(2)*x)
-# (Gaussian), 1 - exp(-2x) (Lorentzian^2), each over a list of omega0 at width t0.
+# (Gaussian), 1 - exp(-2x) (Lorentzian^2), (2/pi)(Si(x) - 2 sin^2(x/2)/x) (square,
+# 0 at x = 0; sin^2 is not formed, as it underflows for x below 1e-154), each
+# over a list of omega0 at width t0.
 _SQRT2 = math.sqrt(2.0)
 _CLOSED_FORMS = {
     WindowKind.GAUSSIAN: lambda omega0, t0: [math.erf(_SQRT2 * (o * t0)) for o in omega0],
     WindowKind.LORENTZIAN_SQ: lambda omega0, t0: [-math.expm1(-2.0 * (o * t0)) for o in omega0],
+    WindowKind.SQUARE: lambda omega0, t0: [
+        x and 2.0 / math.pi * (_si(x) - 2.0 * math.sin(x / 2.0) / x * math.sin(x / 2.0))
+        for x in (o * t0 for o in omega0)],
 }
 
 

@@ -4,6 +4,7 @@ Every subcommand runs against the shipped dataset or its own inputs via
 ``main(argv)``; figure output is checked byte for byte for determinism.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -234,14 +235,47 @@ def spy_budgets(monkeypatch) -> list:
     return budgets
 
 
-def test_bound_numeric_failure_exit_code(capsys):
-    # past about omega0*t0 = 1.6e6 the square's oscillating tail cannot be
-    # certified even by the 100,000-interval retry
+# The square outputs that the quadrature certified before the square's
+# bracket became a closed form, pinned by their sha256 (the CSVs) or their
+# text (the single arguments, one line each).
+SQUARE_OUTPUTS = {
+    "--ft 0.01:0.5:0.01":
+        "4d210716ca7ae816ceddff55588163198a7461d6b3e5410317d5c351daac84f1",
+    "--variant marecki --ft 0.01:0.5:0.01":
+        "39fc51f662b1b27b8d5410d665b0174145867dcfb58259456531acd10bc30e03",
+    "--scale 1000 --ft 0.01:1:0.01":
+        "cf662c3b59130b2a6e91c57b3c975f5d8301459fec0604d833c6210532349c37",
+    "--omega-t0 1": "R = -5.0914 dB  (window=square, omega_t0=1)\n",
+    "--omega-t0 1186": "R = -0.0023 dB  (window=square, omega_t0=1186)\n",
+    "--omega-t0 2300": "R = -0.0012 dB  (window=square, omega_t0=2300)\n",
+    "--omega-t0 2500": "R = -0.0011 dB  (window=square, omega_t0=2500)\n",
+    "--omega-t0 1e6": "R = -0.0000 dB  (window=square, omega_t0=1e+06)\n",
+}
+
+
+@pytest.mark.parametrize("options", list(SQUARE_OUTPUTS))
+def test_square_outputs_keep_their_bytes(capsys, options):
     code, out, err = run(capsys, "bound", "--window", "square", "--allow-square",
-                         "--omega-t0", "1e8")
+                         *options.split())
+    assert (code, err) == (0, "")
+    want = SQUARE_OUTPUTS[options]
+    assert (hashlib.sha256(out.encode()).hexdigest() if "--ft" in options else out) == want
+
+
+# A retry cut to 400 intervals cannot certify the trapezoid's narrow peak at
+# n = 0.2 and omega0*t0 = 1e7, nor at any point of pi*1e4*[0.5, 1]: each
+# keeps a finite error estimate near 3e-7.  No input is known to fail the
+# 100,000-interval retry with a finite estimate.
+SHORT_RETRY = 400
+
+
+def test_bound_numeric_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(qi_bound, "RETRY_INTERVALS", SHORT_RETRY)
+    code, out, err = run(capsys, "bound", "--window", "trapezoid", "--n", "0.2",
+                         "--omega-t0", "1e7")
     assert (code, out) == (3, "")
     assert "numeric failure" in err
-    assert "achieved error estimate" in err
+    assert "achieved error estimate 2.952e-07" in err
 
 
 @pytest.mark.parametrize("n, omega_t0, code, expected, budgets", [
@@ -266,15 +300,16 @@ def test_bound_trapezoid_narrow_peak_exit_code(capsys, monkeypatch, n, omega_t0,
 
 
 def test_uncertifiable_grid_fails_after_one_retry(capsys, monkeypatch, tmp_path):
-    # every point of this square grid, omega0*t0 = pi*1e6 .. pi*1e8, fails
-    # the first pass and the retry: the first failed retry ends the run
+    # every point of this trapezoid grid, omega0*t0 = pi*5e3 .. pi*1e4, fails
+    # the first pass and the short retry: the first failed retry ends the run
+    monkeypatch.setattr(qi_bound, "RETRY_INTERVALS", SHORT_RETRY)
     calls = spy_budgets(monkeypatch)
     out = tmp_path / "grid.csv"
-    code, stdout, err = run(capsys, "bound", "--window", "square", "--allow-square",
-                            "--scale", "1e8", "--ft", "0.01:1:0.01", "--out", str(out))
+    code, stdout, err = run(capsys, "bound", "--window", "trapezoid", "--n", "0.2",
+                            "--scale", "1e4", "--ft", "0.5:1:0.1", "--out", str(out))
     assert (code, stdout) == (3, "")
     assert err.startswith("sqzqi: numeric failure: bound quadrature did not converge")
-    assert calls.count(100_000) == 1 and set(calls) == {200, 100_000}
+    assert calls.count(SHORT_RETRY) == 1 and set(calls) == {200, SHORT_RETRY}
     assert not out.exists()
 
 
@@ -726,20 +761,23 @@ def test_max_intervals_refused_before_any_work(capsys, monkeypatch):
     assert err.endswith("sqzqi: error: unrecognized arguments: --max-intervals=300\n")
 
 
-def test_max_intervals_reaches_a_square_bound(capsys, monkeypatch):
-    # square at omega0*t0 = 2500 is right to 3e-16 at 200 intervals but
-    # estimates an error of 8e-6; the retry certifies it
+def test_square_bound_takes_no_quadrature(capsys, monkeypatch):
+    # the square's bracket is a closed form: at omega0*t0 = 2500, where the
+    # quadrature needed its retry, and on a grid, no Gauss-Kronrod call runs
     calls = spy_budgets(monkeypatch)
     code, out, _ = run(capsys, "bound", "--window", "square", "--allow-square",
                        "--omega-t0", "2500")
     assert code == 0
     assert out.startswith("R = -0.0011 dB")
-    assert calls == [200, 100_000]
+    code, out, _ = run(capsys, "bound", "--window", "square", "--allow-square",
+                       "--scale", "1000", "--ft", "0.01:1:0.01")
+    assert code == 0 and out.count("\n") == 101
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [
     ("bound", "--window", "trapezoid", "--n", "0.2", "--ft", "0.1:0.3:0.1"),
-    ("bound", "--window", "square", "--allow-square", "--omega-t0", "1"),
+    ("bound", "--window", "trapezoid", "--n", "0.2", "--omega-t0", "1"),
     # classify, its flags, the fit and the report's curve samples
     ("analyze", "--fit", "--curves", "trapezoid-paper-n0.2"),
     ("plot", "--curve", "trapezoid-paper-n0.2", "--out", "{svg}"),
@@ -818,16 +856,18 @@ def test_non_utf8_input_names_the_file(capsys, tmp_path, argv, code, message):
 
 
 @pytest.mark.parametrize("argv, code", [
-    # square at omega0*t0 past about 1.6e6 does not converge even in the retry
-    (("bound", "--window", "square", "--allow-square", "--scale", "1e8", "--ft", "0.5:1:0.1",
+    # no point of this grid converges in the short retry (SHORT_RETRY)
+    (("bound", "--window", "trapezoid", "--n", "0.2", "--scale", "1e4", "--ft", "0.5:1:0.1",
       "--out", "{out}"), 3),
     (("analyze", "--data", "{bad}", "--report", "{out}"), 4),
     (("plot", "--fig", "5", "--report", "{bad}", "--out", "{out}"), 4),
 ], ids=["bound", "analyze", "plot"])
 @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
-def test_failed_run_leaves_its_output_alone(capsys, tmp_path, argv, code, existing):
+def test_failed_run_leaves_its_output_alone(capsys, monkeypatch, tmp_path, argv, code,
+                                           existing):
     # an output is written whole or not at all: a failed run neither
     # truncates an existing file nor creates a missing one
+    monkeypatch.setattr(qi_bound, "RETRY_INTERVALS", SHORT_RETRY)
     bad, target = tmp_path / "bad.csv", tmp_path / "out.txt"
     bad.write_text(HEADER + "\nr1,ref,abc,,,-3.0,3.0,,,,\n")  # neither a dataset nor a report
     before = b"an earlier output\n\x00\xff"
@@ -978,12 +1018,13 @@ def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str],
 CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every command
 
 
-# No command loads SciPy: the closed forms and the Gauss-Kronrod bracket of
-# the square and trapezoid spectra run on NumPy.  The same probe checks that
+# No command loads SciPy: the closed forms run in math, and the Gauss-Kronrod
+# bracket of the trapezoid spectrum on NumPy.  The same probe checks that
 # each command loads only the sqzqi modules it runs: `bound` needs neither
 # the meta-analysis nor the SVG writer.  NumPy loads if and only if a
-# quadrature runs (square, trapezoid); the closed-form bounds, their
-# figures, the OPA model and analyze's classification and fits run in math.
+# quadrature runs (the trapezoid); the closed-form bounds (Gaussian,
+# Lorentzian^2, square), their figures, the OPA model and analyze's
+# classification and fits run in math.
 @pytest.mark.parametrize("argv, extra, numpy", [
     ((), set(), False),  # import sqzqi.cli alone
     (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set(), False),
@@ -1002,7 +1043,7 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
     (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
      {"opa", "meta"}, True),
     (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set(), True),
-    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set(), True),
+    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set(), False),
     (("bound", "--window", "lorentzian2", "--omega-t0", "1"), set(), False),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",

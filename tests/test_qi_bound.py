@@ -216,19 +216,34 @@ def test_bracket_stays_in_unit_interval(arg):
         assert 0.0 < res.bracket <= 1.0
 
 
-@pytest.mark.parametrize("kind", [WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ],
-                         ids=lambda k: k.value)
-def test_floor_holds_for_every_method(kind):
+# each closed-form family with a phase argument whose bracket is just above
+# the floor (the square's bracket is about omega0*t0/pi there)
+@pytest.mark.parametrize("kind, finite", [(WindowKind.GAUSSIAN, 1e-15),
+                                          (WindowKind.LORENTZIAN_SQ, 1e-15),
+                                          (WindowKind.SQUARE, 4e-15)],
+                         ids=["gaussian", "lorentzian2", "square"])
+def test_floor_holds_for_every_method(kind, finite):
     # the closed form and the quadrature reference alike
     w = SamplingWindow(kind, 1.0)
     assert bound_value(kind, None, 1e-16) == -math.inf
     assert numeric_bound_detail(w, SpectralFunction(omega0=1e-16)).r_db == -math.inf
-    r = bound_value(kind, None, 1e-15)
-    (bracket,), _ = _bracket(w, [1e-15])
+    r = bound_value(kind, None, finite)
+    (bracket,), _ = _bracket(w, [finite])
     assert math.isfinite(r) and to_db(bracket) == r
-    detail = numeric_bound_detail(w, SpectralFunction(omega0=1e-15))
+    detail = numeric_bound_detail(w, SpectralFunction(omega0=finite))
     assert math.isfinite(detail.r_db) and to_db(detail.bracket) == detail.r_db
-    assert detail.bracket == pytest.approx(bracket, rel=4 * np.finfo(float).eps)
+    assert detail.bracket == pytest.approx(bracket, rel=4 * np.finfo(float).eps, abs=0)
+
+
+@pytest.mark.parametrize("omega_t0", [1e-300, 1e-160, 1e-15, 3.14e-15])
+def test_square_sentinel_edge(omega_t0):
+    # the square's bracket is omega0*t0/pi to rounding up to the floor, so
+    # it reads -inf up to omega0*t0 = pi*1e-15, about 3.14e-15
+    (bracket,), _ = _bracket(square_window(1.0), [omega_t0])
+    assert bracket == pytest.approx(omega_t0 / math.pi, rel=4 * np.finfo(float).eps, abs=0)
+    assert bound_value(WindowKind.SQUARE, None, omega_t0) == -math.inf
+    assert bound_value(WindowKind.SQUARE, None, [0.0, 5e-324]) == [-math.inf] * 2
+    assert math.isfinite(bound_value(WindowKind.SQUARE, None, 3.15e-15))
 
 
 def test_zero_omega_gives_sentinel():
@@ -294,9 +309,34 @@ def test_square_far_field_bracket_vs_si_oracle(omega0_dt):
 
 def test_square_spectrum_bracket_vs_si_oracle_sweep():
     omega0 = np.logspace(-3.0, math.log10(50.0), 60)
-    bracket, _ = _bracket(square_window(1.0), omega0.tolist())
+    bracket, _ = _bracket_spectrum(square_window(1.0), omega0.tolist())
     for o, b in zip(omega0.tolist(), bracket):
         assert b == pytest.approx(square_bracket_oracle(o), rel=1e-13), o
+
+
+# Si's power series runs below 2 and its continued fraction from 2 on: the
+# points straddle that split and reach both ends of the float range.
+SI_POINTS = [5e-324, 1e-300, 1e-8, 0.5, 1.0, 1.9999999999999998, 2.0, 2.0000000000000004,
+             2.5, 10.0, 1e3, 2e6, 1e17, 1e100, 1e300]
+
+
+def test_si_vs_sici_and_mpmath():
+    eps = np.finfo(float).eps
+    for x in SI_POINTS + np.logspace(-8.0, 9.0, 171).tolist():
+        with mpmath.workdps(40):
+            want = float(mpmath.si(x))
+        got = qi_bound._si(x)
+        assert got == pytest.approx(want, rel=8 * eps, abs=0), x
+        assert got == pytest.approx(special.sici(x)[0], rel=8 * eps, abs=0), x
+
+
+def test_square_closed_form_vs_si_oracle_to_the_float_range():
+    # where the quadrature could not certify (past about 1.6e6) as well
+    omega0 = np.logspace(-10.0, 300.0, 311).tolist()
+    bracket, err = _bracket(square_window(1.0), omega0)
+    assert err == [0.0] * len(omega0)
+    for o, b in zip(omega0, bracket):
+        assert b == pytest.approx(square_bracket_oracle(o), rel=8 * np.finfo(float).eps, abs=0), o
 
 
 @pytest.mark.parametrize("n", [0.001, 0.2, 5.0])
@@ -590,7 +630,7 @@ def test_square_window_bracket_convergence_diagnostic():
     # small-width asymptote: bracket -> omega0*dt/pi, whose first
     # correction is of relative order (omega0*dt)^2
     assert brackets[3] == pytest.approx(1e-3 / math.pi, rel=1e-3)
-    assert brackets[-1] == pytest.approx(1e-8 / math.pi, rel=1e-12)
+    assert brackets[-1] == pytest.approx(1e-8 / math.pi, rel=1e-12, abs=0)
 
 
 # --- curves -----------------------------------------------------------------
@@ -660,7 +700,7 @@ def test_curve_validation():
 
 # The families with a closed-form bracket, written out apart from
 # qi_bound._CLOSED_FORMS, which these tests check.
-CLOSED_FORM_FAMILIES = {WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ}
+CLOSED_FORM_FAMILIES = {WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ, WindowKind.SQUARE}
 
 
 # "closed_form" asks the dispatch, _bracket, which takes the closed form

@@ -19,6 +19,7 @@ from scipy import integrate, special
 
 import oracles
 from oracles import evaluate_window
+from sqzqi import qi_bound
 from sqzqi.qi_bound import BOUND_TOL, QuadratureError, bound_value
 from sqzqi.windows import (
     SamplingWindow,
@@ -418,11 +419,12 @@ def test_spectrum_symmetry(kind):
 
 # --- error reporting ------------------------------------------------------
 
-def test_nonconvergence_reports_achieved_error():
-    # the square spectrum's oscillating tail at omega0*t0 = 1e8 needs more
-    # Gauss-Kronrod intervals than even the retry's budget
+def test_nonconvergence_reports_achieved_error(monkeypatch):
+    # the trapezoid spectrum's narrow peak at n = 0.2, omega0*t0 = 1e7 needs
+    # more Gauss-Kronrod intervals than a retry cut to 400 has
+    monkeypatch.setattr(qi_bound, "RETRY_INTERVALS", 400)
     with pytest.raises(QuadratureError) as err:
-        bound_value(WindowKind.SQUARE, None, 1e8)
+        bound_value(WindowKind.TRAPEZOID, 0.2, 1e7)
     assert err.value.achieved is not None
     assert err.value.achieved > BOUND_TOL
     assert "achieved error estimate" in str(err.value)
