@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 # Only what every command needs loads here; each command imports ``meta``, ``opa``
-# and ``svgfig`` when it runs them, and NumPy loads only when a quadrature runs.
+# and ``svgfig`` when it runs them.
 from . import qi_bound
 from .qi_bound import (ConsistencyError, DatasetError, FitError, QiCurve, QuadratureError,
                        Variant, parse_curve_id)

@@ -22,8 +22,8 @@ L, and round-trip length l; published experiments span full widths
 measurement band.
 
 Every function takes and returns floats, one operating point (or one F_T)
-per call, in ``math``, :func:`effective_ft`'s band integral included: no
-function loads NumPy, and a caller with a grid writes a comprehension.
+per call, in ``math``, :func:`effective_ft`'s band integral included: a
+caller with a grid writes a comprehension.
 All dB conversions go through :mod:`sqzqi.units`.
 """
 

@@ -11,8 +11,8 @@ forms (an error function, an exponential and a sine integral in
 omega0*t0, :data:`_CLOSED_FORMS`).  The trapezoid bound is a quadrature:
 its closed-form spectrum integrated in the complement form 4pi *
 integral_0^{omega0} |(f^{1/2})_FT|^2, with an adaptive 21-point
-Gauss-Kronrod rule that takes the omega0 of a call together, in blocks,
-each within :data:`MAX_INTERVALS` intervals, and once more within
+Gauss-Kronrod rule that takes each omega0 of a call within
+:data:`MAX_INTERVALS` intervals, and once more within
 :data:`RETRY_INTERVALS` if that is not enough; only it can fail to
 converge.  :func:`numeric_bound_detail` takes that quadrature for every
 family: it is the slow reference the closed forms are checked against.
@@ -27,9 +27,9 @@ A bracket at or below 1e-15 is reported as the -inf sentinel ("unbounded
 squeezing"), serialized as the literal string "-inf", closed form or not.
 
 :func:`bound_value` and :func:`curve_value` take a float, and give a float,
-or a sequence of floats (a list, a tuple or a 1-d array), and give a list;
-:func:`phase_argument` takes a float.  The closed forms run in ``math``;
-only the quadrature loads NumPy.
+or a sequence of floats (a list, a tuple or a 1-d array), which they turn
+into a list of floats once, and give a list; :func:`phase_argument` takes
+a float.  Everything runs on Python floats in ``math``.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ import sys
 from dataclasses import dataclass
 from itertools import chain
 
-# sqzqi runs on NumPy alone: the closed forms use math (erf, expm1 and _si
-# below), every quadrature bracket the Gauss-Kronrod rule below.  SciPy is a
-# test dependency, for the reference quadratures the tests compare against.
+# sqzqi has no runtime dependency: the closed forms use math (erf, expm1 and
+# _si below), every quadrature bracket the Gauss-Kronrod rule below.  NumPy
+# and SciPy are test dependencies, for the references the tests compare against.
 
 from .units import HBAR, C_LIGHT, to_db
-from .windows import SamplingWindow, WindowKind, sqrt_ft_squared
+from .windows import SamplingWindow, WindowKind, spectrum
 
 # Brackets at or below this are reported as the -inf sentinel.
 BRACKET_FLOOR = 1e-15
@@ -252,45 +252,31 @@ _K21_WEIGHTS = _KRONROD_W[:-1] + _KRONROD_W[::-1]
 _G10_WEIGHTS = tuple(_GAUSS_W[min(j, 20 - j) // 2] if j % 2 else 0.0 for j in range(21))
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-# Memory bounds of the spectrum bracket: the intervals one block of
-# elements may hold at their full budgets, and the intervals whose 21 nodes
-# go to the spectrum in one call (the trapezoid's Fresnel evaluation keeps
-# about twenty temporaries of that size alive).
-_BLOCK_INTERVALS = 2**17
-_KRONROD_ROWS = 2048
 
 
-def _kronrod21(f, lo, hi):
-    """QUADPACK ``dqk21`` on each interval [lo, hi]: the 21-point Kronrod
-    integral, its error estimate (QUADPACK's transform of |K21 - G10|), and
-    the rounding floor 50*eps*resabs that the estimate is not allowed below.
-
-    ``f`` is called on all 21 nodes of up to ``_KRONROD_ROWS`` intervals at
-    a time.  Each row is summed node by node in one fixed order, so an
-    interval's numbers do not depend on which other intervals share a call.
+def _kronrod21(f, lo: float, hi: float) -> tuple[float, float, float]:
+    """QUADPACK ``dqk21`` on [lo, hi]: the 21-point Kronrod integral, its
+    error estimate (QUADPACK's transform of |K21 - G10|), and the rounding
+    floor 50*eps*resabs that the estimate is not allowed below.  The G10
+    sum runs over all 21 nodes too, so a non-finite node makes it NaN.
     """
-    import numpy as np
-    if lo.size > _KRONROD_ROWS:
-        parts = [_kronrod21(f, lo[i:i + _KRONROD_ROWS], hi[i:i + _KRONROD_ROWS])
-                 for i in range(0, lo.size, _KRONROD_ROWS)]
-        return tuple(np.concatenate(column) for column in zip(*parts))
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx = f(center[:, None] + half[:, None] * _K21_NODES)
+    fx = [f(center + half * x) for x in _K21_NODES]
     resk = resg = resabs = 0.0
-    for j in range(21):
-        resk = resk + _K21_WEIGHTS[j] * fx[:, j]
-        resg = resg + _G10_WEIGHTS[j] * fx[:, j]
-        resabs = resabs + _K21_WEIGHTS[j] * np.abs(fx[:, j])
+    for fj, wk, wg in zip(fx, _K21_WEIGHTS, _G10_WEIGHTS):
+        resk = resk + wk * fj
+        resg = resg + wg * fj
+        resabs = resabs + wk * abs(fj)
     reskh = 0.5 * resk
     resasc = 0.0
-    for j in range(21):
-        resasc = resasc + _K21_WEIGHTS[j] * np.abs(fx[:, j] - reskh)
+    for fj, wk in zip(fx, _K21_WEIGHTS):
+        resasc = resasc + wk * abs(fj - reskh)
     resabs, resasc = resabs * half, resasc * half
-    est = np.abs((resk - resg) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.where((resasc != 0.0) & (est != 0.0),
-                       resasc * np.minimum(1.0, (200.0 * est / resasc) ** 1.5), est)
-    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    est = abs((resk - resg) * half)
+    if resasc != 0.0 and est != 0.0:
+        ratio = 200.0 * est / resasc
+        est = resasc * (ratio ** 1.5 if not ratio >= 1.0 else 1.0)  # min(1, ratio^1.5), NaN kept
+    floor = 50.0 * _EPS * resabs if resabs > _TINY / (50.0 * _EPS) else 0.0
     return resk * half, est, floor
 
 
@@ -298,48 +284,40 @@ def _bracket_spectrum(w: SamplingWindow, omega0: list):
     """4pi * integral_0^{omega0} V of the family's closed-form spectrum, for
     every element of the list ``omega0``: (bracket, error), two lists.
 
-    Elements never interact, so they are integrated in blocks small enough
-    that a block's intervals, each element at its full budget, number about
-    ``_BLOCK_INTERVALS``: memory stays bounded whatever the grid size.
-    Each element whose error is then finite and above :data:`BOUND_TOL` is
-    retried alone, within :data:`RETRY_INTERVALS` (see :func:`_gauss_kronrod`).
-    The first retry that fails ends them, as ``_check_bracket`` fails the
-    whole call anyway.
+    Each element gets a first pass within :data:`MAX_INTERVALS`; then each
+    one whose error is finite and above :data:`BOUND_TOL` is retried, in
+    order, within :data:`RETRY_INTERVALS` (see :func:`_gauss_kronrod`), until
+    one retry fails, as ``_check_bracket`` then fails the whole call anyway.
     """
-    import numpy as np
-    omega0 = np.asarray(omega0, dtype=float)
-    size = max(1, _BLOCK_INTERVALS // MAX_INTERVALS)
-    blocks = np.array_split(omega0, max(1, -(-omega0.size // size)))
-    # omega0 or the trapezoid's u*L past the float range makes a bracket
-    # inf or NaN, which _check_bracket turns into QuadratureError
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket, error = (np.concatenate(column) for column in
-                          zip(*[_gauss_kronrod(w, b, MAX_INTERVALS) for b in blocks]))
-        for i in np.flatnonzero(np.isfinite(error) & (error > BOUND_TOL)):
-            bracket[i:i + 1], error[i:i + 1] = _gauss_kronrod(w, omega0[i:i + 1],
-                                                              RETRY_INTERVALS, retry=True)
+    bracket, error = [], []
+    for o in omega0:
+        b, e = _gauss_kronrod(w, o, MAX_INTERVALS)
+        bracket.append(b)
+        error.append(e)
+    for i, e in enumerate(error):
+        if math.isfinite(e) and e > BOUND_TOL:
+            bracket[i], error[i] = _gauss_kronrod(w, omega0[i], RETRY_INTERVALS, retry=True)
             if not error[i] <= BOUND_TOL:
                 break
-    return bracket.tolist(), error.tolist()
+    return bracket, error
 
 
-def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int, retry: bool = False):
-    """(bracket, error) of :func:`_bracket_spectrum` for a 1-d block.
+def _gauss_kronrod(w: SamplingWindow, omega0: float, max_intervals: int, retry: bool = False):
+    """(bracket, error) of :func:`_bracket_spectrum` at one omega0.
 
-    Globally adaptive 21-point Gauss-Kronrod.  Each element starts from
-    breakpoints at the spectrum's own scale, pi/c * 2^k below omega0 with c
-    the half support (t0 for the unbounded families), so no rule straddles
-    a peak that is narrow next to [0, omega0].  They stop at pi/c * 2^53,
-    so an element at a huge omega0 keeps its budget to refine in: the tail
-    past that point holds less than eps of the bracket (the square and
-    trapezoid spectra obey V(u) <= f_max / (pi*u)^2, a tail of at most
-    4 / (pi^2 * 2^53); the smooth families decay exponentially).  Each pass
-    evaluates the spectrum once, on every new interval, and bisects, in
-    each element whose summed error exceeds max(ABS_TOL, 1e-11 *
-    |integral|), the intervals whose error exceeds their share of that
-    tolerance (by length) and is not the rounding floor.  An element that
-    would outgrow ``max_intervals`` intervals bisects only as many
-    of those as its budget has room for, largest error first.  It stops
+    Globally adaptive 21-point Gauss-Kronrod.  It starts from breakpoints at
+    the spectrum's own scale, pi/c * 2^k below omega0 with c the half
+    support (t0 for the unbounded families), so no rule straddles a peak
+    that is narrow next to [0, omega0].  They stop at pi/c * 2^53, so a
+    huge omega0 keeps its budget to refine in: the tail past that point
+    holds less than eps of the bracket (the square and trapezoid spectra
+    obey V(u) <= f_max / (pi*u)^2, a tail of at most 4 / (pi^2 * 2^53); the
+    smooth families decay exponentially).  Each pass evaluates the spectrum
+    once, on every new interval, and, while the summed error (summed left
+    to right) exceeds max(ABS_TOL, 1e-11 * |integral|), splits into its two
+    halves each interval whose error exceeds its share of that tolerance
+    (by length) and is not the rounding floor: largest errors first (ties
+    in interval order), as many as ``max_intervals`` has room for.  It stops
     with the error it has when only floors are left or its budget is spent.
 
     A ``retry`` aims at BOUND_TOL / 10, not ABS_TOL, as it runs only to
@@ -349,55 +327,47 @@ def _gauss_kronrod(w: SamplingWindow, omega0, max_intervals: int, retry: bool = 
     is off by about its own size.  (Without that, a retry of the trapezoid
     at n = 1, omega0*t0 = 3.3e3 claimed an error of 1.5e-9, off by 3.5e-9.)
     """
-    import numpy as np
     c = w.half_support if math.isfinite(w.half_support) else w.t0
     step = math.pi / c
     last = step * 2.0**53
-    edges = []
-    for o in omega0.tolist():
-        points, p = [0.0], step
-        while p < o and p <= last:
-            points.append(p)
-            p *= 2.0
-        edges.append(points + [o])
-    owner = np.repeat(np.arange(omega0.size), [len(e) - 1 for e in edges])
-    lo = np.array([x for e in edges for x in e[:-1]])
-    hi = np.array([x for e in edges for x in e[1:]])
+    points, p = [0.0], step
+    while p < omega0 and p <= last:
+        points.append(p)
+        p *= 2.0
+    points.append(omega0)
     # the tolerance (the error sums carry no 4pi) and the widest trusted interval
     abs_tol, wide = (BOUND_TOL / (40.0 * math.pi), 4.0 * step) if retry else (ABS_TOL, math.inf)
+    f = spectrum(w)
 
     def rule(lo, hi):
-        res, est, floor = _kronrod21(lambda u: sqrt_ft_squared(w, u), lo, hi)
-        return res, np.where(hi - lo > wide, np.maximum(est, res), est), floor
+        res, est, floor = _kronrod21(f, lo, hi)
+        # max with the maybe-NaN value first keeps a NaN, as a NaN res means a NaN est
+        return lo, hi, res, max(est, res) if hi - lo > wide else est, floor
 
-    res, est, floor = rule(lo, hi)
+    parts = [rule(lo, hi) for lo, hi in zip(points, points[1:])]
     while True:
-        total = np.bincount(owner, res, omega0.size)
-        error = np.bincount(owner, np.maximum(est, floor), omega0.size)
-        tol = np.maximum(abs_tol, 1e-11 * np.abs(total))
-        active = (error > tol)[owner]
-        split = active & (est > floor) & (est * omega0[owner] > tol[owner] * (hi - lo))
-        # within its remaining budget, an element bisects its largest errors
-        # first; owner is sorted, so each element's candidates are contiguous
-        room = max_intervals - np.bincount(owner, minlength=omega0.size)
-        candidates = np.flatnonzero(split)
-        candidates = candidates[np.lexsort((-est[candidates], owner[candidates]))]
-        by = owner[candidates]
-        rank = np.arange(candidates.size) - np.searchsorted(by, by)
-        split[candidates[rank >= room[by]]] = False
-        if not split.any():
+        total = error = 0.0
+        for _, _, res, est, floor in parts:
+            total += res
+            error += max(est, floor)
+        tol = max(1e-11 * abs(total), abs_tol)
+        split = [i for i, (lo, hi, _, est, floor) in enumerate(parts)
+                 if est > floor and est * omega0 > tol * (hi - lo)] if error > tol else []
+        split.sort(key=lambda i: -parts[i][3])
+        del split[max(0, max_intervals - len(parts)):]
+        if not split:
             break
-        # each split interval becomes its two halves, in place
-        counts = 1 + split
-        first = np.cumsum(counts) - counts
-        owner, lo, hi = (np.repeat(a, counts) for a in (owner, lo, hi))
-        res, est, floor = (np.repeat(a, counts) for a in (res, est, floor))
-        left = first[split]
-        mid = 0.5 * (lo[left] + hi[left])
-        hi[left] = lo[left + 1] = mid
-        new = np.concatenate((left, left + 1))
-        res[new], est[new], floor[new] = rule(lo[new], hi[new])
-    return np.minimum(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
+        halve = set(split)
+        new = []
+        for i, part in enumerate(parts):
+            if i in halve:
+                lo, hi = part[0], part[1]
+                mid = 0.5 * (lo + hi)
+                new += (rule(lo, mid), rule(mid, hi))
+            else:
+                new.append(part)
+        parts = new
+    return min(4.0 * math.pi * total, 1.0), 4.0 * math.pi * error
 
 
 def _si(x: float) -> float:
@@ -454,6 +424,28 @@ def _bracket(w: SamplingWindow, omega0: list):
     return form(omega0, w.t0), [0.0] * len(omega0)
 
 
+def _gauss_hermite(n: int) -> tuple[list[float], list[float]]:
+    """Nodes (largest first) and weights of the n-point Gauss-Hermite rule
+    for the weight exp(-x^2): Newton's method on the recurrence of the
+    orthonormal Hermite polynomials, as Numerical Recipes' ``gauher``."""
+    x, w = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):  # NR's guesses: the largest root, then extrapolations
+        z = (math.sqrt(2 * n + 1) - 1.85575 * (2 * n + 1) ** (-1.0 / 6.0) if i == 0
+             else z - 1.14 * n**0.426 / z if i == 1 else 1.86 * z - 0.86 * x[0] if i == 2
+             else 1.91 * z - 0.91 * x[1] if i == 3 else 2.0 * z - x[i - 2])
+        for _ in range(10):
+            p1, p2 = math.pi**-0.25, 0.0
+            for j in range(1, n + 1):
+                p1, p2 = z * math.sqrt(2.0 / j) * p1 - math.sqrt((j - 1) / j) * p2, p1
+            pp = math.sqrt(2.0 * n) * p2
+            z, z1 = z - p1 / pp, z
+            if abs(z - z1) <= 3e-14:
+                break
+        x[i], x[n - 1 - i] = z, -z
+        w[i] = w[n - 1 - i] = 2.0 / (pp * pp)
+    return x, w
+
+
 def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult:
     """Bound evaluation with bracket diagnostics, by quadrature, which
     every family supports.
@@ -465,23 +457,25 @@ def numeric_bound_detail(w: SamplingWindow, mu: SpectralFunction) -> BoundResult
     survives.  That reduction is the default path.
 
     The Gaussian shape keeps the weight explicit and evaluates both
-    integrals (a Gauss-Hermite sum over one array of omega_p), confirming
+    integrals (a 61-point Gauss-Hermite sum over omega_p), confirming
     numerically that the cancellation holds to lowest order in delta_omega.
     """
     if mu.shape is SpectralShape.DELTA_LIMIT:
         (bracket,), (err,) = _bracket_spectrum(w, [mu.omega0])
     else:
-        import numpy as np
-        nodes, weights = np.polynomial.hermite.hermgauss(61)
-        omega_p = mu.omega0 + mu.delta_omega * nodes
-        if np.any(omega_p <= 0):
+        nodes, weights = _gauss_hermite(61)
+        omega_p = [mu.omega0 + mu.delta_omega * x for x in nodes]
+        if min(omega_p) <= 0:
             raise ValueError("gaussian spectral weight leaks to omega_p <= 0")
-        brackets, errs = _bracket_spectrum(w, omega_p.tolist())
-        wp3 = weights * omega_p**3
-        bracket, err = np.sum(wp3 * brackets) / np.sum(wp3), np.max(errs)
+        brackets, errs = _bracket_spectrum(w, omega_p)
+        num = den = 0.0
+        for weight, o, b in zip(weights, omega_p, brackets):
+            num += weight * (o * o * o) * b
+            den += weight * (o * o * o)
+        bracket = num / den
+        err = math.nan if any(map(math.isnan, errs)) else max(errs)
     _check_bracket([bracket], [err])
-    return BoundResult(r_db=to_db(bracket, BRACKET_FLOOR), bracket=float(bracket),
-                       bracket_error=float(err))
+    return BoundResult(r_db=to_db(bracket, BRACKET_FLOOR), bracket=bracket, bracket_error=err)
 
 
 def bound_value(kind: WindowKind, n: float | None, omega_t0):
@@ -490,10 +484,10 @@ def bound_value(kind: WindowKind, n: float | None, omega_t0):
     the family has one, else by quadrature; a bracket at or below the floor
     gives the -inf sentinel either way."""
     one = isinstance(omega_t0, numbers.Real)
-    omegas = [omega_t0] if one else omega_t0
+    omegas = [float(omega_t0)] if one else list(map(float, omega_t0))
     bad = [o for o in omegas if not 0.0 <= o < math.inf]
     if bad:
-        raise ValueError(f"omega0 must be a non-negative real, got {float(bad[0])}")
+        raise ValueError(f"omega0 must be a non-negative real, got {bad[0]}")
     r = _r_db(kind, n, omegas)
     return r[0] if one else r
 
@@ -527,15 +521,15 @@ def curve_value(curve: QiCurve, ft):
     float comes out) or a sequence (a list comes out); an F_T whose phase
     argument overflows is a ValueError naming the curve and the F_T."""
     one = isinstance(ft, numbers.Real)
-    fts = [ft] if one else ft
+    fts = [float(ft)] if one else list(map(float, ft))
     factor, scale = _phase_factor(curve.variant, curve.window), curve.scale
     args = [factor * (f * scale) for f in fts if 0.0 < f <= 1.0]
     if len(args) < len(fts):
         bad = next(f for f in fts if not 0.0 < f <= 1.0)
-        raise ValueError(f"ft must lie in (0, 1], got {float(bad)}")
+        raise ValueError(f"ft must lie in (0, 1], got {bad}")
     if math.inf in args:
         raise ValueError(f"the phase argument of curve {curve.curve_id} at F_T = "
-                         f"{float(fts[args.index(math.inf)]):g} overflows")
+                         f"{fts[args.index(math.inf)]:g} overflows")
     r = _r_db(curve.window, curve.n, args)
     return r[0] if one else r
 

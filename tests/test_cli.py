@@ -262,6 +262,54 @@ def test_square_outputs_keep_their_bytes(capsys, options):
     assert (hashlib.sha256(out.encode()).hexdigest() if "--ft" in options else out) == want
 
 
+# The trapezoid outputs of the NumPy quadrature that the float port
+# replaced, pinned by the sha256 of the file a command writes ({out}) or of
+# its stdout (the CSVs), or by its stdout and stderr (the single arguments,
+# one line each, and the exit-3 messages): (exit code, pinned value).
+TRAPEZOID_OUTPUTS = {
+    "plot --fig 8 --out {out}":
+        (0, "483a726aac28de675e8bfd04a23dad6411e3e142d831640b4109158bb3bb0414"),
+    "plot --fig 8 --grid-step 0.05 --out {out}":
+        (0, "8352273badfaf9433eaea0231be47a038a85de978c62dcef6ea4b8972de1fe4a"),
+    "bound --window trapezoid --n 0.001 --ft 0.05:0.5:0.05":
+        (0, "500e671a90c4ceab75b75df1fbc9f2779949dd382e55dffa5c6fe03b4406e851"),
+    # every point of this grid is certified by the retry
+    "bound --window trapezoid --n 0.2 --scale 1e4 --ft 0.01:0.5:0.01":
+        (0, "4d818d55c4b072d6ef1cfc45533739e390cc122c66cf5565190120d00f7238ec"),
+    "analyze --fit --curves trapezoid-paper-n0.2,trapezoid-marecki-n0.2 --report {out}":
+        (0, "02f7171e1656c6c876fd2ff2e99196e23c25195fd3decb8fa79e64d24ea22046"),
+    "bound --window trapezoid --n 0.2 --omega-t0 1":
+        (0, "R = -3.9066 dB  (window=trapezoid, omega_t0=1)\n"),
+    "bound --window trapezoid --n 1 --omega-t0 1186":
+        (0, "R = -0.0000 dB  (window=trapezoid, omega_t0=1186)\n"),
+    "bound --window trapezoid --n 1 --omega-t0 3388":
+        (0, "R = -0.0000 dB  (window=trapezoid, omega_t0=3388)\n"),
+    "bound --window trapezoid --n 0.2 --omega-t0 1e6":
+        (0, "R = -0.0000 dB  (window=trapezoid, omega_t0=1e+06)\n"),
+    "bound --window trapezoid --n 0.2 --omega-t0 1e7":
+        (0, "R = 0.0000 dB  (window=trapezoid, omega_t0=1e+07)\n"),
+    "bound --window trapezoid --n 1e300 --omega-t0 1":
+        (3, "sqzqi: numeric failure: bound quadrature did not converge "
+            "(achieved error estimate inf)\n"),
+    "bound --window trapezoid --n 5e-324 --omega-t0 1":
+        (3, "sqzqi: numeric failure: bound quadrature did not converge "
+            "(achieved error estimate nan)\n"),
+}
+
+
+@pytest.mark.parametrize("options", list(TRAPEZOID_OUTPUTS))
+def test_trapezoid_outputs_keep_their_bytes(capsys, tmp_path, options):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *options.format(out=out).split())
+    if "{out}" in options:
+        got = hashlib.sha256(out.read_bytes()).hexdigest()
+    elif "--ft" in options:
+        got = hashlib.sha256(stdout.encode()).hexdigest()
+    else:
+        got = stdout + err
+    assert (code, got) == TRAPEZOID_OUTPUTS[options]
+
+
 # A retry cut to 400 intervals cannot certify the trapezoid's narrow peak at
 # n = 0.2 and omega0*t0 = 1e7, nor at any point of pi*1e4*[0.5, 1]: each
 # keeps a finite error estimate near 3e-7.  No input is known to fail the
@@ -1018,41 +1066,38 @@ def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str],
 CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every command
 
 
-# No command loads SciPy: the closed forms run in math, and the Gauss-Kronrod
-# bracket of the trapezoid spectrum on NumPy.  The same probe checks that
-# each command loads only the sqzqi modules it runs: `bound` needs neither
-# the meta-analysis nor the SVG writer.  NumPy loads if and only if a
-# quadrature runs (the trapezoid); the closed-form bounds (Gaussian,
-# Lorentzian^2, square), their figures, the OPA model and analyze's
-# classification and fits run in math.
-@pytest.mark.parametrize("argv, extra, numpy", [
-    ((), set(), False),  # import sqzqi.cli alone
-    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set(), False),
-    (("plot", "--fig", "4", "--out", "fig.svg"), {"opa", "svgfig"}, False),
-    (("plot", "--fig", "6", "--out", "fig.svg"), {"opa", "svgfig"}, False),
-    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), {"opa"}, False),
-    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), set(), False),
-    (("plot", "--fig", "5", "--out", "fig.svg"), {"opa", "svgfig"}, False),
+# No command loads SciPy or NumPy: the closed forms and the Gauss-Kronrod
+# bracket of the trapezoid spectrum run in math.  The same probe checks
+# that each command loads only the sqzqi modules it runs: `bound` needs
+# neither the meta-analysis nor the SVG writer.
+@pytest.mark.parametrize("argv, extra", [
+    ((), set()),  # import sqzqi.cli alone
+    (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set()),
+    (("plot", "--fig", "4", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("plot", "--fig", "6", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("opa", "--x", "0.8", "--beta", "0.975", "--extremes"), {"opa"}),
+    (("bound", "--window", "gaussian", "--ft", "0.01:0.5:0.01"), set()),
+    (("plot", "--fig", "5", "--out", "fig.svg"), {"opa", "svgfig"}),
     (("plot", "--fig", "5", "--report", "report.json", "--out", "fig.svg"),
-     {"opa", "svgfig", "meta"}, False),
-    (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}, False),
-    (("analyze", "--report", "report.json"), {"opa", "meta"}, False),
-    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}, False),
-    (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}, True),
-    (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}, False),
+     {"opa", "svgfig", "meta"}),
+    (("plot", "--fig", "7", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("analyze", "--report", "report.json"), {"opa", "meta"}),
+    (("analyze", "--fit", "--report", "report.json"), {"opa", "meta"}),
+    (("plot", "--fig", "8", "--grid-step", "0.05", "--out", "fig.svg"), {"opa", "svgfig"}),
+    (("plot", "--curve", "gaussian-paper", "--out", "fig.svg"), {"opa", "svgfig"}),
     (("analyze", "--fit", "--curves", "trapezoid-paper-n0.2", "--report", "report.json"),
-     {"opa", "meta"}, True),
-    (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set(), True),
-    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set(), False),
-    (("bound", "--window", "lorentzian2", "--omega-t0", "1"), set(), False),
+     {"opa", "meta"}),
+    (("bound", "--window", "trapezoid", "--n", "0.001", "--ft", "0.05:0.5:0.05"), set()),
+    (("bound", "--window", "square", "--allow-square", "--ft", "0.01:0.5:0.01"), set()),
+    (("bound", "--window", "lorentzian2", "--omega-t0", "1"), set()),
 ], ids=["import", "bound-lorentzian2", "plot-4", "plot-6", "opa-extremes", "bound-gaussian",
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
         "analyze-fit-trapezoid", "bound-trapezoid", "bound-square",
         "bound-omega-t0"])
-def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra, numpy):
+def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
     if "--report" in argv and argv[0] == "plot":
         assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
-    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, numpy)
+    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, False)
 
 
 def test_importing_the_package_loads_no_module(tmp_path):

@@ -36,10 +36,10 @@ from sqzqi.qi_bound import (
     _G10_WEIGHTS,
     _K21_NODES,
     _K21_WEIGHTS,
-    _KRONROD_ROWS,
     _bracket,
     _bracket_spectrum,
     _check_bracket,
+    _gauss_hermite,
     _gauss_kronrod,
     _kronrod21,
     bound_value,
@@ -300,7 +300,7 @@ def test_square_far_field_bracket_vs_si_oracle(omega0_dt):
     # 200 intervals leave an error estimate above the gate here, though the
     # bracket is right to 1e-15; the retry's estimate holds the true error
     w = square_window(1.0)
-    _, (first_err,) = _gauss_kronrod(w, np.array([omega0_dt]), MAX_INTERVALS)
+    _, first_err = _gauss_kronrod(w, omega0_dt, MAX_INTERVALS)
     assert first_err > BOUND_TOL
     res = numeric_bound_detail(w, SpectralFunction(omega0=omega0_dt))
     assert res.bracket_error <= BOUND_TOL
@@ -499,7 +499,7 @@ def test_trapezoid_bracket_with_a_narrow_peak_certifies(n, omega0):
     # small error estimates; the true brackets are within 1e-5 of 1.  200
     # intervals leave an error estimate above the gate, the retry certifies
     w = trapezoid_window(1.0, n)
-    _, (first_err,) = _gauss_kronrod(w, np.array([omega0]), MAX_INTERVALS)
+    _, first_err = _gauss_kronrod(w, omega0, MAX_INTERVALS)
     assert first_err > BOUND_TOL
     res = numeric_bound_detail(w, SpectralFunction(omega0=omega0))
     assert res.bracket_error <= BOUND_TOL
@@ -513,15 +513,15 @@ def test_trapezoid_bracket_spends_its_whole_budget():
     # still certifies the bracket, where skipping the whole pass left an
     # error of 2.4e-7, above the bound gate
     w = trapezoid_window(1.0, 1.0)
-    (bracket,), (err,) = _gauss_kronrod(w, np.array([1186.0]), MAX_INTERVALS)
+    bracket, err = _gauss_kronrod(w, 1186.0, MAX_INTERVALS)
     ref, ref_err = panel_bracket(1.0, 1186.0)
     assert err <= BOUND_TOL
     assert abs(bracket - ref) <= err + ref_err
 
 
 def test_trapezoid_bracket_memory_does_not_grow_with_the_grid():
-    # elements are integrated in blocks: one array call over the whole grid
-    # peaked near 190 MB here, and chunked spectrum calls alone near 15 MB
+    # elements are integrated one at a time, on floats: one array call over
+    # the whole grid once peaked near 190 MB here
     omega = np.linspace(1e-6, math.pi, 50_000)
     tracemalloc.start()
     try:
@@ -530,23 +530,68 @@ def test_trapezoid_bracket_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
-    # blocks change no bit
+    # neighbours change no bit
     for i in range(0, omega.size, 4999):
         assert r[i] == bound_value(WindowKind.TRAPEZOID, 0.2, float(omega[i]))
 
 
-def test_kronrod21_evaluates_a_few_thousand_intervals_at_a_time():
-    rows = []
-
+def test_kronrod21_is_the_array_implementation_bit_for_bit():
+    # one interval at a time on floats against all of them in one array
+    # call: the same integral, error estimate and floor, bit for bit, up to
+    # the estimate's power 1.5, which NumPy and libm may round 1 ulp apart
+    # (the integrand uses only operations both round alike)
     def f(u):
-        rows.append(u.shape[0])
-        return np.cos(u) ** 2
+        return 1.0 / (1.0 + u * u) + u
 
-    lo = np.linspace(0.0, 100.0, 5001)
-    out = _kronrod21(f, lo[:-1], lo[1:])
-    assert max(rows) <= _KRONROD_ROWS < lo.size - 1
-    for i in (0, _KRONROD_ROWS - 1, _KRONROD_ROWS, 4999):
-        assert [a[i] for a in out] == [a[0] for a in _kronrod21(f, lo[i:i + 1], lo[i + 1:i + 2])]
+    lo = np.concatenate(([0.0], np.geomspace(1e-300, 1e3, 400)))
+    want = oracles.kronrod21(f, lo[:-1], lo[1:])
+    for i, (a, b) in enumerate(zip(lo[:-1].tolist(), lo[1:].tolist())):
+        res, est, floor = _kronrod21(f, a, b)
+        assert (res, floor) == (want[0][i], want[2][i]), (a, b)
+        assert est == pytest.approx(want[1][i], rel=1e-12, abs=0), (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_n=st.floats(-3.0, 3.0), log_omega0=st.floats(-6.0, 3.0))
+@example(log_n=0.0, log_omega0=math.log10(1186.0))  # spends its whole budget
+@example(log_n=3.0, log_omega0=3.0)  # the narrowest peak drawn: a retry
+def test_trapezoid_bracket_is_the_array_implementation_bit_for_bit(log_n, log_omega0):
+    # the float quadrature against the NumPy one it replaced, first pass and
+    # retry: equal brackets, error estimates within 1e-12 (the power 1.5 of
+    # an interval's estimate may round 1 ulp apart)
+    w = trapezoid_window(1.0, 10.0**log_n)
+    omega0 = 10.0**log_omega0
+    for budget, retry in ((MAX_INTERVALS, False), (RETRY_INTERVALS, True)):
+        bracket, err = _gauss_kronrod(w, omega0, budget, retry=retry)
+        (want,), (want_err,) = oracles.gauss_kronrod(w, np.array([omega0]), budget, retry=retry)
+        assert bracket == want
+        assert err == pytest.approx(want_err, rel=1e-12, abs=0)
+        if err <= BOUND_TOL:
+            break
+
+
+def test_gauss_hermite_nodes_match_numpy():
+    x, w = _gauss_hermite(61)
+    want_x, want_w = np.polynomial.hermite.hermgauss(61)
+    np.testing.assert_allclose(x[::-1], want_x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w[::-1], want_w, rtol=1e-11, atol=0)
+    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, n", [(WindowKind.GAUSSIAN, None), (WindowKind.TRAPEZOID, 0.2)])
+def test_sequences_become_lists_of_floats(kind, n):
+    # a NumPy array or NumPy scalars are turned into Python floats once, at
+    # entry, so the evaluation never runs on NumPy scalar arithmetic
+    args = [0.1, 0.5, 2.0]
+    for given_args in (np.array(args), [np.float64(a) for a in args], tuple(args)):
+        r = bound_value(kind, n, given_args)
+        assert type(r) is list and all(type(v) is float for v in r)
+        assert r == bound_value(kind, n, args)
+    curve = QiCurve(kind, Variant.WITH_PI, n=n)
+    r = curve_value(curve, np.array([0.1, 0.3]))
+    assert r == curve_value(curve, [0.1, 0.3]) and all(type(v) is float for v in r)
+    assert type(curve_value(curve, np.float64(0.3))) is float
+    assert type(bound_value(kind, n, np.float64(0.5))) is float
 
 
 def test_non_finite_bracket_raises():
@@ -565,12 +610,12 @@ def test_trapezoid_bracket_interval_budget():
     # bound gate turns into QuadratureError
     w = trapezoid_window(1.0, 5.0)
     (bracket,), (err,) = _bracket_spectrum(w, [50.0])
-    (coarse,), (coarse_err,) = _gauss_kronrod(w, np.array([50.0]), 10)
+    coarse, coarse_err = _gauss_kronrod(w, 50.0, 10)
     assert err < 1e-12 and BOUND_TOL < coarse_err
     assert abs(coarse - bracket) <= coarse_err
     with pytest.raises(QuadratureError) as exc:
-        _check_bracket([float(coarse)], [float(coarse_err)])
-    assert exc.value.achieved == float(coarse_err)
+        _check_bracket([coarse], [coarse_err])
+    assert exc.value.achieved == coarse_err
 
 
 @pytest.mark.parametrize("budget, n, omega0", [(10, 1000.0, 2511.9), (12, 1000.0, 1258.9)])
@@ -579,8 +624,8 @@ def test_small_budget_keeps_the_fine_start(budget, n, omega0):
     # it, one rule spanned [16pi/c, omega0] here and claimed an error
     # thousands of times below its actual one.
     w = trapezoid_window(1.0, n)
-    (ref,), (ref_err,) = _gauss_kronrod(w, np.array([omega0]), 20_000)
-    (bracket,), (err,) = _gauss_kronrod(w, np.array([omega0]), budget)
+    ref, ref_err = _gauss_kronrod(w, omega0, 20_000)
+    bracket, err = _gauss_kronrod(w, omega0, budget)
     assert ref_err < 1e-11
     assert abs(bracket - ref) <= err
 
@@ -602,7 +647,7 @@ def test_interval_budget_limits_accepted(budget):
     # from the smallest budget the tests use to the retry's, the rule
     # certifies an easy bracket and agrees with the curve's first pass
     w = trapezoid_window(1.0, 0.2)
-    (bracket,), (err,) = _gauss_kronrod(w, np.array([0.3 * math.pi]), budget)
+    bracket, err = _gauss_kronrod(w, 0.3 * math.pi, budget)
     (first,), (first_err,) = _bracket_spectrum(w, [0.3 * math.pi])
     assert err <= BOUND_TOL and abs(bracket - first) <= err + first_err
     curve = QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=0.2)

@@ -283,11 +283,11 @@ def test_fresnel_matches_mpmath():
     # 30-digit references over [0, 40], both sides of the series/auxiliary
     # switch at z^2 = 2.5625.  Above it the phase pi z^2/2 is rounded, which
     # costs about eps*z/2 in absolute terms; allow 2*eps*max(1, z).
-    z = np.concatenate((np.linspace(0.0, 40.0, 401), [1.6, 1.6008, 1.6009, 1e-8, 1e-3]))
-    S, C = _fresnel(z)
+    z = np.linspace(0.0, 40.0, 401).tolist() + [1.6, 1.6008, 1.6009, 1e-8, 1e-3]
     eps = np.finfo(float).eps
     with mpmath.workdps(30):
-        for zi, s, c in zip(z.tolist(), S.tolist(), C.tolist()):
+        for zi in z:
+            s, c = _fresnel(zi)
             tol = 2.0 * eps * max(1.0, zi)
             assert abs(s - float(mpmath.fresnels(zi))) <= tol, zi
             assert abs(c - float(mpmath.fresnelc(zi))) <= tol, zi
@@ -297,26 +297,44 @@ def test_fresnel_power_series_is_scipy_bit_for_bit():
     # below z^2 = 2.5625 both run Cephes' rational approximation, operation
     # for operation
     z = np.linspace(0.0, 1.6, 20001)
-    S, C = _fresnel(z)
     s_ref, c_ref = special.fresnel(z)
-    np.testing.assert_array_equal(S, s_ref)
-    np.testing.assert_array_equal(C, c_ref)
+    assert [_fresnel(zi) for zi in z.tolist()] == list(zip(s_ref.tolist(), c_ref.tolist()))
 
 
 def test_fresnel_far_range_raises_no_warning():
-    # the series branch, computed for every element, overflows past
-    # z ~ 1e77; only the asymptotic branch is kept there, and warnings are
-    # errors under this suite's configuration
-    S, C = _fresnel(np.array([1e78, 1e150]))
-    np.testing.assert_allclose(S, 0.5, atol=1e-70)
-    np.testing.assert_allclose(C, 0.5, atol=1e-70)
+    # the phase pi z^2/2 is still finite here, and the asymptotic branch
+    # alone is evaluated (the series, which overflows past z ~ 1e77, is not)
+    for z in (1e78, 1e150):
+        assert _fresnel(z) == pytest.approx((0.5, 0.5), abs=1e-70)
 
 
-def test_fresnel_keeps_the_shape():
-    assert all(np.shape(v) == () for v in _fresnel(0.7))
-    S, C = _fresnel(np.full((2, 3), 5.0))
-    assert S.shape == C.shape == (2, 3)
-    assert (S[0, 0], C[0, 0]) == _fresnel(5.0)
+def test_fresnel_is_the_array_implementation_bit_for_bit():
+    # every branch, its edges, and the ends of the float range: a phase
+    # that overflows (z past about 1.3e154) gives NaN, as NumPy's cos(inf)
+    rng = np.random.default_rng(5)
+    z = np.concatenate((rng.uniform(0.0, 1.6, 2000), 10.0 ** rng.uniform(-8.0, 6.0, 4000),
+                        [0.0, 5e-324, 1.6, 1.6008, 1.6009, 36974.0, np.nextafter(36974.0, 1e9),
+                         1e78, 1e150, 1e160, np.inf]))
+    S, C = oracles.fresnel(z)
+    want = list(zip(S.tolist(), C.tolist()))
+    got = [_fresnel(zi) for zi in z.tolist()]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert all(type(v) is float for pair in got for v in pair)
+    assert all(map(math.isnan, _fresnel(1e160) + _fresnel(math.inf)))
+
+
+@pytest.mark.parametrize("n", [5e-324, 1e-3, 0.2, 1e3, 1e10, 1e300])
+def test_trapezoid_spectrum_is_the_array_implementation_bit_for_bit(n):
+    # the side length from the bottom to the top of the float range, and
+    # frequencies from the u = 0 limit to an overflowing u*L (NaN)
+    w = trapezoid_window(1.0, n)
+    rng = np.random.default_rng(6)
+    u = np.concatenate((10.0 ** rng.uniform(-12.0, 8.0, 3000),
+                        [0.0, 5e-324, 1e-310, 1e-100, 1e155, 1e300, 1.7e308]))
+    want = oracles.trapezoid_spectrum(w, u).tolist()
+    got = [sqrt_ft_squared(w, ui) for ui in u.tolist()]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert all(type(v) is float for v in got)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
