@@ -521,17 +521,24 @@ def test_trapezoid_bracket_spends_its_whole_budget():
 
 def test_trapezoid_bracket_memory_does_not_grow_with_the_grid():
     # elements are integrated one at a time, on floats: one array call over
-    # the whole grid once peaked near 190 MB here
-    omega = np.linspace(1e-6, math.pi, 50_000)
-    tracemalloc.start()
-    try:
-        r = bound_value(WindowKind.TRAPEZOID, 0.2, omega)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    # a 50,000-point grid once peaked near 190 MB here.  Each added element
+    # may grow the traced peak by 160 bytes at most, its input and output
+    # floats included.
+    def traced(omega):
+        tracemalloc.start()
+        try:
+            r = bound_value(WindowKind.TRAPEZOID, 0.2, omega)
+            return r, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 300
+    _, peak = traced(np.linspace(1e-6, math.pi, n))
+    omega = np.linspace(1e-6, math.pi, 4 * n)
+    r, grown = traced(omega)
+    assert grown - peak <= 3 * n * 160
     # neighbours change no bit
-    for i in range(0, omega.size, 4999):
+    for i in range(0, omega.size, 199):
         assert r[i] == bound_value(WindowKind.TRAPEZOID, 0.2, float(omega[i]))
 
 
@@ -630,16 +637,12 @@ def test_small_budget_keeps_the_fine_start(budget, n, omega0):
     assert abs(bracket - ref) <= err
 
 
-@pytest.mark.parametrize("budget", [9, 100_001, -5, 200.0, "200", True, None],
-                         ids=["9", "100001", "-5", "float", "str", "bool", "None"])
-def test_interval_budget_outside_its_range_raises(budget):
-    # the budget is no setting: a curve and bound_value take none, whatever its value
+def test_curve_and_bound_value_take_no_interval_budget():
+    # the budget is no setting: neither a curve nor bound_value takes one
     with pytest.raises(TypeError, match="max_intervals"):
-        QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, max_intervals=budget)
+        QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, max_intervals=300)
     with pytest.raises(TypeError, match="max_intervals"):
-        bound_value(WindowKind.GAUSSIAN, None, 1.0, max_intervals=budget)
-    with pytest.raises(TypeError):
-        bound_value(WindowKind.GAUSSIAN, None, 1.0, budget)
+        bound_value(WindowKind.GAUSSIAN, None, 1.0, max_intervals=300)
 
 
 @pytest.mark.parametrize("budget", [10, RETRY_INTERVALS, np.int64(300)])
