@@ -471,8 +471,8 @@ def test_report_writer_refuses_what_json_cannot_write():
         report.to_json()
 
 
-def test_shipped_dataset_fit_report_is_what_the_json_module_writes():
-    # the bytes of `analyze --fit --report` are pinned in contract.py
+def test_shipped_dataset_fit_report_bytes_are_pinned():
+    # contract.py pins these bytes by digest; here they are pinned to json's
     curves = [parse_curve_id(cid) for cid in DEFAULT_CURVES.split(",")]
     report = classify(load_records(DATASET), curves, fit_curves=curves)
     assert report.to_json() == json_module_report(report)
