@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 # Only what every command needs loads here; each command imports ``meta``, ``opa``
@@ -348,16 +348,13 @@ def _report_points(path: str) -> svgfig.PointSet:
     )
 
 
-@dataclass(frozen=True)
-class _BoundFigure:
-    """An R-against-F_T figure: a (curve, stroke style, colour) per bound
-    trace, and the ideal-OPA trace's stroke style (None: not drawn)."""
+class _BoundFigure(namedtuple("_BoundFigure", "title grid_step traces ideal legend",
+                              defaults=(True,))):
+    """An R-against-F_T figure: its default F_T sampling step, a (curve,
+    stroke style, colour) per bound trace, and the ideal-OPA trace's stroke
+    style (None: not drawn)."""
 
-    title: str
-    grid_step: float  # default F_T sampling step
-    traces: tuple[tuple[QiCurve, str, str], ...]
-    ideal: str | None
-    legend: bool = True
+    __slots__ = ()
 
 
 _G, _L, _T = WindowKind.GAUSSIAN, WindowKind.LORENTZIAN_SQ, WindowKind.TRAPEZOID

@@ -27,7 +27,7 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .opa import ideal_r_db
@@ -62,51 +62,53 @@ class RecordFlag(enum.Enum):
     WITHIN_ERROR = "within-error"
 
 
-@dataclass(frozen=True)
-class SqueezingRecord:
-    """One experimental data point, fields as printed in the source."""
+class SqueezingRecord(namedtuple(
+        "SqueezingRecord", "id ref_label x w beta s_minus_db s_plus_db s_err_db "
+        "ft_formula ft_graphical ft_err ft_extremes")):
+    """One experimental data point, fields as printed in the source, and
+    ``ft_extremes``, which the record derives when it is built (no argument):
+    F_T from the extremes when both are given, else None."""
 
-    id: str
-    ref_label: str = ""
-    x: float | None = None
-    w: float | None = None
-    beta: float | None = None
-    s_minus_db: float | None = None
-    s_plus_db: float | None = None
-    s_err_db: float | None = None
-    ft_formula: float | None = None
-    ft_graphical: float | None = None
-    ft_err: float | None = None
-    # F_T from the extremes when both are given, else None
-    ft_extremes: float | None = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __new__(cls, id, ref_label="", x=None, w=None, beta=None, s_minus_db=None,
+                s_plus_db=None, s_err_db=None, ft_formula=None, ft_graphical=None, ft_err=None):
+        given = (id, ref_label, x, w, beta, s_minus_db, s_plus_db, s_err_db,
+                 ft_formula, ft_graphical, ft_err)
+        for name, v in zip(cls._fields, given):
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"record {self.id}: {f.name}={v} is not a finite number")
-        if not self.id:
+                raise ValueError(f"record {id}: {name}={v} is not a finite number")
+        if not id:
             raise ValueError("record id must be non-empty")
-        if self.s_minus_db is not None and self.s_plus_db is not None:
+        ft = None
+        if s_minus_db is not None and s_plus_db is not None:
             try:
-                ft = ft_from_extremes(self.s_minus_db, self.s_plus_db)
+                ft = ft_from_extremes(s_minus_db, s_plus_db)
             except ValueError as exc:
-                raise ValueError(f"record {self.id}: {exc}") from None
-            object.__setattr__(self, "ft_extremes", ft)
-        if self.x is not None and not (0.0 < self.x < 1.0):
-            raise ValueError(f"record {self.id}: x={self.x} outside (0, 1)")
-        if self.beta is not None and not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"record {self.id}: beta={self.beta} outside (0, 1]")
-        if self.w is not None and self.w < 0:
-            raise ValueError(f"record {self.id}: omega_over_gamma must be >= 0")
-        for name in ("ft_formula", "ft_graphical"):
-            v = getattr(self, name)
+                raise ValueError(f"record {id}: {exc}") from None
+        if x is not None and not (0.0 < x < 1.0):
+            raise ValueError(f"record {id}: x={x} outside (0, 1)")
+        if beta is not None and not (0.0 < beta <= 1.0):
+            raise ValueError(f"record {id}: beta={beta} outside (0, 1]")
+        if w is not None and w < 0:
+            raise ValueError(f"record {id}: omega_over_gamma must be >= 0")
+        for name, v in (("ft_formula", ft_formula), ("ft_graphical", ft_graphical)):
             if v is not None and not (0.0 < v < 1.0):
-                raise ValueError(f"record {self.id}: {name}={v} outside (0, 1)")
-        for name in ("s_err_db", "ft_err"):
-            v = getattr(self, name)
+                raise ValueError(f"record {id}: {name}={v} outside (0, 1)")
+        for name, v in (("s_err_db", s_err_db), ("ft_err", ft_err)):
             if v is not None and v < 0:
-                raise ValueError(f"record {self.id}: {name} must be non-negative")
+                raise ValueError(f"record {id}: {name} must be non-negative")
+        return tuple.__new__(cls, (*given, ft))
+
+    # ``_replace``, ``_make`` and copies build through ``__new__``: a changed
+    # field is checked again, and ft_extremes derived again, never given
+    def _replace(self, /, **changes):
+        return type(self)(**dict(zip(self._fields[:-1], self), **changes))
+
+    _make = classmethod(lambda cls, values: cls(*tuple(values)[:-1]))
+
+    def __getnewargs__(self):
+        return self[:-1]
 
     @property
     def is_stub(self) -> bool:
@@ -182,11 +184,8 @@ def ft_from_extremes(s_minus_db: float, s_plus_db: float) -> float:
     return ft
 
 
-@dataclass(frozen=True)
-class Reconciled:
-    ft: float
-    method: FtMethod
-    discrepancy: float | None  # |formula - graphical| / mean, when both exist
+# discrepancy: |formula - graphical| / mean, when both exist
+Reconciled = namedtuple("Reconciled", "ft method discrepancy")
 
 
 def reconcile_ft(record: SqueezingRecord) -> Reconciled | None:
@@ -210,36 +209,45 @@ def reconcile_ft(record: SqueezingRecord) -> Reconciled | None:
     return None
 
 
-@dataclass
-class RecordResult:
-    record_id: str
-    ft_used: float
-    ft_method: str
-    r_db_used: float
-    s_err_db_used: float
-    ft_err_used: float
-    violations: dict[str, bool]
-    flags: dict[str, str]
-    ideal_opa_exceeded: bool | None
-    ft_discrepancy: float | None
-    assumed_error_fields: list[str]
+class _Fields:
+    """A mutable record whose ``vars`` are its fields; compared by value."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-@dataclass
-class ScaleFit:
-    curve_id: str
-    envelope_k: float
-    least_squares_k: float
+class RecordResult(_Fields):
+    def __init__(self, record_id: str, ft_used: float, ft_method: str, r_db_used: float,
+                 s_err_db_used: float, ft_err_used: float, violations: dict[str, bool],
+                 flags: dict[str, str], ideal_opa_exceeded: bool | None,
+                 ft_discrepancy: float | None, assumed_error_fields: list[str]):
+        self.record_id, self.ft_used, self.ft_method = record_id, ft_used, ft_method
+        self.r_db_used, self.s_err_db_used, self.ft_err_used = r_db_used, s_err_db_used, ft_err_used
+        self.violations, self.flags = violations, flags
+        self.ideal_opa_exceeded, self.ft_discrepancy = ideal_opa_exceeded, ft_discrepancy
+        self.assumed_error_fields = assumed_error_fields
 
 
-@dataclass
-class AnalysisReport:
-    per_record: list[RecordResult] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-    method_agreement_rms: float | None = None
-    fitted_scales: dict[str, ScaleFit] = field(default_factory=dict)
-    curve_samples: dict[str, str] = field(default_factory=dict)
-    caveats: list[str] = field(default_factory=lambda: list(_CAVEATS))
+class ScaleFit(_Fields):
+    def __init__(self, curve_id: str, envelope_k: float, least_squares_k: float):
+        self.curve_id, self.envelope_k, self.least_squares_k = curve_id, envelope_k, least_squares_k
+
+
+class AnalysisReport(_Fields):
+    def __init__(self, per_record: list[RecordResult] | None = None,
+                 skipped: list[dict] | None = None, method_agreement_rms: float | None = None,
+                 fitted_scales: dict[str, ScaleFit] | None = None,
+                 curve_samples: dict[str, str] | None = None, caveats: list[str] | None = None):
+        # None: a new empty list or dict for each report (the caveats: a new copy)
+        self.per_record = [] if per_record is None else per_record
+        self.skipped = [] if skipped is None else skipped
+        self.method_agreement_rms = method_agreement_rms
+        self.fitted_scales = {} if fitted_scales is None else fitted_scales
+        self.curve_samples = {} if curve_samples is None else curve_samples
+        self.caveats = list(_CAVEATS) if caveats is None else caveats
 
     def to_json(self) -> str:
         """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
@@ -406,8 +414,8 @@ def classify(
             math.fsum(d * d for d in discrepancies) / len(discrepancies)))
     for curve in (fit_curves or []):
         fit = fit_scale(ft, r, curve)
-        report.fitted_scales[curve.curve_id] = replace(
-            fit, envelope_k=_q(fit.envelope_k), least_squares_k=_q(fit.least_squares_k))
+        report.fitted_scales[curve.curve_id] = ScaleFit(
+            fit.curve_id, _q(fit.envelope_k), _q(fit.least_squares_k))
     return report
 
 
@@ -428,7 +436,7 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
         raise FitError("no classifiable records to fit")
 
     def violations(k: float) -> int:
-        return sum(map(operator.lt, r, curve_value(replace(curve, scale=k), ft)))
+        return sum(map(operator.lt, r, curve_value(curve._replace(scale=k), ft)))
 
     if violations(1.0) == 0:
         envelope = 1.0
@@ -447,7 +455,7 @@ def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:
     def cost(k: float) -> float:
         # fsum: correctly rounded, so no order of summation moves the minimum
         res = [x - (b if b > -60.0 else -60.0)
-               for x, b in zip(r, curve_value(replace(curve, scale=k), ft))]
+               for x, b in zip(r, curve_value(curve._replace(scale=k), ft))]
         return math.fsum(map(operator.mul, res, res))
 
     return ScaleFit(curve_id=curve.curve_id, envelope_k=envelope,

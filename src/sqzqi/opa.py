@@ -30,7 +30,7 @@ All dB conversions go through :mod:`sqzqi.units`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .qi_bound import ConsistencyError
 from .units import to_db
@@ -40,21 +40,21 @@ class NoSqueezingError(RuntimeError):
     """No squeezing anywhere in the requested range (zero total weight)."""
 
 
-@dataclass(frozen=True)
-class OpaParams:
-    x: float
-    beta: float
-    w: float = 0.0
-    theta: float = 0.0
+class OpaParams(namedtuple("OpaParams", "x beta w theta", defaults=(0.0, 0.0))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate(self.x, self.beta, self.w)
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        return self
+
+    # ``_replace`` builds through ``_make``: a changed field is checked again
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class SqueezingPoint:
+class SqueezingPoint(namedtuple("SqueezingPoint", "s_minus s_plus ft")):
     """Extremal variances and squeezed fraction at one operating point.
 
     With losses (beta < 1) the product s_minus*s_plus exceeds 1: the
@@ -62,17 +62,19 @@ class SqueezingPoint:
     deficit.  Equality holds only for beta = 1.
     """
 
-    s_minus: float
-    s_plus: float
-    ft: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.s_minus <= 1.0 <= self.s_plus):
             raise ValueError("require 0 < s_minus <= 1 <= s_plus")
         if self.s_minus * self.s_plus < 1.0 - 1e-12:
             raise ValueError("s_minus*s_plus below the lossless minimum of 1")
         if not (0.0 < self.ft < 0.5):
             raise ValueError(f"squeezed fraction must lie in (0, 0.5), got {self.ft}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def variance(p: OpaParams) -> float:

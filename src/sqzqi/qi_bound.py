@@ -39,7 +39,7 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 # sqzqi has no runtime dependency: the closed forms use math (erf, expm1 and
@@ -109,19 +109,18 @@ class SpectralShape(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
-class SpectralFunction:
+class SpectralFunction(namedtuple("SpectralFunction", "omega0 delta_omega shape",
+                                  defaults=(0.0, SpectralShape.DELTA_LIMIT))):
     """Frequency response of the variance measurement, peaked at omega0.
 
     The Gaussian shape is only meaningful in the narrow regime
     delta_omega << omega0; the constructor enforces a 10% ceiling.
     """
 
-    omega0: float
-    delta_omega: float = 0.0
-    shape: SpectralShape = SpectralShape.DELTA_LIMIT
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.omega0) and self.omega0 >= 0):
             raise ValueError(f"omega0 must be a non-negative real, got {self.omega0}")
         if self.shape is SpectralShape.GAUSSIAN:
@@ -129,10 +128,14 @@ class SpectralFunction:
                 raise ValueError("gaussian spectral shape needs delta_omega > 0")
             if self.omega0 <= 0 or self.delta_omega / self.omega0 >= 0.1:
                 raise ValueError("gaussian spectral shape requires delta_omega/omega0 < 0.1")
+        return self
+
+    # ``_replace`` builds through ``_make``: a changed field is checked again
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class QiCurve:
+class QiCurve(namedtuple("QiCurve", "window variant scale n allow_unstable",
+                         defaults=(1.0, None, False))):
     """One bound curve: window kind x argument convention x argument scale.
 
     ``scale`` multiplies F_T before the convention mapping (1.0 is the
@@ -142,13 +145,10 @@ class QiCurve:
     decays only like 1/omega^2).
     """
 
-    window: WindowKind
-    variant: Variant
-    scale: float = 1.0
-    n: float | None = None
-    allow_unstable: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive real, got {self.scale}")
         SamplingWindow(self.window, 1.0, self.n)  # checks n
@@ -157,6 +157,9 @@ class QiCurve:
                 "the square window is mathematically unstable in the bound "
                 "integrals; pass allow_unstable=True to use it anyway"
             )
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def curve_id(self) -> str:
@@ -196,8 +199,7 @@ def parse_curve_id(curve_id: str) -> QiCurve:
     return QiCurve(window=window, variant=variant, scale=values.get("k", 1.0), n=values.get("n"))
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(namedtuple("BoundResult", "r_db bracket bracket_error")):
     """A bound evaluation with its diagnostics.
 
     ``bracket`` is the linear variance-ratio bound before the dB
@@ -206,9 +208,7 @@ class BoundResult:
     sentinel floor.
     """
 
-    r_db: float
-    bracket: float
-    bracket_error: float
+    __slots__ = ()
 
 
 def _check_bracket(bracket: list, err: list) -> None:

@@ -14,7 +14,7 @@ marked with an open circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 _WIDTH, _HEIGHT = 640.0, 440.0
@@ -29,50 +29,47 @@ _DASHES = {
 }
 
 
-@dataclass(frozen=True)
-class CurveTrace:
-    label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    style: str = "solid"
-    color: str = "#000000"
-    width: float = 1.4
+class CurveTrace(namedtuple("CurveTrace", "label x y style color width",
+                            defaults=("solid", "#000000", 1.4))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PointSet:
-    label: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    x_err: tuple[float, ...] = ()
-    y_err: tuple[float, ...] = ()
+class PointSet(namedtuple("PointSet", "label x y x_err y_err", defaults=((), ()))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a negative or NaN half-width would draw a rectangle of negative size
         for name in ("x_err", "y_err"):
             bad = [e for e in getattr(self, name) if not e >= 0.0]
             if bad:
                 raise ValueError(f"{name} must be non-negative, got {bad[0]!r}")
+        return self
+
+    # ``_replace`` builds through ``_make``: a changed field is checked again
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass
 class PlotSpec:
-    title: str
-    x_label: str
-    y_label: str
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    curves: list[CurveTrace] = field(default_factory=list)
-    points: list[PointSet] = field(default_factory=list)
-    legend: bool = True
+    """A figure: axes, curves and point sets; compared by value."""
 
-    def __post_init__(self):
-        for lo, hi in (self.x_range, self.y_range):
+    def __init__(self, title: str, x_label: str, y_label: str, x_range: tuple[float, float],
+                 y_range: tuple[float, float], curves: list[CurveTrace] | None = None,
+                 points: list[PointSet] | None = None, legend: bool = True):
+        for lo, hi in (x_range, y_range):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("axis ranges must be finite and increasing")
+        self.title, self.x_label, self.y_label = title, x_label, y_label
+        self.x_range, self.y_range = x_range, y_range
+        self.curves = [] if curves is None else curves
+        self.points = [] if points is None else points
+        self.legend = legend
         for trace in self.curves:
             if trace.style not in _DASHES:
                 raise ValueError(f"unknown stroke style {trace.style!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
 
 def _fmt(v: float) -> str:

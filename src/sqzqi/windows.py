@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class WindowKind(enum.Enum):
@@ -43,8 +43,7 @@ class WindowKind(enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
-@dataclass(frozen=True)
-class SamplingWindow:
+class SamplingWindow(namedtuple("SamplingWindow", "kind t0 n", defaults=(None,))):
     """A normalized time-sampling function f(t).
 
     ``t0`` is the width parameter: the Gaussian/squared-Lorentzian scale,
@@ -53,11 +52,10 @@ class SamplingWindow:
     units of ``t0``.
     """
 
-    kind: WindowKind
-    t0: float
-    n: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.t0) and self.t0 > 0):
             raise ValueError(f"t0 must be a positive real, got {self.t0}")
         if self.kind is WindowKind.TRAPEZOID:
@@ -65,6 +63,10 @@ class SamplingWindow:
                 raise ValueError(f"trapezoid requires side-length ratio n > 0, got {self.n}")
         elif self.n is not None:
             raise ValueError(f"{self.kind.value} window takes no side parameter n")
+        return self
+
+    # ``_replace`` builds through ``_make``: a changed field is checked again
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def half_support(self) -> float:

@@ -508,6 +508,22 @@ def test_point_set_refuses_a_negative_or_nan_error():
     svgfig.PointSet("p", (0.2,), (-3.0,), (0.0,), (0.0,))
 
 
+def test_point_set_is_an_immutable_value_checked_on_every_change():
+    # built and replaced through one check; compared and hashed by its fields
+    points = svgfig.PointSet("p", (0.2,), (-3.0,), (0.1,), (0.5,))
+    with pytest.raises(ValueError, match=r"^x_err must be non-negative, got -0\.1$"):
+        points._replace(x_err=(-0.1,))
+    with pytest.raises(ValueError, match=r"^y_err must be non-negative, got nan$"):
+        points._replace(y_err=(math.nan,))
+    with pytest.raises(AttributeError):
+        points.x_err = ()
+    twin = svgfig.PointSet(label="p", x=(0.2,), y=(-3.0,), x_err=(0.1,), y_err=(0.5,))
+    assert twin == points and hash(twin) == hash(points)
+    assert svgfig.PointSet("p", (0.2,), (-3.0,)) == points._replace(x_err=(), y_err=())
+    with pytest.raises(TypeError, match="color"):
+        svgfig.PointSet("p", (0.2,), (-3.0,), color="#000000")
+
+
 def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
     assert run(capsys, "plot", "--out", str(tmp_path / "x.svg"))[0] == 2
     assert run(capsys, "plot", "--fig", "9", "--out", str(tmp_path / "x.svg"))[0] == 2
@@ -840,13 +856,14 @@ def test_extreme_values_exit_cleanly(capsys, tmp_path, template, value, window, 
 
 # Runs a statement that sets ``code`` (by default one command of the CLI) in
 # a fresh interpreter, then prints the SciPy modules it loaded, the sqzqi
-# modules it loaded and, on the last line of stdout, whether NumPy loaded.
+# modules it loaded and, on the last line of stdout, which of NumPy,
+# dataclasses and inspect it loaded.
 MODULE_PROBE = """
 import sys
 {statement}
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 print(" ".join(sorted(m.removeprefix("sqzqi.") for m in sys.modules if m.startswith("sqzqi."))))
-print("numpy" in sys.modules)
+print(" ".join(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules))
 sys.exit(code)
 """
 CLI_COMMAND = """
@@ -855,9 +872,10 @@ code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 """
 
 
-def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str], set[str], bool]:
-    """(SciPy modules, sqzqi submodules without the package prefix, whether
-    NumPy) loaded."""
+def modules_loaded_by(tmp_path, *argv,
+                      statement=CLI_COMMAND) -> tuple[set[str], set[str], set[str]]:
+    """(SciPy modules, sqzqi submodules without the package prefix, which of
+    NumPy, dataclasses and inspect) loaded."""
     src = str(Path(sqzqi.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -865,17 +883,19 @@ def modules_loaded_by(tmp_path, *argv, statement=CLI_COMMAND) -> tuple[set[str],
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    scipy, own, numpy = proc.stdout.splitlines()[-3:]
-    return set(scipy.split()), set(own.split()), numpy == "True"
+    scipy, own, heavy = proc.stdout.splitlines()[-3:]
+    return set(scipy.split()), set(own.split()), set(heavy.split())
 
 
 CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every command
 
 
 # No command loads SciPy or NumPy: the closed forms and the Gauss-Kronrod
-# bracket of the trapezoid spectrum run in math.  The same probe checks
-# that each command loads only the sqzqi modules it runs: `bound` needs
-# neither the meta-analysis nor the SVG writer.
+# bracket of the trapezoid spectrum run in math.  Nor does any load
+# dataclasses, or inspect, which it imports: sqzqi's value types are named
+# tuples and plain classes.  The same probe checks that each command loads
+# only the sqzqi modules it runs: `bound` needs neither the meta-analysis nor
+# the SVG writer.
 @pytest.mark.parametrize("argv, extra", [
     ((), set()),  # import sqzqi.cli alone
     (("bound", "--window", "lorentzian2", "--ft", "0.01:0.5:0.01"), set()),
@@ -900,14 +920,14 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
         "analyze-fit-trapezoid", "bound-trapezoid", "bound-square",
         "bound-omega-t0"])
-def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
+def test_startup_loads_only_the_modules_its_command_runs(capsys, tmp_path, argv, extra):
     if "--report" in argv and argv[0] == "plot":
         assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
-    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, False)
+    assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, set())
 
 
 def test_importing_the_package_loads_no_module(tmp_path):
-    assert modules_loaded_by(tmp_path, statement="import sqzqi\ncode = 0") == (set(), set(), False)
+    assert modules_loaded_by(tmp_path, statement="import sqzqi\ncode = 0") == (set(), set(), set())
 
 
 def test_dataset_errors_are_defined_once():
@@ -917,14 +937,16 @@ def test_dataset_errors_are_defined_once():
 
 
 def test_startup_probe_sees_a_quadrature_path_load_scipy(tmp_path):
-    # the tests' window-definition quadrature runs on scipy.integrate
-    scipy, _, _ = modules_loaded_by(tmp_path, statement=f"""
+    # the tests' window-definition quadrature runs on scipy.integrate, which
+    # loads NumPy, dataclasses and inspect: the probe sees each of them
+    scipy, _, heavy = modules_loaded_by(tmp_path, statement=f"""
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
 from oracles import bracket
 from sqzqi.windows import gaussian_window
 code = 0 if 0.0 < bracket(gaussian_window(1.0), 1.0)[0] < 1.0 else 1
 """)
     assert "scipy.integrate" in scipy
+    assert heavy == {"dataclasses", "inspect", "numpy"}
 
 
 # --- README ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Dataset ingestion, F_T reconciliation, classification, envelope fits."""
 
+import copy
+import inspect
 import json
 import math
+import pickle
 import random
 import tracemalloc
-from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,7 +130,7 @@ def test_reconcile_takes_the_ft_the_record_derived(monkeypatch):
     want = ft_from_extremes(-14.3136, 18.9763)
     assert rec.ft_extremes == want
     assert SqueezingRecord(id="f", s_minus_db=-3.0, ft_formula=0.2).ft_extremes is None
-    alone = replace(rec, ft_graphical=None)
+    alone = rec._replace(ft_graphical=None)
     monkeypatch.setattr(meta, "ft_from_extremes", lambda *a: pytest.fail("F_T derived again"))
     out = reconcile_ft(rec)
     assert out.method is FtMethod.AVERAGE
@@ -228,6 +230,56 @@ def test_load_rejects_non_finite_fields(row):
 def test_record_rejects_non_finite_fields(field, value):
     with pytest.raises(ValueError, match=f"record a: {field}={value} is not a finite number"):
         SqueezingRecord(id="a", ft_formula=0.2, **{field: value})
+
+
+def test_record_is_an_immutable_value_checked_on_every_change():
+    # built and replaced through one check, which derives ft_extremes again;
+    # compared and hashed by its fields; copies and pickles build it again
+    rec = SqueezingRecord(id="a", s_minus_db=-3.0, s_plus_db=4.0, ft_graphical=0.2)
+    fields = dict(id="a", s_minus_db=-3.0, s_plus_db=4.0, ft_graphical=0.2)
+    for bad, message in ((dict(x=1.5), "record a: x=1.5 outside"),
+                         (dict(s_minus_db=math.nan), "s_minus_db=nan is not a finite number"),
+                         (dict(s_plus_db=-1.0), "record a: need s_minus_db < 0 < s_plus_db"),
+                         (dict(ft_err=-0.1), "record a: ft_err must be non-negative"),
+                         (dict(id=""), "record id must be non-empty")):
+        with pytest.raises(ValueError, match=message):
+            SqueezingRecord(**dict(fields, **bad))
+        with pytest.raises(ValueError, match=message):
+            rec._replace(**bad)
+    assert rec._replace(s_plus_db=6.0).ft_extremes == ft_from_extremes(-3.0, 6.0)
+    assert rec._replace(s_plus_db=None).ft_extremes is None
+    for name in ("x", "ft_extremes", "note"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0.5)
+    twin = SqueezingRecord("a", "", None, None, None, -3.0, 4.0, None, None, 0.2)
+    assert twin == rec and hash(twin) == hash(rec)
+    assert rec._replace(ref_label="b") != rec
+    assert copy.copy(rec) == pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(TypeError, match="ft_extremes"):
+        SqueezingRecord(id="a", ft_extremes=0.1)
+    with pytest.raises(TypeError, match="ft_extremes"):
+        rec._replace(ft_extremes=0.1)
+    with pytest.raises(TypeError, match="omega_over_gamma"):
+        SqueezingRecord(id="a", omega_over_gamma=0.1)
+    with pytest.raises(TypeError, match="omega_over_gamma"):
+        rec._replace(omega_over_gamma=0.1)
+
+
+def test_report_types_compare_by_value_and_share_no_default():
+    # plain classes: equal fields make equal objects, each report gets new
+    # lists and dicts, and a report, being mutable, has no hash
+    a, b = AnalysisReport(), AnalysisReport()
+    assert a == b and a.caveats is not b.caveats
+    a.per_record.append(RecordResult("r", 0.1, "formula", -3.0, 0.5, 0.02, {}, {}, None,
+                                     None, []))
+    a.fitted_scales["c"] = ScaleFit("c", 0.1, 0.2)
+    assert b.per_record == [] and b.fitted_scales == {} and a != b
+    assert a.fitted_scales["c"] == ScaleFit(curve_id="c", envelope_k=0.1, least_squares_k=0.2)
+    assert a.fitted_scales["c"] != ScaleFit("c", 0.1, 0.3)
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError, match="provenance"):
+        AnalysisReport(provenance={})
 
 
 # --- classification ----------------------------------------------------------
@@ -396,9 +448,15 @@ def test_report_sentinel_is_read_only_in_numeric_fields():
     assert parsed.skipped[-1] == {"id": "-inf", "reason": "-inf"}
 
 
+def fields_of(obj) -> dict:
+    """An object's fields, named by the parameters of its class's constructor."""
+    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+
+
 def json_module_report(report: AnalysisReport) -> str:
     """The report as the json module writes it, the reference for ``to_json``:
-    its dataclasses as dicts, each -inf float as the sentinel "-inf"."""
+    the report, its rows and its fits as dicts of their fields, each -inf float
+    as the sentinel "-inf"."""
     def sentinel(obj):
         if isinstance(obj, dict):
             return {k: sentinel(v) for k, v in obj.items()}
@@ -406,7 +464,9 @@ def json_module_report(report: AnalysisReport) -> str:
             return [sentinel(v) for v in obj]
         return "-inf" if isinstance(obj, float) and obj == -math.inf else obj
 
-    return json.dumps(sentinel(asdict(report)), indent=2, sort_keys=True) + "\n"
+    fields = dict(fields_of(report), per_record=[fields_of(r) for r in report.per_record],
+                  fitted_scales={k: fields_of(f) for k, f in report.fitted_scales.items()})
+    return json.dumps(sentinel(fields), indent=2, sort_keys=True) + "\n"
 
 
 # ids, reasons and caveats: the sentinel's own text, quotes, backslashes,
@@ -634,7 +694,7 @@ def test_fsum_reductions_give_numpys_quantized_results(monkeypatch):
     def np_cost(ft, r, curve):
         r = np.asarray(r)
         return lambda k: float(np.sum(
-            (r - np.maximum(curve_value(replace(curve, scale=k), ft), -60.0)) ** 2))
+            (r - np.maximum(curve_value(curve._replace(scale=k), ft), -60.0)) ** 2))
 
     datasets = [load_records(DATASET)]
     for seed in range(10):
@@ -653,7 +713,7 @@ def test_fsum_reductions_give_numpys_quantized_results(monkeypatch):
             want = minimize(np_cost(ft, r, curve), 1e-4, 2.0, xatol=1e-8)
             assert meta._q(fit_scale(ft, r, curve).least_squares_k) == meta._q(want)
             for k in (0.05, 0.3, 1.7):
-                bound = curve_value(replace(curve, scale=k), ft)
+                bound = curve_value(curve._replace(scale=k), ft)
                 res = [x - max(b, -60.0) for x, b in zip(r, bound)]
                 assert costs[-1](k) == float(sum(Fraction(d * d) for d in res))
         d = [rec.discrepancy for record in records if record.s_minus_db is not None

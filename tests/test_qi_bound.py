@@ -645,6 +645,32 @@ def test_curve_and_bound_value_take_no_interval_budget():
         bound_value(WindowKind.GAUSSIAN, None, 1.0, max_intervals=300)
 
 
+def test_curve_is_an_immutable_value_checked_on_every_change():
+    # built and replaced through one check; compared and hashed by its fields
+    curve = QiCurve(WindowKind.TRAPEZOID, Variant.WITH_PI, n=0.2)
+    for bad, message in ((dict(scale=0.0), "scale must be a positive real, got 0.0"),
+                         (dict(scale=math.nan), "scale must be a positive real, got nan"),
+                         (dict(n=None), "trapezoid requires side-length ratio n > 0"),
+                         (dict(window=WindowKind.SQUARE, n=None), "mathematically unstable")):
+        with pytest.raises(ValueError, match=message):
+            QiCurve(**dict(curve._asdict(), **bad))
+        with pytest.raises(ValueError, match=message):
+            curve._replace(**bad)
+    assert curve._replace(scale=0.5).curve_id == "trapezoid-paper-n0.2-k0.5"
+    with pytest.raises(AttributeError):
+        curve.scale = 0.5
+    with pytest.raises(AttributeError):
+        curve.max_intervals = 300
+    twin = QiCurve(window=WindowKind.TRAPEZOID, variant=Variant.WITH_PI, scale=1.0, n=0.2,
+                   allow_unstable=False)
+    assert twin == curve and hash(twin) == hash(curve)
+    assert curve._replace(scale=0.5) != curve
+    assert QiCurve(WindowKind.GAUSSIAN, Variant.NO_PI) == QiCurve(
+        WindowKind.GAUSSIAN, Variant.NO_PI, 1.0, None, False)
+    with pytest.raises(TypeError, match="scal"):
+        QiCurve(WindowKind.GAUSSIAN, Variant.WITH_PI, scal=0.5)
+
+
 @pytest.mark.parametrize("budget", [10, RETRY_INTERVALS, np.int64(300)])
 def test_interval_budget_limits_accepted(budget):
     # from the smallest budget the tests use to the retry's, the rule

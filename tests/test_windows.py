@@ -148,6 +148,26 @@ def test_invalid_construction():
         SamplingWindow(WindowKind.GAUSSIAN, 1.0, n=0.5)  # spurious n
 
 
+def test_window_is_an_immutable_value_checked_on_every_change():
+    # built and replaced through one check; compared and hashed by its fields
+    w = trapezoid_window(1.0, 0.2)
+    for bad, message in ((dict(t0=0.0), "t0 must be a positive real, got 0.0"),
+                         (dict(n=-1.0), "trapezoid requires side-length ratio n > 0"),
+                         (dict(kind=WindowKind.GAUSSIAN), "gaussian window takes no side")):
+        with pytest.raises(ValueError, match=message):
+            SamplingWindow(**dict(w._asdict(), **bad))
+        with pytest.raises(ValueError, match=message):
+            w._replace(**bad)
+    assert w._replace(n=0.5) == trapezoid_window(1.0, 0.5)
+    with pytest.raises(AttributeError):
+        w.t0 = 2.0
+    twin = SamplingWindow(kind=WindowKind.TRAPEZOID, t0=1.0, n=0.2)
+    assert twin == w and hash(twin) == hash(w)
+    assert gaussian_window(1.0) == SamplingWindow(WindowKind.GAUSSIAN, 1.0, None)
+    with pytest.raises(TypeError, match="width"):
+        SamplingWindow(WindowKind.GAUSSIAN, 1.0, width=2.0)
+
+
 # --- normalization --------------------------------------------------------
 
 def integrated_area(w: SamplingWindow) -> float:
