@@ -920,7 +920,7 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
         "analyze-fit-trapezoid", "bound-trapezoid", "bound-square",
         "bound-omega-t0"])
-def test_startup_loads_only_the_modules_its_command_runs(capsys, tmp_path, argv, extra):
+def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
     if "--report" in argv and argv[0] == "plot":
         assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
     assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, set())
