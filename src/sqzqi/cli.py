@@ -251,8 +251,7 @@ def cmd_opa(args) -> int:
         s = 1.0 if ft == 0.5 else opa.ideal_bound(ft)
         print(f"ideal OPA bound at F_T={ft:g}: S- = {s:.6g} ({format_db(to_db(s))} dB)")
     if args.theta is not None:
-        p = opa.OpaParams(x=args.x, beta=args.beta, w=w, theta=args.theta)
-        s = opa.variance(p)
+        s = opa.variance(args.x, args.beta, w, args.theta)
         print(f"S(theta={args.theta:g}) = {s:.6g} ({format_db(to_db(s))} dB)")
     if args.extremes:
         point = opa.extremes(args.x, args.beta, w)
@@ -404,19 +403,18 @@ def cmd_plot(args) -> int:
             tuple((curve, "solid", "#000000") for curve in _parse_curves(args.curve)),
             ideal=None)
         grid = _plot_grid(args.grid_step, fig.grid_step)
+        curves = [svgfig.CurveTrace(curve.curve_id, tuple(grid), tuple(
+            qi_bound.sample_curve(curve, grid)),
+            style=style, color=color) for curve, style, color in fig.traces]
+        if fig.ideal is not None:
+            curves.append(svgfig.CurveTrace("ideal OPA", tuple(grid),
+                                            tuple(opa.ideal_r_db(ft) for ft in grid),
+                                            style=fig.ideal, width=2.2))
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
-            x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), legend=fig.legend,
-            curves=[svgfig.CurveTrace(curve.curve_id, tuple(grid), tuple(
-                qi_bound.sample_curve(curve, grid)),
-                style=style, color=color) for curve, style, color in fig.traces],
-        )
-        if fig.ideal is not None:
-            spec.curves.append(svgfig.CurveTrace("ideal OPA", tuple(grid),
-                                                 tuple(opa.ideal_r_db(ft) for ft in grid),
-                                                 style=fig.ideal, width=2.2))
+            x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), curves=curves, legend=fig.legend)
     if args.report:
-        spec.points.append(_report_points(args.report))
+        spec = spec._replace(points=[_report_points(args.report)])
     with _writing(args.out):
         svgfig.save_svg(spec, args.out)
     return 0

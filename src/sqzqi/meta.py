@@ -209,52 +209,32 @@ def reconcile_ft(record: SqueezingRecord) -> Reconciled | None:
     return None
 
 
-class _Fields:
-    """A mutable record whose ``vars`` are its fields; compared by value."""
+RecordResult = namedtuple(
+    "RecordResult", "record_id ft_used ft_method r_db_used s_err_db_used ft_err_used violations "
+    "flags ideal_opa_exceeded ft_discrepancy assumed_error_fields")
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+ScaleFit = namedtuple("ScaleFit", "curve_id envelope_k least_squares_k")
 
 
-class RecordResult(_Fields):
-    def __init__(self, record_id: str, ft_used: float, ft_method: str, r_db_used: float,
-                 s_err_db_used: float, ft_err_used: float, violations: dict[str, bool],
-                 flags: dict[str, str], ideal_opa_exceeded: bool | None,
-                 ft_discrepancy: float | None, assumed_error_fields: list[str]):
-        self.record_id, self.ft_used, self.ft_method = record_id, ft_used, ft_method
-        self.r_db_used, self.s_err_db_used, self.ft_err_used = r_db_used, s_err_db_used, ft_err_used
-        self.violations, self.flags = violations, flags
-        self.ideal_opa_exceeded, self.ft_discrepancy = ideal_opa_exceeded, ft_discrepancy
-        self.assumed_error_fields = assumed_error_fields
+class AnalysisReport(namedtuple("AnalysisReport", "per_record skipped method_agreement_rms "
+                                "fitted_scales curve_samples caveats")):
+    __slots__ = ()
 
-
-class ScaleFit(_Fields):
-    def __init__(self, curve_id: str, envelope_k: float, least_squares_k: float):
-        self.curve_id, self.envelope_k, self.least_squares_k = curve_id, envelope_k, least_squares_k
-
-
-class AnalysisReport(_Fields):
-    def __init__(self, per_record: list[RecordResult] | None = None,
-                 skipped: list[dict] | None = None, method_agreement_rms: float | None = None,
-                 fitted_scales: dict[str, ScaleFit] | None = None,
-                 curve_samples: dict[str, str] | None = None, caveats: list[str] | None = None):
+    def __new__(cls, per_record=None, skipped=None, method_agreement_rms=None,
+                fitted_scales=None, curve_samples=None, caveats=None):
         # None: a new empty list or dict for each report (the caveats: a new copy)
-        self.per_record = [] if per_record is None else per_record
-        self.skipped = [] if skipped is None else skipped
-        self.method_agreement_rms = method_agreement_rms
-        self.fitted_scales = {} if fitted_scales is None else fitted_scales
-        self.curve_samples = {} if curve_samples is None else curve_samples
-        self.caveats = list(_CAVEATS) if caveats is None else caveats
+        return super().__new__(
+            cls, [] if per_record is None else per_record, [] if skipped is None else skipped,
+            method_agreement_rms, {} if fitted_scales is None else fitted_scales,
+            {} if curve_samples is None else curve_samples,
+            list(_CAVEATS) if caveats is None else caveats)
 
     def to_json(self) -> str:
         """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes
         it, plus a newline; a -inf numeric field as the sentinel "-inf"."""
-        fits = {cid: {k: _sentinel(v) for k, v in vars(fit).items()}
+        fits = {cid: {k: _sentinel(v) for k, v in fit._asdict().items()}
                 for cid, fit in self.fitted_scales.items()}
-        text = json.dumps(dict(vars(self), per_record=[], fitted_scales=fits,
+        text = json.dumps(dict(self._asdict(), per_record=[], fitted_scales=fits,
                                method_agreement_rms=_sentinel(self.method_agreement_rms)),
                           indent=2, sort_keys=True) + "\n"
         if not self.per_record:
@@ -270,7 +250,7 @@ class AnalysisReport(_Fields):
             layout = (tuple(r.flags), tuple(r.violations), len(r.assumed_error_fields))
             if layout not in templates:
                 skeleton = json.dumps(dict(
-                    dict.fromkeys(vars(r), 0), flags=dict.fromkeys(r.flags, 0),
+                    dict.fromkeys(r._fields, 0), flags=dict.fromkeys(r.flags, 0),
                     violations=dict.fromkeys(r.violations, 0),
                     assumed_error_fields=[0] * layout[2]), indent=2, sort_keys=True)
                 templates[layout] = sorted(r.flags), sorted(r.violations), "    " + (
@@ -290,15 +270,14 @@ class AnalysisReport(_Fields):
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
         raw = _numbers(json.loads(text))
-        report = cls(
+        return cls(
             skipped=raw["skipped"],
             method_agreement_rms=raw["method_agreement_rms"],
             curve_samples=raw["curve_samples"],
             caveats=raw["caveats"],
+            per_record=[RecordResult(**_numbers(r)) for r in raw["per_record"]],
+            fitted_scales={k: ScaleFit(**_numbers(v)) for k, v in raw["fitted_scales"].items()},
         )
-        report.per_record = [RecordResult(**_numbers(r)) for r in raw["per_record"]]
-        report.fitted_scales = {k: ScaleFit(**_numbers(v)) for k, v in raw["fitted_scales"].items()}
-        return report
 
 
 # The numeric fields, the only ones that carry the -inf sentinel.
@@ -358,9 +337,7 @@ def classify(
     (ValueError otherwise).  Classification is per record and
     order-independent; the report is ordered by record id.
     """
-    report = AnalysisReport()
-    discrepancies = []
-    columns = []
+    rows, skipped, discrepancies, columns = [], [], [], []
     ordered = sorted(records, key=lambda record: record.id)
     for a, b in zip(ordered, ordered[1:]):
         if a.id == b.id:
@@ -369,10 +346,10 @@ def classify(
         rec = reconcile_ft(record)
         if rec is None:
             reason = "no measurements" if record.is_stub else "no F_T route available"
-            report.skipped.append({"id": record.id, "reason": reason})
+            skipped.append({"id": record.id, "reason": reason})
             continue
         if record.s_minus_db is None:
-            report.skipped.append({"id": record.id, "reason": "no squeezing depth (s_minus_db)"})
+            skipped.append({"id": record.id, "reason": "no squeezing depth (s_minus_db)"})
             continue
         if rec.discrepancy is not None:
             discrepancies.append(rec.discrepancy)
@@ -381,7 +358,8 @@ def classify(
         ft_err = DEFAULT_FT_ERR if record.ft_err is None else record.ft_err
         r = record.s_minus_db
         columns += (r, rec.ft, s_err, ft_err)
-        report.per_record.append(RecordResult(
+        # each curve fills the violations and flags below
+        rows.append(RecordResult(
             record_id=record.id,
             ft_used=_q(rec.ft),
             ft_method=rec.method.value,
@@ -390,33 +368,30 @@ def classify(
             ft_err_used=_q(ft_err),
             violations={},
             flags={},
-            ideal_opa_exceeded=None,
+            ideal_opa_exceeded=r < ideal_r_db(rec.ft),
             ft_discrepancy=_q(rec.discrepancy),
             assumed_error_fields=assumed,
         ))
-    # each curve, and the lossless-OPA limit, is evaluated once per column
+    # each curve is evaluated once per column
     r, ft, s_err, ft_err = (columns[i::4] for i in range(4))
+    samples = {}
     for curve in curves:
         cid = curve.curve_id
         below = map(operator.lt, r, curve_value(curve, ft))
         flags = _flags(r, s_err, ft, ft_err, curve)
-        for row, violates, flag in zip(report.per_record, below, flags):
+        for row, violates, flag in zip(rows, below, flags):
             row.violations[cid] = violates
             row.flags[cid] = flag
-        report.curve_samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
-    for row, x, f in zip(report.per_record, r, ft):
-        row.ideal_opa_exceeded = x < ideal_r_db(f)
+        samples[cid] = curve_csv(curve, DEFAULT_FT_GRID)
     ideal = [ideal_r_db(f) for f in DEFAULT_FT_GRID]
-    report.curve_samples["ideal-opa"] = samples_csv(
-        DEFAULT_FT_GRID, ideal, "ideal-opa", "ideal-opa", "", 1.0)
-    if discrepancies:
-        report.method_agreement_rms = _q(math.sqrt(
-            math.fsum(d * d for d in discrepancies) / len(discrepancies)))
+    samples["ideal-opa"] = samples_csv(DEFAULT_FT_GRID, ideal, "ideal-opa", "ideal-opa", "", 1.0)
+    rms = _q(math.sqrt(math.fsum(d * d for d in discrepancies) / len(discrepancies))
+             if discrepancies else None)
+    fits = {}
     for curve in (fit_curves or []):
         fit = fit_scale(ft, r, curve)
-        report.fitted_scales[curve.curve_id] = ScaleFit(
-            fit.curve_id, _q(fit.envelope_k), _q(fit.least_squares_k))
-    return report
+        fits[curve.curve_id] = ScaleFit(fit.curve_id, _q(fit.envelope_k), _q(fit.least_squares_k))
+    return AnalysisReport(rows, skipped, rms, fits, samples)
 
 
 def fit_scale(ft, r, curve: QiCurve) -> ScaleFit:

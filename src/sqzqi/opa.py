@@ -40,20 +40,6 @@ class NoSqueezingError(RuntimeError):
     """No squeezing anywhere in the requested range (zero total weight)."""
 
 
-class OpaParams(namedtuple("OpaParams", "x beta w theta", defaults=(0.0, 0.0))):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _validate(self.x, self.beta, self.w)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        return self
-
-    # ``_replace`` builds through ``_make``: a changed field is checked again
-    _make = classmethod(lambda cls, values: cls(*values))
-
-
 class SqueezingPoint(namedtuple("SqueezingPoint", "s_minus s_plus ft")):
     """Extremal variances and squeezed fraction at one operating point.
 
@@ -77,14 +63,16 @@ class SqueezingPoint(namedtuple("SqueezingPoint", "s_minus s_plus ft")):
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-def variance(p: OpaParams) -> float:
+def variance(x: float, beta: float, w: float, theta: float) -> float:
     """Relative variance S(theta, x, w) at one operating point; < 1 means squeezing.
 
     Written as cos^2(theta)*S+ + sin^2(theta)*S-, so the extremal phases
     reproduce :func:`s_plus` / :func:`s_minus` bit for bit.
     """
-    return (math.cos(p.theta) ** 2 * _s_plus(p.x, p.beta, p.w)
-            + math.sin(p.theta) ** 2 * _s_minus(p.x, p.beta, p.w))
+    x, beta, w = _validate(x, beta, w)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return math.cos(theta) ** 2 * _s_plus(x, beta, w) + math.sin(theta) ** 2 * _s_minus(x, beta, w)
 
 
 def s_minus(x: float, beta: float, w: float = 0.0) -> float:

@@ -50,26 +50,24 @@ class PointSet(namedtuple("PointSet", "label x y x_err y_err", defaults=((), ())
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-class PlotSpec:
-    """A figure: axes, curves and point sets; compared by value."""
+class PlotSpec(namedtuple("PlotSpec", "title x_label y_label x_range y_range curves points legend",
+                          defaults=((), (), True))):
+    """A figure: axes, curves and point sets."""
 
-    def __init__(self, title: str, x_label: str, y_label: str, x_range: tuple[float, float],
-                 y_range: tuple[float, float], curves: list[CurveTrace] | None = None,
-                 points: list[PointSet] | None = None, legend: bool = True):
-        for lo, hi in (x_range, y_range):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for lo, hi in (self.x_range, self.y_range):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError("axis ranges must be finite and increasing")
-        self.title, self.x_label, self.y_label = title, x_label, y_label
-        self.x_range, self.y_range = x_range, y_range
-        self.curves = [] if curves is None else curves
-        self.points = [] if points is None else points
-        self.legend = legend
         for trace in self.curves:
             if trace.style not in _DASHES:
                 raise ValueError(f"unknown stroke style {trace.style!r}")
+        return self
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+    # ``_replace`` builds through ``_make``: a changed field is checked again
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 def _fmt(v: float) -> str:

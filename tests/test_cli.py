@@ -477,8 +477,13 @@ def test_plot_missing_report_file_exit_4(capsys, tmp_path):
     assert run(capsys, "analyze", "--report", str(tmp_path / "r.json"))[0] == 0
     good = json.loads((tmp_path / "r.json").read_text())
     listed = dict(good, fitted_scales=[])
+    # a row with a key no row has, and a row without its flags
+    extra = dict(good, per_record=[dict(good["per_record"][0], colour="red")])
+    flagless = dict(good, per_record=[{k: v for k, v in good["per_record"][0].items()
+                                       if k != "flags"}])
     malformed = [("empty.json", "{}"), ("text.json", "not json"),
-                 ("listed.json", json.dumps(listed)),
+                 ("listed.json", json.dumps(listed)), ("extra.json", json.dumps(extra)),
+                 ("flagless.json", json.dumps(flagless)),
                  ("deep.json", "[" * 100000 + "]" * 100000)]  # deeper than the decoder recurses
     # a drawn field that is not a finite number (JSON as Python writes it), or
     # a negative error
@@ -522,6 +527,26 @@ def test_point_set_is_an_immutable_value_checked_on_every_change():
     assert svgfig.PointSet("p", (0.2,), (-3.0,)) == points._replace(x_err=(), y_err=())
     with pytest.raises(TypeError, match="color"):
         svgfig.PointSet("p", (0.2,), (-3.0,), color="#000000")
+
+
+def test_plot_spec_is_an_immutable_value_checked_on_every_change():
+    # built and replaced through one check; compared by its fields
+    trace = svgfig.CurveTrace("c", (0.1, 0.2), (-3.0, -2.0))
+    spec = svgfig.PlotSpec("t", "x", "y", (0.0, 0.5), (-25.0, 0.0), [trace])
+    with pytest.raises(ValueError, match="^axis ranges must be finite and increasing$"):
+        svgfig.PlotSpec("t", "x", "y", (0.5, 0.0), (-25.0, 0.0))
+    with pytest.raises(ValueError, match="^axis ranges must be finite and increasing$"):
+        spec._replace(y_range=(0.0, -25.0))
+    with pytest.raises(ValueError, match="^unknown stroke style 'wavy'$"):
+        svgfig.PlotSpec("t", "x", "y", (0.0, 0.5), (-25.0, 0.0), [trace._replace(style="wavy")])
+    with pytest.raises(ValueError, match="^unknown stroke style 'wavy'$"):
+        spec._replace(curves=[trace, trace._replace(style="wavy")])
+    with pytest.raises(AttributeError):
+        spec.curves = []
+    twin = svgfig.PlotSpec(title="t", x_label="x", y_label="y", x_range=(0.0, 0.5),
+                           y_range=(-25.0, 0.0), curves=[trace], points=(), legend=True)
+    assert twin == spec and twin is not spec
+    assert spec._replace(legend=False) != spec
 
 
 def test_plot_usage_errors(capsys, tmp_path, monkeypatch):
@@ -892,8 +917,8 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
 
 # No command loads SciPy or NumPy: the closed forms and the Gauss-Kronrod
 # bracket of the trapezoid spectrum run in math.  Nor does any load
-# dataclasses, or inspect, which it imports: sqzqi's value types are named
-# tuples and plain classes.  The same probe checks that each command loads
+# dataclasses, or inspect, which it imports: every sqzqi data type is a
+# named tuple.  The same probe checks that each command loads
 # only the sqzqi modules it runs: `bound` needs neither the meta-analysis nor
 # the SVG writer.
 @pytest.mark.parametrize("argv, extra", [
@@ -920,7 +945,7 @@ CLI_MODULES = {"cli", "qi_bound", "windows", "units"}  # import sqzqi.cli; every
         "plot-5", "plot-5-report", "plot-7", "analyze", "analyze-fit", "plot-8", "plot-curve",
         "analyze-fit-trapezoid", "bound-trapezoid", "bound-square",
         "bound-omega-t0"])
-def test_startup_loads_only_the_scipy_its_path_needs(capsys, tmp_path, argv, extra):
+def test_startup_loads_only_the_modules_its_command_runs(capsys, tmp_path, argv, extra):
     if "--report" in argv and argv[0] == "plot":
         assert run(capsys, "analyze", "--report", str(tmp_path / "report.json"))[0] == 0
     assert modules_loaded_by(tmp_path, *argv) == (set(), CLI_MODULES | extra, set())

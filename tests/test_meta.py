@@ -266,8 +266,8 @@ def test_record_is_an_immutable_value_checked_on_every_change():
 
 
 def test_report_types_compare_by_value_and_share_no_default():
-    # plain classes: equal fields make equal objects, each report gets new
-    # lists and dicts, and a report, being mutable, has no hash
+    # named tuples: equal fields make equal objects, no field can be assigned,
+    # each report gets new lists and dicts, and a report, holding them, has no hash
     a, b = AnalysisReport(), AnalysisReport()
     assert a == b and a.caveats is not b.caveats
     a.per_record.append(RecordResult("r", 0.1, "formula", -3.0, 0.5, 0.02, {}, {}, None,
@@ -280,6 +280,10 @@ def test_report_types_compare_by_value_and_share_no_default():
         hash(a)
     with pytest.raises(TypeError, match="provenance"):
         AnalysisReport(provenance={})
+    for value, field in ((a, "per_record"), (a.per_record[0], "flags"),
+                         (a.fitted_scales["c"], "envelope_k")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
 
 
 # --- classification ----------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sqzqi import opa
 from sqzqi.opa import (
     NoSqueezingError,
-    OpaParams,
     SqueezingPoint,
     effective_ft,
     extremal_product,
@@ -44,37 +43,35 @@ ws = st.floats(0.0, 50.0)
 # --- variance and extremes ---------------------------------------------------
 
 def test_variance_squeezed_example():
-    p = OpaParams(x=0.8, beta=0.975, w=0.0, theta=math.pi / 2)
-    s = variance(p)
+    s = variance(x=0.8, beta=0.975, w=0.0, theta=math.pi / 2)
     assert s == pytest.approx(1.0 - 3.12 / 3.24, rel=1e-12)
     assert s == pytest.approx(0.03704, abs=5e-6)
     assert to_db(s) == pytest.approx(-14.31, abs=5e-3)
 
 
 def test_variance_antisqueezed_example():
-    p = OpaParams(x=0.8, beta=0.975, w=0.0, theta=0.0)
-    s = variance(p)
+    s = variance(x=0.8, beta=0.975, w=0.0, theta=0.0)
     assert s == pytest.approx(79.0, rel=1e-12)
     assert to_db(s) == pytest.approx(18.98, abs=5e-3)
 
 
 def test_variance_perfect_squeezing_limit():
     # x -> 1, beta = 1, on resonance: squeezed variance tends to zero
-    p = OpaParams(x=1.0 - 1e-9, beta=1.0, w=0.0, theta=math.pi / 2)
-    assert variance(p) == pytest.approx(0.0, abs=1e-8)
+    assert variance(x=1.0 - 1e-9, beta=1.0, w=0.0, theta=math.pi / 2) == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_extremes_equal_variance_at_extremal_phases():
     for x, beta, w in [(0.8, 0.975, 0.0), (0.3, 0.9, 0.7), (0.05, 1.0, 2.0)]:
-        assert s_minus(x, beta, w) == variance(OpaParams(x, beta, w, math.pi / 2))
-        assert s_plus(x, beta, w) == variance(OpaParams(x, beta, w, 0.0))
+        assert s_minus(x, beta, w) == variance(x, beta, w, math.pi / 2)
+        assert s_plus(x, beta, w) == variance(x, beta, w, 0.0)
 
 
 @settings(max_examples=60)
 @given(x=xs, beta=betas, w=ws, theta=st.floats(-6.0, 6.0))
 def test_variance_is_pi_periodic(x, beta, w, theta):
-    a = variance(OpaParams(x, beta, w, theta))
-    b = variance(OpaParams(x, beta, w, theta + math.pi))
+    a = variance(x, beta, w, theta)
+    b = variance(x, beta, w, theta + math.pi)
     assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -95,7 +92,9 @@ def test_params_validation():
         kwargs = dict(x=0.5, beta=0.9, w=0.0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
-            OpaParams(**kwargs)
+            variance(theta=0.0, **kwargs)
+    with pytest.raises(ValueError, match="^theta must be finite$"):
+        variance(0.5, 0.9, 0.0, math.nan)
 
 
 # --- uncertainty product -----------------------------------------------------
