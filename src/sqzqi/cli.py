@@ -347,8 +347,7 @@ def _report_points(path: str) -> svgfig.PointSet:
     )
 
 
-class _BoundFigure(namedtuple("_BoundFigure", "title grid_step traces ideal legend",
-                              defaults=(True,))):
+class _BoundFigure(namedtuple("_BoundFigure", "title grid_step traces ideal")):
     """An R-against-F_T figure: its default F_T sampling step, a (curve,
     stroke style, colour) per bound trace, and the ideal-OPA trace's stroke
     style (None: not drawn)."""
@@ -371,7 +370,7 @@ _FIGURES = {
     8: _BoundFigure("Trapezoid-window bounds vs squeezed fraction", 0.02, tuple(
         trace for n in TRAPEZOID_FAMILY for trace in (
             (QiCurve(_T, _PAPER, n=n), "dashed", "#000000"),
-            (QiCurve(_T, _MARECKI, n=n), "solid", "#888888"))), ideal="solid", legend=False),
+            (QiCurve(_T, _MARECKI, n=n), "solid", "#888888"))), ideal="solid"),
 }
 
 
@@ -412,7 +411,7 @@ def cmd_plot(args) -> int:
                                             style=fig.ideal, width=2.2))
         spec = svgfig.PlotSpec(
             title=fig.title, x_label="F_T", y_label="R (dB)",
-            x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), curves=curves, legend=fig.legend)
+            x_range=(0.0, 0.5), y_range=(args.db_floor, 0.0), curves=curves)
     if args.report:
         spec = spec._replace(points=[_report_points(args.report)])
     with _writing(args.out):

@@ -144,17 +144,11 @@ def load_records(source: str | Path) -> list[SqueezingRecord]:
         if len(row) != len(DATASET_COLUMNS):
             raise DatasetError(f"expected {len(DATASET_COLUMNS)} fields, got {len(row)}", line_no)
         rid, ref = row[0].strip(), row[1].strip()
-        vals = {name: _parse_field(row[i], line_no, name)
-                for i, name in enumerate(DATASET_COLUMNS) if i >= 2}
+        # the numeric columns are SqueezingRecord's fields after id and ref_label, in order
+        vals = [_parse_field(raw, line_no, name)
+                for raw, name in zip(row[2:], DATASET_COLUMNS[2:])]
         try:
-            records.append(SqueezingRecord(
-                id=rid, ref_label=ref,
-                x=vals["x"], w=vals["omega_over_gamma"], beta=vals["beta"],
-                s_minus_db=vals["s_minus_db"], s_plus_db=vals["s_plus_db"],
-                s_err_db=vals["s_err_db"],
-                ft_formula=vals["ft_formula"], ft_graphical=vals["ft_graphical"],
-                ft_err=vals["ft_err"],
-            ))
+            records.append(SqueezingRecord(rid, ref, *vals))
         except ValueError as exc:
             raise DatasetError(str(exc), line_no) from None
         if first_line.setdefault(rid, line_no) != line_no:

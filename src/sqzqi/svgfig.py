@@ -50,9 +50,9 @@ class PointSet(namedtuple("PointSet", "label x y x_err y_err", defaults=((), ())
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-class PlotSpec(namedtuple("PlotSpec", "title x_label y_label x_range y_range curves points legend",
-                          defaults=((), (), True))):
-    """A figure: axes, curves and point sets."""
+class PlotSpec(namedtuple("PlotSpec", "title x_label y_label x_range y_range curves points",
+                          defaults=((), ()))):
+    """A figure: axes, curves and point sets; a legend if 1 to 8 items are labelled."""
 
     __slots__ = ()
 
@@ -220,7 +220,7 @@ def render_svg(spec: PlotSpec) -> str:
     c.text(16, (top + bottom) / 2, spec.y_label, rotate=True)
 
     labeled = [t for t in spec.curves if t.label] + [p for p in spec.points if p.label]
-    if spec.legend and 0 < len(labeled) <= 8:
+    if 0 < len(labeled) <= 8:
         lx, ly = right - 176, top + 12
         for i, item in enumerate(labeled):
             y = ly + 16 * i

@@ -391,6 +391,17 @@ def test_analyze_fit_without_usable_records_exit_4(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_analyze_fit_without_a_feasible_scale_exit_4(capsys, tmp_path):
+    # a record 300 dB deep lies below every scaled curve, even at k = 1e-9
+    data = tmp_path / "deep.csv"
+    data.write_text(HEADER + "\ndeep,l,,,,-300,,,0.2,,\n")
+    report = tmp_path / "r.json"
+    code, _, err = run(capsys, "analyze", "--fit", "--report", str(report), "--data", str(data))
+    assert (code, err) == (4, "sqzqi: dataset error: no feasible envelope scale at k -> 0 "
+                              "(malformed data)\n")
+    assert not report.exists()
+
+
 # values of every kind a field may hold: in and out of range, wrong sign,
 # non-finite, not a number, empty
 FIELD_VALUES = ["", " ", "0", "0.02", "0.1", "0.5", "0.9", "1", "1.5", "-0.5", "-3.0",
@@ -465,6 +476,15 @@ def test_curve_named_twice_is_a_usage_error(capsys, tmp_path, monkeypatch, argv)
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("argv", [("analyze", "--curves", ","),
+                                  ("plot", "--curve", " ", "--out", "x.svg")],
+                         ids=["analyze", "plot"])
+def test_empty_curve_list_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", "sqzqi: empty curve list\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
 # --- plot ------------------------------------------------------------------------
 
 def test_plot_missing_report_file_exit_4(capsys, tmp_path):
@@ -529,6 +549,15 @@ def test_point_set_is_an_immutable_value_checked_on_every_change():
         svgfig.PointSet("p", (0.2,), (-3.0,), color="#000000")
 
 
+def test_trace_points_outside_the_x_range_are_not_drawn():
+    # x = -0.1 and 0.7 lie off the 0..0.5 axis: the polyline joins the two in range,
+    # at px = 64 + 1116*x and py = 392 - 362*(y + 25)/25
+    trace = svgfig.CurveTrace("c", (-0.1, 0.1, 0.3, 0.7), (-3.0, -2.0, -1.0, -0.5))
+    svg = svgfig.render_svg(svgfig.PlotSpec("t", "x", "y", (0.0, 0.5), (-25.0, 0.0), [trace]))
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == ["175.60,58.96 398.80,44.48"]
+    assert 'r="3" fill="#ffffff"' not in svg  # no clipped-end marker
+
+
 def test_plot_spec_is_an_immutable_value_checked_on_every_change():
     # built and replaced through one check; compared by its fields
     trace = svgfig.CurveTrace("c", (0.1, 0.2), (-3.0, -2.0))
@@ -544,9 +573,9 @@ def test_plot_spec_is_an_immutable_value_checked_on_every_change():
     with pytest.raises(AttributeError):
         spec.curves = []
     twin = svgfig.PlotSpec(title="t", x_label="x", y_label="y", x_range=(0.0, 0.5),
-                           y_range=(-25.0, 0.0), curves=[trace], points=(), legend=True)
+                           y_range=(-25.0, 0.0), curves=[trace], points=())
     assert twin == spec and twin is not spec
-    assert spec._replace(legend=False) != spec
+    assert spec._replace(title="u") != spec
 
 
 def test_plot_usage_errors(capsys, tmp_path, monkeypatch):

@@ -39,7 +39,6 @@ from sqzqi.qi_bound import (
     _bracket,
     _bracket_spectrum,
     _check_bracket,
-    _gauss_hermite,
     _gauss_kronrod,
     _kronrod21,
     bound_value,
@@ -266,6 +265,24 @@ def test_gaussian_weight_matches_delta_limit(omega0):
     assert full == pytest.approx(delta, abs=1e-3)
 
 
+@pytest.mark.parametrize("kind, n", [
+    (WindowKind.GAUSSIAN, None), (WindowKind.LORENTZIAN_SQ, None), (WindowKind.SQUARE, None),
+    (WindowKind.TRAPEZOID, 0.2), (WindowKind.TRAPEZOID, 5.0), (WindowKind.TRAPEZOID, 20.0)])
+def test_gaussian_weight_sum_matches_hermite_rule(kind, n):
+    # the even-grid sum against NumPy's 61-point Gauss-Hermite rule for the
+    # same weight, over the same brackets
+    w = SamplingWindow(kind, 1.0, n)
+    nodes, weights = np.polynomial.hermite.hermgauss(61)
+    for omega0 in (0.3, 1.0, 3.0):
+        for ratio in (0.01, 0.05, 0.07):
+            mu = SpectralFunction(omega0, ratio * omega0, SpectralShape.GAUSSIAN)
+            omega_p = [omega0 + ratio * omega0 * float(x) for x in nodes]
+            brackets, _ = _bracket_spectrum(w, omega_p)
+            mass = [float(a) * o**3 for a, o in zip(weights, omega_p)]
+            want = math.fsum(m * b for m, b in zip(mass, brackets)) / math.fsum(mass)
+            assert numeric_bound_detail(w, mu).bracket == pytest.approx(want, rel=0, abs=2e-15)
+
+
 def test_spectral_function_validation():
     SpectralFunction(omega0=1.0)  # delta limit, fine
     with pytest.raises(ValueError):
@@ -274,6 +291,13 @@ def test_spectral_function_validation():
         SpectralFunction(omega0=1.0, shape=SpectralShape.GAUSSIAN)  # missing width
     with pytest.raises(ValueError):
         SpectralFunction(omega0=-1.0)
+    with pytest.raises(ValueError, match="delta-limit shape takes no width"):
+        SpectralFunction(1.0, 0.05)  # a width needs the Gaussian shape
+    with pytest.raises(ValueError, match="needs delta_omega > 0"):
+        SpectralFunction(1.0, math.nan, SpectralShape.GAUSSIAN)
+    # just under the ceiling, every node of the weight stays at a positive omega_p
+    mu = SpectralFunction(1.0, 0.0995, SpectralShape.GAUSSIAN)
+    assert math.isfinite(numeric_bound_detail(gaussian_window(1.0), mu).r_db)
 
 
 # --- square and trapezoid brackets vs independent oracles -------------------
@@ -575,14 +599,6 @@ def test_trapezoid_bracket_is_the_array_implementation_bit_for_bit(log_n, log_om
         assert err == pytest.approx(want_err, rel=1e-12, abs=0)
         if err <= BOUND_TOL:
             break
-
-
-def test_gauss_hermite_nodes_match_numpy():
-    x, w = _gauss_hermite(61)
-    want_x, want_w = np.polynomial.hermite.hermgauss(61)
-    np.testing.assert_allclose(x[::-1], want_x, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(w[::-1], want_w, rtol=1e-11, atol=0)
-    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind, n", [(WindowKind.GAUSSIAN, None), (WindowKind.TRAPEZOID, 0.2)])
